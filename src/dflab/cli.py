@@ -4,7 +4,7 @@ Every subcommand writes structured records to stdout (jsonl by default,
 csv or human on request) and diagnostics to stderr.  Exit codes: 0 ok,
 1 verification failure (a counterexample was found), 2 usage error,
 3 resource limit.  Records are buffered and emitted after all work is
-done, in an order that does not depend on the thread count.
+done, in an order that does not depend on the search worker count.
 
 The sieve is cached on disk: a 32-byte header (magic "DFL1", uint32
 version, uint64 limit, uint32 CRC-32 of the payload, 12 zero bytes)
@@ -38,6 +38,7 @@ from .equation import (
     NotASolutionError,
     ResourceLimitError,
     SolutionRecord,
+    _available_cpus,
     classify,
     generate_trivial_even,
     generate_trivial_odd,
@@ -75,7 +76,7 @@ class CommandConfig:
     sieve_limit: int = 10**6
     cache_dir: Path = None
     output_format: str = "jsonl"
-    threads: int = 0  # 0 = auto
+    threads: int = 0  # search worker processes; 0 = one per usable CPU
     node_budget: int = 10**8
 
     def __post_init__(self):
@@ -92,7 +93,7 @@ class CommandConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
     def effective_threads(self) -> int:
-        return self.threads if self.threads > 0 else max(1, os.cpu_count() or 1)
+        return self.threads if self.threads > 0 else _available_cpus()
 
 
 @dataclass
@@ -317,15 +318,20 @@ def _parse_k_range(text: str) -> list:
 # Subcommand handlers: each returns (records, exit_code).
 
 
-def _cmd_search(args, config, table):
-    records = search(
+def _search(args, config, table, mode):
+    """search() over the command's --n-max and --t-max, honouring the shared flags."""
+    return search(
         args.n_max,
         args.t_max,
-        args.mode,
+        mode,
         table,
         threads=config.effective_threads(),
         node_budget=config.node_budget,
     )
+
+
+def _cmd_search(args, config, table):
+    records = _search(args, config, table, args.mode)
     return [_solution_record(r) for r in records], EXIT_OK
 
 
@@ -375,14 +381,14 @@ def _geometry_scan(k_max, table):
 
 def _cmd_verify_lemma22(args, config, table):
     results = [_geometry_scan(args.k_max, table)]
-    for rec in search(args.n_max, args.t_max, "r0", table, threads=config.effective_threads()):
+    for rec in _search(args, config, table, "r0"):
         results.append(bounds.sandwich_check(rec.instance, table))
     return [_bound_record(r) for r in results], _verdict(results)
 
 
 def _cmd_verify_lemma23(args, config, table):
     results = []
-    for rec in search(args.n_max, args.t_max, "r1", table, threads=config.effective_threads()):
+    for rec in _search(args, config, table, "r1"):
         results.append(bounds.sandwich_check(rec.instance, table))
     if not results:
         return [
@@ -543,7 +549,14 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("jsonl", "csv", "human"), default="jsonl", dest="output_format"
     )
-    common.add_argument("--threads", type=int, default=0, metavar="N", help="0 = auto")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=0,
+        metavar="N",
+        help="search worker processes (0 = one per usable CPU); capped at the "
+        "CPUs this process may run on and at the number of n values",
+    )
     common.add_argument("--node-budget", type=int, default=10**8, metavar="N")
     return common
 

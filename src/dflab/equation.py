@@ -14,8 +14,8 @@ are simply refuted by check_identity.
 """
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +26,6 @@ from .core import (
     double_factorial,
     double_factorial_valuations,
     log_double_factorial,
-    _walk_spf,
 )
 
 __all__ = [
@@ -45,11 +44,25 @@ __all__ = [
     "odd_gap_obstruction",
     "DEFAULT_MAX_GENERATED_N",
     "DEFAULT_NODE_BUDGET",
+    "MAX_TABLE_BYTES",
     "KNOWN_FACTORIAL_IDENTITIES",
 ]
 
 DEFAULT_MAX_GENERATED_N = 10**9
 DEFAULT_NODE_BUDGET = 10**8
+# search refuses (ResourceLimitError) a valuation table larger than this
+MAX_TABLE_BYTES = 2**30
+# The log-magnitude prune for target n!! allows a slack of
+# _LOG_RTOL * (1 + log n!!).  logdf[m] is a running sum of m/2 logs, so its
+# rounding error is below (m/2) * 2**-53 * log m!! <= 2.9e-12 * log n!! for
+# every n the table cap admits (n <= 51217); the running log owed adds one
+# such error per part.  The slack is hundreds of times larger than that bound,
+# and at n = 2000 about 10^4 times.
+_LOG_RTOL = 1e-9
+# Starting a pool of forked workers costs about as long as comparing this
+# many candidate rows in-process, so search forks only once it has
+# compared that many; smaller searches never pay for the fork.
+_INLINE_ROWS = 10_000
 
 
 class NotASolutionError(ValueError):
@@ -57,7 +70,7 @@ class NotASolutionError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """The search exceeded its configured node budget."""
+    """The search exceeded its node budget or its valuation-table memory cap."""
 
 
 @dataclass(frozen=True)
@@ -256,101 +269,184 @@ def generate_trivial_odd(
 
 
 class _NodeBudget:
-    """Thread-shared counter of visited search nodes."""
+    """Count of candidate rows compared by one search process."""
+
+    __slots__ = ("limit", "used")
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
-        self._lock = threading.Lock()
 
     def spend(self, amount: int):
-        with self._lock:
-            self.used += amount
-            if self.used > self.limit:
-                raise ResourceLimitError(
-                    f"search exceeded the node budget of {self.limit} partial products"
-                )
+        self.used += amount
+        if self.used > self.limit:
+            raise _over_budget(self.limit)
 
 
-def _df_exponent_chain(n_max: int, table: PrimeTable) -> list:
-    """chain[m] = prime-exponent dict of m!!, built by m!! = m * (m-2)!!."""
-    chain = [dict() for _ in range(n_max + 1)]
-    for m in range(2, n_max + 1):
-        d = dict(chain[m - 2])
-        for p, e in _walk_spf(m, table.spf).items():
-            d[p] = d.get(p, 0) + e
-        chain[m] = d
-    return chain
+def _over_budget(limit: int) -> ResourceLimitError:
+    return ResourceLimitError(f"search exceeded the node budget of {limit} candidate rows")
 
 
-def _search_one(n, chain, t_max, one_odd, budget):
+@dataclass(frozen=True)
+class _ValuationTable:
+    """Every row a search over n <= n_max reads, built once per call.
+
+    v[m, i] = nu_{p_i}(m!!) over the primes p_i <= n_max, as int32 (nu_2
+    of m!! is below m).  Row m is zero beyond its first count[m] columns,
+    count[m] being the number of primes <= m.  rowsum[m] is the sum of
+    row m and logdf[m] = log m!!.  Everything but v is a plain list, for
+    fast scalar lookups.
+    """
+
+    v: np.ndarray
+    primes: list
+    count: list
+    rowsum: list
+    logdf: list
+
+
+def _valuation_table(n_max: int, table: PrimeTable) -> _ValuationTable:
+    primes = table.primes_leq(n_max)
+    need = (n_max + 1) * primes.size * 4
+    if need > MAX_TABLE_BYTES:
+        raise ResourceLimitError(
+            f"the valuation table for n_max={n_max} needs {need} bytes, "
+            f"above the {MAX_TABLE_BYTES}-byte cap"
+        )
+    v = np.zeros((n_max + 1, primes.size), dtype=np.int32)
+    for i, p in enumerate(primes.tolist()):
+        q = p
+        while q <= n_max:
+            v[q::q, i] += 1
+            q *= p
+    # v[m] held nu(m); v[m] = v[m-2] + nu(m) turns it into nu(m!!)
+    np.cumsum(v[0::2], axis=0, out=v[0::2])
+    np.cumsum(v[1::2], axis=0, out=v[1::2])
+    logs = np.log(np.maximum(np.arange(n_max + 1), 1))
+    logdf = np.empty(n_max + 1)
+    np.cumsum(logs[0::2], out=logdf[0::2])
+    np.cumsum(logs[1::2], out=logdf[1::2])
+    return _ValuationTable(
+        v,
+        primes.tolist(),
+        np.searchsorted(primes, np.arange(n_max + 1), side="right").tolist(),
+        v.sum(axis=1, dtype=np.int64).tolist(),
+        logdf.tolist(),
+    )
+
+
+def _search_one(n, tab, t_max, one_odd, budget):
     """All descending part tuples solving the identity for this n.
 
-    Depth-first over nonincreasing parts.  Two prunes do the work: a
-    candidate v survives only if the exponent vector of v!! fits inside
-    what is still owed, and the largest odd prime still owed forces
-    v >= q (odd candidates) or v >= 2q (even candidates, whose double
-    factorial contains odd primes only up to v/2).
+    Depth-first over nonincreasing parts; each node compares its whole
+    candidate window against the owed exponent vector in one numpy pass
+    and counts the rows it compared.  The window is cut three ways:
+
+    - the largest odd prime q still owed forces v >= q (odd candidates)
+      or v >= 2q (even candidates, whose double factorial contains odd
+      primes only up to v/2);
+    - log v!! <= log owed, since v!! must divide what is owed;
+    - slots * log v!! >= log owed, since the remaining parts are all <= v.
+
+    The two log cuts only prune: a hit needs the integer owed vector to
+    reach exactly zero.
     """
-    target = chain[n]
-    remaining = dict(target)
+    v_tab, primes, count, rowsum, logdf = tab.v, tab.primes, tab.count, tab.rowsum, tab.logdf
+    owed = v_tab[n, : count[n]].copy()
+    tol = _LOG_RTOL * (1.0 + logdf[n])
     found = []
     min_t = 3 if one_odd else 2
-    state = {"nodes": 0}
 
-    def spend_node():
-        state["nodes"] += 1
-        if state["nodes"] >= 65536:
-            budget.spend(state["nodes"])
-            state["nodes"] = 0
-
-    def extend(v_cap, slots, odd_used, prefix):
-        q = 0
-        for p in remaining:
-            if p != 2 and p > q:
-                q = p
+    def extend(v_cap, slots, odd_used, prefix, log_owed, owed_total):
+        lo = bisect_left(logdf, (log_owed - tol) / slots)
+        hi = min(v_cap, bisect_right(logdf, log_owed + tol) - 1)
+        if lo > hi:
+            return
+        top = owed.nonzero()[0][-1]
+        q = primes[top] if top else 0
         odd_available = one_odd and not odd_used
-        # some future part (all of them <= the next candidate v) must cover
-        # the largest odd prime still owed: an odd part reaches primes up
-        # to itself, an even part only up to half of itself
-        if q:
-            v_lo = q if odd_available else 2 * q
+        lo = max(lo, (q if odd_available else 2 * q) if q else 4)
+        if odd_available and slots == 1:
+            if not q:
+                return  # this last part must be odd, and no odd v!! divides a power of 2
+            step, lo = 2, lo | 1
+        elif odd_available and q:
+            step = 1
         else:
-            v_lo = 4  # a pure power of 2 is only closable by even parts
-        need_odd_now = odd_available and slots == 1
-        for v in range(min(v_cap, n - 1), v_lo - 1, -1):
-            if v % 2 == 0:
-                if need_odd_now:
-                    continue
-            elif not odd_available or q == 0 or v < q:
-                continue
-            spend_node()
-            vec = chain[v]
-            fits = True
-            for p, e in vec.items():
-                if remaining.get(p, 0) < e:
-                    fits = False
-                    break
-            if not fits:
-                continue
-            for p, e in vec.items():
-                r2 = remaining[p] - e
-                if r2:
-                    remaining[p] = r2
-                else:
-                    del remaining[p]
-            if not remaining:
-                t = len(prefix) + 1
-                if t >= min_t and (odd_used or v % 2 == 1 or not one_odd):
+            step, lo = 2, lo + (lo & 1)
+        if lo > hi:
+            return
+        k = count[hi]
+        rows = v_tab[lo : hi + 1 : step, :k]
+        budget.spend(rows.shape[0])
+        for j in np.flatnonzero((rows <= owed[:k]).all(axis=1))[::-1].tolist():
+            v = lo + step * j
+            row = v_tab[v, : count[v]]
+            owed[: row.size] -= row
+            rest = owed_total - rowsum[v]
+            if not rest:
+                if len(prefix) + 1 >= min_t and (odd_used or v & 1 or not one_odd):
                     found.append(prefix + (v,))
             elif slots > 1:
-                extend(v, slots - 1, odd_used or v % 2 == 1, prefix + (v,))
-            for p, e in vec.items():
-                remaining[p] = remaining.get(p, 0) + e
+                extend(v, slots - 1, odd_used or v & 1 == 1, prefix + (v,), log_owed - logdf[v], rest)
+            owed[: row.size] += row
 
-    extend(n - 1, t_max, False, ())
-    budget.spend(state["nodes"])
+    extend(n - 1, t_max, False, (), logdf[n], rowsum[n])
     return found
+
+
+def _search_ns(tab, ns, t_max, one_odd, budget):
+    """[(n, parts), ...] over the given n values."""
+    return [(n, parts) for n in ns for parts in _search_one(n, tab, t_max, one_odd, budget)]
+
+
+# The search a forked worker runs, handed over by _init_worker.  Only the
+# workers set it: under fork the pool's initializer arguments are inherited
+# in memory, so the table reaches them without being pickled.
+_worker_search = None
+
+
+def _init_worker(*search_args):
+    global _worker_search
+    _worker_search = search_args
+
+
+def _fork_worker(i):
+    """(hits, rows compared) of worker i, which aborts once its own count exceeds the budget."""
+    tab, ns, workers, t_max, one_odd, node_budget = _worker_search
+    budget = _NodeBudget(node_budget)
+    return _search_ns(tab, ns[i::workers], t_max, one_odd, budget), budget.used
+
+
+def _search_forked(tab, ns, workers, t_max, one_odd, node_budget):
+    """Worker i searches ns[i::workers]; cost grows with n, so the split is round-robin.
+
+    dflab starts no threads, and the pool forks its workers before it
+    starts its own, so fork is safe unless the caller runs threads of its
+    own.  Spawn would re-import numpy in every worker and pickle the table
+    to each.
+    """
+    import multiprocessing
+
+    args = (tab, ns, workers, t_max, one_odd, node_budget)
+    ctx = multiprocessing.get_context("fork")
+    # leaving the block terminates the pool, which stops the other workers
+    # as soon as one of them raises ResourceLimitError
+    with ctx.Pool(workers, initializer=_init_worker, initargs=args) as pool:
+        return list(pool.imap_unordered(_fork_worker, range(workers)))
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(threads: int, n_values: int) -> int:
+    """Worker processes for a search: the request, capped by CPUs and by n values."""
+    return max(1, min(threads, _available_cpus(), n_values))
 
 
 def search(
@@ -366,8 +462,15 @@ def search(
 
     mode "r0" finds all-even-part solutions (t >= 2); mode "r1" finds
     solutions with exactly one odd part (t >= 3, forced by parity).
-    Results are classified and sorted by (n, parts); the order, and the
-    records themselves, do not depend on the thread count.
+    threads is the worker count, capped by the CPUs this process may use
+    and by the number of even n.  One worker searches in this process.
+    With more, the search still starts here, in order of n, and forks
+    that many worker processes for the n values left once it has compared
+    _INLINE_ROWS (10^4) candidate rows; a smaller search never forks.
+    The node budget caps the candidate rows compared, summed over this
+    process and all workers.  Results are classified and sorted by
+    (n, parts); the order, and the records themselves, do not depend on
+    the worker count.
     """
     if mode not in ("r0", "r1"):
         raise ValueError(f"mode must be 'r0' or 'r1', got {mode!r}")
@@ -381,26 +484,28 @@ def search(
     if n_max < 4:
         return []
 
-    chain = _df_exponent_chain(n_max, table)
-    budget = _NodeBudget(node_budget)
+    tab = _valuation_table(n_max, table)
     one_odd = mode == "r1"
-    ns = range(4, n_max + 1, 2)
+    ns = list(range(4, n_max + 1, 2))
+    workers = _worker_count(threads, len(ns))
+    budget = _NodeBudget(node_budget)
+    hits = []
+    done = 0
+    while done < len(ns) and (workers == 1 or budget.used < _INLINE_ROWS):
+        hits += _search_ns(tab, ns[done : done + 1], t_max, one_odd, budget)
+        done += 1
+    used = budget.used
+    if done < len(ns):
+        rest = ns[done:]
+        for found, worker_used in _search_forked(
+            tab, rest, min(workers, len(rest)), t_max, one_odd, node_budget
+        ):
+            hits += found
+            used += worker_used
+    if used > node_budget:
+        raise _over_budget(node_budget)
 
-    def worker(n):
-        return _search_one(n, chain, t_max, one_odd, budget)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_n = list(pool.map(worker, ns))
-    else:
-        per_n = [worker(n) for n in ns]
-
-    records = []
-    for n, tuples in zip(ns, per_n):
-        for parts in sorted(tuples):
-            records.append(classify(EquationInstance(n, parts), table))
-    records.sort(key=lambda rec: (rec.instance.n, rec.instance.a))
-    return records
+    return [classify(EquationInstance(n, parts), table) for n, parts in sorted(hits)]
 
 
 KNOWN_FACTORIAL_IDENTITIES = (

@@ -257,6 +257,32 @@ def test_node_budget_exit_code(tmp_path, capsys):
     assert "node budget" in err
 
 
+def test_verify_lemmas_honour_node_budget(tmp_path, capsys):
+    for argv in (["verify", "lemma22", "--k-max", "5"], ["verify", "lemma23"]):
+        code, out, err = run_inproc(
+            argv + ["--n-max", "100", "--sieve-limit", "500", "--node-budget", "10"],
+            tmp_path,
+            capsys,
+        )
+        assert code == 3, argv
+        assert "node budget" in err
+        assert out == ""
+
+
+def test_oversized_search_table_exits_3(tmp_path, capsys):
+    code, out, err = run_inproc(
+        ["search", "--mode", "r0", "--n-max", "1000000", "--t-max", "3"], tmp_path, capsys
+    )
+    assert code == 3
+    assert "valuation table" in err
+    assert out == ""
+
+
+def test_auto_threads_is_the_usable_cpu_count():
+    assert CommandConfig(threads=0).effective_threads() == len(os.sched_getaffinity(0))
+    assert CommandConfig(threads=5).effective_threads() == 5
+
+
 def test_csv_matches_jsonl_field_for_field(tmp_path, capsys):
     argv = ["search", "--mode", "r1", "--n-max", "200", "--t-max", "3", "--sieve-limit", "300"]
     code, out_j, _ = run_inproc(argv + ["--format", "jsonl"], tmp_path, capsys)

@@ -1,6 +1,10 @@
+import math
+import os
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dflab import (
     EquationInstance,
@@ -16,12 +20,14 @@ from dflab import (
     search,
     verify_known_factorial_solutions,
 )
+from dflab import equation
 from dflab.core import ExpVec
 
 from oracles import (
     df_direct,
     enumerate_r0_solutions,
     enumerate_r1_solutions,
+    trial_factor,
     trial_is_prime,
 )
 
@@ -216,6 +222,104 @@ def test_search_thread_counts_agree(table_small):
     one = search(200, 3, "r1", table_small, threads=1)
     two = search(200, 3, "r1", table_small, threads=2)
     assert one == two
+
+
+def test_search_r1_frontier_to_800(table_small):
+    recs = search(800, 3, "r1", table_small, threads=2)
+    assert [r.instance.n for r in recs] == [12, 20, 24, 30, 72, 120, 144, 720]
+    assert (recs[-1].instance.a, recs[-1].classification) == ((718, 6, 5), "nontrivial")
+    assert df_direct(718) * df_direct(6) * df_direct(5) == df_direct(720)
+
+
+@st.composite
+def _search_sizes(draw):
+    mode = draw(st.sampled_from(["r0", "r1"]))
+    t_max = draw(st.integers(2 if mode == "r0" else 3, 4))
+    return draw(st.integers(0, 60)), t_max, mode, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_search_sizes())
+def test_search_matches_oracles_on_random_sizes(table_small, sizes):
+    n_max, t_max, mode, threads = sizes
+    with mock.patch.object(equation, "_INLINE_ROWS", 0):  # fork even these small searches
+        recs = search(n_max, t_max, mode, table_small, threads=threads)
+    if mode == "r0":
+        got = {(r.instance.n, r.instance.a, r.classification) for r in recs}
+        assert got == enumerate_r0_solutions(n_max, t_max)
+    else:
+        got = {(r.instance.n, r.instance.a) for r in recs}
+        assert got == enumerate_r1_solutions(n_max, t_max)
+
+
+def test_valuation_table_matches_bigint_factorizations(table_small):
+    tab = equation._valuation_table(300, table_small)
+    assert tab.primes == [p for p in range(2, 301) if trial_is_prime(p)]
+    for m in range(301):
+        fac = trial_factor(df_direct(m))
+        assert tab.v[m].tolist() == [fac.get(p, 0) for p in tab.primes]
+        assert tab.rowsum[m] == sum(fac.values())
+        assert tab.count[m] == sum(1 for p in tab.primes if p <= m)
+
+
+def test_logdf_error_is_far_below_the_prune_tolerance(table_small):
+    tab = equation._valuation_table(2000, table_small)
+    for m in range(2001):
+        err = abs(tab.logdf[m] - math.log(df_direct(m)))
+        assert 100 * err <= equation._LOG_RTOL * (1 + tab.logdf[m]), m
+
+
+def test_search_refuses_oversized_table_before_allocating(table_big):
+    # (10^6 + 1) * pi(10^6) * 4 bytes is about 314 GB
+    with pytest.raises(ResourceLimitError, match="valuation table"):
+        search(10**6, 3, "r0", table_big)
+
+
+def test_worker_count_resolution_starts_no_process(table_small, monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    assert equation._worker_count(10**6, 10**6) == cpus
+    assert equation._worker_count(10**6, 1) == 1
+    assert equation._worker_count(1, 100) == 1
+    assert equation._worker_count(0, 100) == 1
+    forked = []
+
+    def inline(tab, ns, workers, t_max, one_odd, node_budget):
+        forked.append(workers)
+        budget = equation._NodeBudget(node_budget)
+        return [(equation._search_ns(tab, ns, t_max, one_odd, budget), budget.used)]
+
+    monkeypatch.setattr(equation, "_search_forked", inline)
+    # far below _INLINE_ROWS candidate rows: searched in this process
+    assert len(search(40, 3, "r0", table_small, threads=10**6)) == 1
+    assert forked == []
+    monkeypatch.setattr(equation, "_INLINE_ROWS", 0)
+    assert len(search(40, 3, "r0", table_small, threads=10**6)) == 1
+    workers = min(cpus, 19)  # 19 even n in 4..40
+    assert forked == ([workers] if workers > 1 else [])
+
+
+def test_node_budget_verdict_independent_of_worker_count(table_small, monkeypatch):
+    monkeypatch.setattr(equation, "_INLINE_ROWS", 0)  # threads=2 forks from the first n
+
+    def fits(budget, threads=1):
+        try:
+            search(100, 3, "r1", table_small, threads=threads, node_budget=budget)
+        except ResourceLimitError:
+            return False
+        return True
+
+    lo, hi = 1, 10**7
+    assert fits(hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    total = lo
+    for threads in (1, 2):
+        assert not fits(total - 1, threads)
+        assert fits(total, threads)
 
 
 def test_search_validation(table_small):
