@@ -4,7 +4,7 @@ Every subcommand writes structured records to stdout (jsonl by default,
 csv or human on request) and diagnostics to stderr.  Exit codes: 0 ok,
 1 verification failure (a counterexample was found), 2 usage error,
 3 resource limit.  Records are buffered and emitted after all work is
-done, in an order that does not depend on the search worker count.
+done, in a deterministic order.
 
 The sieve is cached on disk: a 32-byte header (magic "DFL1", uint32
 version, uint64 limit, uint32 CRC-32 of the payload, 12 zero bytes)
@@ -38,7 +38,6 @@ from .equation import (
     NotASolutionError,
     ResourceLimitError,
     SolutionRecord,
-    _available_cpus,
     classify,
     generate_trivial_even,
     generate_trivial_odd,
@@ -76,7 +75,7 @@ class CommandConfig:
     sieve_limit: int = 10**6
     cache_dir: Path = None
     output_format: str = "jsonl"
-    threads: int = 0  # search worker processes; 0 = one per usable CPU
+    threads: int = 0  # accepted for compatibility; the search runs in one process
     node_budget: int = 10**8
 
     def __post_init__(self):
@@ -93,7 +92,7 @@ class CommandConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
     def effective_threads(self) -> int:
-        return self.threads if self.threads > 0 else _available_cpus()
+        return self.threads if self.threads > 0 else max(1, os.cpu_count() or 1)
 
 
 @dataclass
@@ -325,7 +324,6 @@ def _search(args, config, table, mode):
         args.t_max,
         mode,
         table,
-        threads=config.effective_threads(),
         node_budget=config.node_budget,
     )
 
@@ -554,8 +552,7 @@ def _common_flags() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="search worker processes (0 = one per usable CPU); capped at the "
-        "CPUs this process may run on and at the number of n values",
+        help="accepted for compatibility and ignored; the search runs in one process",
     )
     common.add_argument("--node-budget", type=int, default=10**8, metavar="N")
     return common

@@ -4,8 +4,7 @@ The sieve is a smallest-prime-factor table (uint32, 4 bytes per integer,
 plus a cached prime list), which makes factorization of any n <= limit a
 walk of O(log n) array lookups.  Integer arithmetic is exact everywhere;
 floats appear only in the log-space helpers.  A PrimeTable never changes
-after construction, so one instance can be shared freely, forked search
-workers included.
+after construction, so one instance can be shared freely.
 """
 
 import math

@@ -14,7 +14,6 @@ are simply refuted by check_identity.
 """
 
 import math
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -59,10 +58,6 @@ MAX_TABLE_BYTES = 2**30
 # such error per part.  The slack is hundreds of times larger than that bound,
 # and at n = 2000 about 10^4 times.
 _LOG_RTOL = 1e-9
-# Starting a pool of forked workers costs about as long as comparing this
-# many candidate rows in-process, so search forks only once it has
-# compared that many; smaller searches never pay for the fork.
-_INLINE_ROWS = 10_000
 
 
 class NotASolutionError(ValueError):
@@ -269,7 +264,7 @@ def generate_trivial_odd(
 
 
 class _NodeBudget:
-    """Count of candidate rows compared by one search process."""
+    """Count of candidate rows compared by one search."""
 
     __slots__ = ("limit", "used")
 
@@ -280,11 +275,9 @@ class _NodeBudget:
     def spend(self, amount: int):
         self.used += amount
         if self.used > self.limit:
-            raise _over_budget(self.limit)
-
-
-def _over_budget(limit: int) -> ResourceLimitError:
-    return ResourceLimitError(f"search exceeded the node budget of {limit} candidate rows")
+            raise ResourceLimitError(
+                f"search exceeded the node budget of {self.limit} candidate rows"
+            )
 
 
 @dataclass(frozen=True)
@@ -395,60 +388,6 @@ def _search_one(n, tab, t_max, one_odd, budget):
     return found
 
 
-def _search_ns(tab, ns, t_max, one_odd, budget):
-    """[(n, parts), ...] over the given n values."""
-    return [(n, parts) for n in ns for parts in _search_one(n, tab, t_max, one_odd, budget)]
-
-
-# The search a forked worker runs, handed over by _init_worker.  Only the
-# workers set it: under fork the pool's initializer arguments are inherited
-# in memory, so the table reaches them without being pickled.
-_worker_search = None
-
-
-def _init_worker(*search_args):
-    global _worker_search
-    _worker_search = search_args
-
-
-def _fork_worker(i):
-    """(hits, rows compared) of worker i, which aborts once its own count exceeds the budget."""
-    tab, ns, workers, t_max, one_odd, node_budget = _worker_search
-    budget = _NodeBudget(node_budget)
-    return _search_ns(tab, ns[i::workers], t_max, one_odd, budget), budget.used
-
-
-def _search_forked(tab, ns, workers, t_max, one_odd, node_budget):
-    """Worker i searches ns[i::workers]; cost grows with n, so the split is round-robin.
-
-    dflab starts no threads, and the pool forks its workers before it
-    starts its own, so fork is safe unless the caller runs threads of its
-    own.  Spawn would re-import numpy in every worker and pickle the table
-    to each.
-    """
-    import multiprocessing
-
-    args = (tab, ns, workers, t_max, one_odd, node_budget)
-    ctx = multiprocessing.get_context("fork")
-    # leaving the block terminates the pool, which stops the other workers
-    # as soon as one of them raises ResourceLimitError
-    with ctx.Pool(workers, initializer=_init_worker, initargs=args) as pool:
-        return list(pool.imap_unordered(_fork_worker, range(workers)))
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_count(threads: int, n_values: int) -> int:
-    """Worker processes for a search: the request, capped by CPUs and by n values."""
-    return max(1, min(threads, _available_cpus(), n_values))
-
-
 def search(
     n_max: int,
     t_max: int,
@@ -462,15 +401,9 @@ def search(
 
     mode "r0" finds all-even-part solutions (t >= 2); mode "r1" finds
     solutions with exactly one odd part (t >= 3, forced by parity).
-    threads is the worker count, capped by the CPUs this process may use
-    and by the number of even n.  One worker searches in this process.
-    With more, the search still starts here, in order of n, and forks
-    that many worker processes for the n values left once it has compared
-    _INLINE_ROWS (10^4) candidate rows; a smaller search never forks.
-    The node budget caps the candidate rows compared, summed over this
-    process and all workers.  Results are classified and sorted by
-    (n, parts); the order, and the records themselves, do not depend on
-    the worker count.
+    The node budget caps the candidate rows compared.  Results are
+    classified and sorted by (n, parts).  threads is accepted for
+    compatibility and ignored: the search runs in this process.
     """
     if mode not in ("r0", "r1"):
         raise ValueError(f"mode must be 'r0' or 'r1', got {mode!r}")
@@ -486,25 +419,12 @@ def search(
 
     tab = _valuation_table(n_max, table)
     one_odd = mode == "r1"
-    ns = list(range(4, n_max + 1, 2))
-    workers = _worker_count(threads, len(ns))
     budget = _NodeBudget(node_budget)
-    hits = []
-    done = 0
-    while done < len(ns) and (workers == 1 or budget.used < _INLINE_ROWS):
-        hits += _search_ns(tab, ns[done : done + 1], t_max, one_odd, budget)
-        done += 1
-    used = budget.used
-    if done < len(ns):
-        rest = ns[done:]
-        for found, worker_used in _search_forked(
-            tab, rest, min(workers, len(rest)), t_max, one_odd, node_budget
-        ):
-            hits += found
-            used += worker_used
-    if used > node_budget:
-        raise _over_budget(node_budget)
-
+    hits = [
+        (n, parts)
+        for n in range(4, n_max + 1, 2)
+        for parts in _search_one(n, tab, t_max, one_odd, budget)
+    ]
     return [classify(EquationInstance(n, parts), table) for n, parts in sorted(hits)]
 
 

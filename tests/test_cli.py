@@ -278,11 +278,6 @@ def test_oversized_search_table_exits_3(tmp_path, capsys):
     assert out == ""
 
 
-def test_auto_threads_is_the_usable_cpu_count():
-    assert CommandConfig(threads=0).effective_threads() == len(os.sched_getaffinity(0))
-    assert CommandConfig(threads=5).effective_threads() == 5
-
-
 def test_csv_matches_jsonl_field_for_field(tmp_path, capsys):
     argv = ["search", "--mode", "r1", "--n-max", "200", "--t-max", "3", "--sieve-limit", "300"]
     code, out_j, _ = run_inproc(argv + ["--format", "jsonl"], tmp_path, capsys)

@@ -1,7 +1,5 @@
 import math
-import os
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,7 +223,7 @@ def test_search_thread_counts_agree(table_small):
 
 
 def test_search_r1_frontier_to_800(table_small):
-    recs = search(800, 3, "r1", table_small, threads=2)
+    recs = search(800, 3, "r1", table_small)
     assert [r.instance.n for r in recs] == [12, 20, 24, 30, 72, 120, 144, 720]
     assert (recs[-1].instance.a, recs[-1].classification) == ((718, 6, 5), "nontrivial")
     assert df_direct(718) * df_direct(6) * df_direct(5) == df_direct(720)
@@ -235,15 +233,14 @@ def test_search_r1_frontier_to_800(table_small):
 def _search_sizes(draw):
     mode = draw(st.sampled_from(["r0", "r1"]))
     t_max = draw(st.integers(2 if mode == "r0" else 3, 4))
-    return draw(st.integers(0, 60)), t_max, mode, draw(st.sampled_from([1, 2]))
+    return draw(st.integers(0, 60)), t_max, mode
 
 
 @settings(max_examples=30, deadline=None)
 @given(_search_sizes())
 def test_search_matches_oracles_on_random_sizes(table_small, sizes):
-    n_max, t_max, mode, threads = sizes
-    with mock.patch.object(equation, "_INLINE_ROWS", 0):  # fork even these small searches
-        recs = search(n_max, t_max, mode, table_small, threads=threads)
+    n_max, t_max, mode = sizes
+    recs = search(n_max, t_max, mode, table_small)
     if mode == "r0":
         got = {(r.instance.n, r.instance.a, r.classification) for r in recs}
         assert got == enumerate_r0_solutions(n_max, t_max)
@@ -275,51 +272,11 @@ def test_search_refuses_oversized_table_before_allocating(table_big):
         search(10**6, 3, "r0", table_big)
 
 
-def test_worker_count_resolution_starts_no_process(table_small, monkeypatch):
-    cpus = len(os.sched_getaffinity(0))
-    assert equation._worker_count(10**6, 10**6) == cpus
-    assert equation._worker_count(10**6, 1) == 1
-    assert equation._worker_count(1, 100) == 1
-    assert equation._worker_count(0, 100) == 1
-    forked = []
-
-    def inline(tab, ns, workers, t_max, one_odd, node_budget):
-        forked.append(workers)
-        budget = equation._NodeBudget(node_budget)
-        return [(equation._search_ns(tab, ns, t_max, one_odd, budget), budget.used)]
-
-    monkeypatch.setattr(equation, "_search_forked", inline)
-    # far below _INLINE_ROWS candidate rows: searched in this process
-    assert len(search(40, 3, "r0", table_small, threads=10**6)) == 1
-    assert forked == []
-    monkeypatch.setattr(equation, "_INLINE_ROWS", 0)
-    assert len(search(40, 3, "r0", table_small, threads=10**6)) == 1
-    workers = min(cpus, 19)  # 19 even n in 4..40
-    assert forked == ([workers] if workers > 1 else [])
-
-
-def test_node_budget_verdict_independent_of_worker_count(table_small, monkeypatch):
-    monkeypatch.setattr(equation, "_INLINE_ROWS", 0)  # threads=2 forks from the first n
-
-    def fits(budget, threads=1):
-        try:
-            search(100, 3, "r1", table_small, threads=threads, node_budget=budget)
-        except ResourceLimitError:
-            return False
-        return True
-
-    lo, hi = 1, 10**7
-    assert fits(hi)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    total = lo
-    for threads in (1, 2):
-        assert not fits(total - 1, threads)
-        assert fits(total, threads)
+def test_node_budget_counts_candidate_rows(table_small):
+    # r1 n <= 100 t <= 3 compares 2,865 candidate rows in all
+    search(100, 3, "r1", table_small, node_budget=2865)
+    with pytest.raises(ResourceLimitError, match="node budget of 2864"):
+        search(100, 3, "r1", table_small, node_budget=2864)
 
 
 def test_search_validation(table_small):
