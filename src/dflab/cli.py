@@ -6,13 +6,30 @@ csv or human on request) and diagnostics to stderr.  Exit codes: 0 ok,
 3 resource limit.  Records are buffered and emitted after all work is
 done, in a deterministic order.
 
-The sieve is cached on disk: a 32-byte header (magic "DFL1", uint32
-version, uint64 limit, uint32 CRC-32 of the payload, 12 zero bytes)
-followed by the smallest-prime-factor array as little-endian uint32
-entries for indices 0..limit (entries 0 and 1 are zero).
+The sieve is cached on disk in two files.  sieve.dfl holds a 32-byte
+header (magic "DFL1", uint32 version 1, uint64 limit, uint32 CRC-32 of the
+payload, 12 zero bytes) followed by the smallest-prime-factor array as
+little-endian uint32 entries for indices 0..limit (entries 0 and 1 are
+zero).  sieve.crc holds one CRC-32 per chunk of 2**20 entries: a 32-byte
+header (magic "DFC1", uint32 version 1, uint64 limit, uint32 payload CRC,
+uint32 chunk size in entries, uint32 CRC-32 of the chunk table, 4 zero
+bytes) followed by ceil((limit+1) / chunk) uint32 LE chunk CRCs, the last
+chunk being short.  All integers are little-endian.
+
+A command with --sieve-limit N gets a table whose limit is exactly N.  When
+the sidecar matches sieve.dfl (same limit and payload CRC, the chunk size
+above, an intact chunk table, both file sizes as their headers imply), only
+the chunks covering entries 0..N are read, each checked against its CRC.
+Otherwise (no sidecar, a stale one, or a cache written before sidecars
+existed) the whole payload is read and checked against the header CRC, and
+the sidecar is written afresh.  A damaged header, payload length or checked
+chunk rebuilds the cache with a warning; a cache smaller than N is rebuilt
+at N.  Both files are written through unique temp files and renamed into
+place, so processes sharing a cache directory never see a partial file.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -21,6 +38,7 @@ import os
 import random
 import struct
 import sys
+import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +49,7 @@ from .core import (
     PrimeTable,
     SieveRangeError,
     analyze_block,
+    check_sieve_memory,
     sieve_primes,
 )
 from .equation import (
@@ -60,9 +79,15 @@ __all__ = [
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "DFLAB_CACHE_DIR"
 CACHE_FILENAME = "sieve.dfl"
+CRC_FILENAME = "sieve.crc"
 CACHE_MAGIC = b"DFL1"
+CRC_MAGIC = b"DFC1"
 CACHE_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sIQI12x")
+CRC_FORMAT_VERSION = 1
+_HEADER = struct.Struct("<4sIQI12s")
+_CRC_HEADER = struct.Struct("<4sIQIII4s")
+# entries per sidecar CRC: a load reads and checks whole chunks of 4 MiB
+_CHUNK_ENTRIES = 1 << 20
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -88,6 +113,8 @@ class CommandConfig:
             raise ValueError("sieve limit must be >= 2")
         if self.node_budget < 1:
             raise ValueError("node budget must be >= 1")
+        if self.threads < 0:
+            raise ValueError("threads must be >= 0")
         if self.output_format not in ("jsonl", "csv", "human"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -110,39 +137,112 @@ def _cache_path(config: CommandConfig) -> Path:
     return config.cache_dir / CACHE_FILENAME
 
 
-def _read_cache(path: Path, need_limit: int) -> PrimeTable | None:
-    """Cached table if intact and large enough; None if merely too small."""
-    data = path.read_bytes()
-    if len(data) < _HEADER.size:
-        raise _CacheInvalid("truncated header")
-    magic, version, limit, crc = _HEADER.unpack_from(data)
-    if magic != CACHE_MAGIC:
-        raise _CacheInvalid("bad magic")
-    if version != CACHE_FORMAT_VERSION:
-        raise _CacheInvalid(f"unsupported cache version {version}")
-    payload = data[_HEADER.size :]
-    if len(payload) != 4 * (limit + 1):
-        raise _CacheInvalid("payload length does not match limit")
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise _CacheInvalid("checksum mismatch")
-    if limit < need_limit:
+def _chunk_crcs(spf: np.ndarray) -> list:
+    return [
+        zlib.crc32(spf[i : i + _CHUNK_ENTRIES]) for i in range(0, spf.size, _CHUNK_ENTRIES)
+    ]
+
+
+def _sidecar_blob(limit: int, payload_crc: int, crcs: list) -> bytes:
+    table = struct.pack(f"<{len(crcs)}I", *crcs)
+    header = _CRC_HEADER.pack(
+        CRC_MAGIC, CRC_FORMAT_VERSION, limit, payload_crc, _CHUNK_ENTRIES, zlib.crc32(table),
+        bytes(4),
+    )
+    return header + table
+
+
+def _read_sidecar(path: Path, limit: int, payload_crc: int) -> tuple | None:
+    """Chunk CRCs of the sieve file with this limit and payload CRC; None if absent or stale."""
+    n_chunks = -(-(limit + 1) // _CHUNK_ENTRIES)
+    size = _CRC_HEADER.size + 4 * n_chunks
+    try:
+        with open(path, "rb") as f:
+            blob = f.read(size + 1)
+    except OSError:
         return None
-    spf = np.frombuffer(payload, dtype="<u4")
-    return PrimeTable(int(limit), spf)
+    if len(blob) != size:
+        return None
+    crcs = struct.unpack_from(f"<{n_chunks}I", blob, _CRC_HEADER.size)
+    return crcs if blob == _sidecar_blob(limit, payload_crc, crcs) else None
+
+
+def _read_checked(f, entries: int, chunk: int, crcs) -> np.ndarray:
+    """Read entries uint32 values from f in chunks of chunk entries, checking each CRC."""
+    spf = np.empty(entries, dtype="<u4")
+    for i, start in enumerate(range(0, entries, chunk)):
+        view = spf[start : start + chunk]
+        if f.readinto(view) != view.nbytes:
+            raise _CacheInvalid("truncated payload")
+        if zlib.crc32(view) != crcs[i]:
+            raise _CacheInvalid(f"checksum mismatch in entries {start}..{start + view.size - 1}")
+    return spf
+
+
+def _read_cache(path: Path, need: int) -> PrimeTable | None:
+    """PrimeTable(need, ...) from the cache, every byte CRC-checked; None if the cache is too small.
+
+    With a matching sidecar only the chunks covering 0..need are read, each
+    checked against its own CRC.  Without one the whole payload is read and
+    checked against the header CRC, and the sidecar is written afresh.
+    """
+    with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise _CacheInvalid("truncated header")
+        magic, version, limit, crc, reserved = _HEADER.unpack(header)
+        if magic != CACHE_MAGIC:
+            raise _CacheInvalid("bad magic")
+        if version != CACHE_FORMAT_VERSION:
+            raise _CacheInvalid(f"unsupported cache version {version}")
+        if reserved != bytes(len(reserved)):
+            raise _CacheInvalid("nonzero reserved header bytes")
+        if st.st_size != _HEADER.size + 4 * (limit + 1):
+            raise _CacheInvalid("payload length does not match limit")
+        if limit < need:
+            return None
+        sidecar = path.with_name(CRC_FILENAME)
+        crcs = _read_sidecar(sidecar, limit, crc)
+        if crcs is not None:
+            chunks = -(-(need + 1) // _CHUNK_ENTRIES)
+            spf = _read_checked(f, min(limit + 1, chunks * _CHUNK_ENTRIES), _CHUNK_ENTRIES, crcs)
+            return PrimeTable(need, spf[: need + 1])
+        spf = _read_checked(f, limit + 1, limit + 1, [crc])
+    try:
+        if os.path.samestat(st, os.stat(path)):  # skip if another process replaced the cache
+            _write_atomic(sidecar, _sidecar_blob(limit, crc, _chunk_crcs(spf)))
+    except OSError as exc:
+        print(f"dflab: cannot persist sieve checksums: {exc}", file=sys.stderr)
+    return PrimeTable(need, spf[: need + 1].copy() if need < limit else spf)
+
+
+def _write_atomic(path: Path, *parts):
+    """Write parts to a unique temp file in path's directory, then rename it to path."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            os.fchmod(f.fileno(), 0o644)  # mkstemp creates 0600; keep the cache readable
+            for part in parts:
+                f.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_cache(path: Path, table: PrimeTable):
-    payload = table.spf.astype("<u4").tobytes()
-    header = _HEADER.pack(
-        CACHE_MAGIC, CACHE_FORMAT_VERSION, table.limit, zlib.crc32(payload) & 0xFFFFFFFF
-    )
-    tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(header + payload)
-    tmp.replace(path)
+    spf = np.ascontiguousarray(table.spf, dtype="<u4")
+    crc = zlib.crc32(spf)
+    header = _HEADER.pack(CACHE_MAGIC, CACHE_FORMAT_VERSION, table.limit, crc, bytes(12))
+    _write_atomic(path, header, spf)
+    _write_atomic(path.with_name(CRC_FILENAME), _sidecar_blob(table.limit, crc, _chunk_crcs(spf)))
 
 
 def load_or_build_sieve(config: CommandConfig) -> PrimeTable:
-    """Load the cached sieve when valid and big enough, else build and persist."""
+    """The sieve to exactly config.sieve_limit: a checked cache prefix, else built and persisted."""
+    check_sieve_memory(config.sieve_limit)
     path = _cache_path(config)
     if path.exists():
         try:
@@ -298,6 +398,16 @@ def _parse_int_list(text: str) -> list:
         return [int(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _parse_nonneg_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _parse_k_range(text: str) -> list:
@@ -549,7 +659,7 @@ def _common_flags() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--threads",
-        type=int,
+        type=_parse_nonneg_int,
         default=0,
         metavar="N",
         help="accepted for compatibility and ignored; the search runs in one process",

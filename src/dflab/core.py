@@ -14,7 +14,10 @@ import numpy as np
 
 __all__ = [
     "SieveRangeError",
+    "ResourceLimitError",
+    "MAX_TABLE_BYTES",
     "PrimeTable",
+    "check_sieve_memory",
     "sieve_primes",
     "Factorization",
     "factorize",
@@ -37,10 +40,21 @@ __all__ = [
 ]
 
 _UINT32_MAX = 2**32 - 1
+# sieve_primes and search refuse (ResourceLimitError) a table larger than this
+MAX_TABLE_BYTES = 2**30
+# Bytes a sieve touches per entry while it is built, indexed and persisted:
+# 4 for the uint32 spf array, 8 for PrimeTable's int64 index, 1 for the
+# prime mask, and 1 for the int64 prime list (fewer than one prime in eight
+# entries above 10^4).  Writing the cache streams the array without a copy.
+_SIEVE_BYTES_PER_ENTRY = 14
 
 
 class SieveRangeError(ValueError):
     """An argument lies outside the range covered by the PrimeTable."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A computation would exceed its node budget or a table memory cap."""
 
 
 class PrimeTable:
@@ -83,12 +97,22 @@ class PrimeTable:
         return f"PrimeTable(limit={self.limit}, primes={self.prime_count()})"
 
 
+def check_sieve_memory(limit: int):
+    """Raise ResourceLimitError if a sieve to limit would touch more than MAX_TABLE_BYTES."""
+    need = _SIEVE_BYTES_PER_ENTRY * (limit + 1)
+    if need > MAX_TABLE_BYTES:
+        raise ResourceLimitError(
+            f"a sieve to {limit} needs about {need} bytes, above the {MAX_TABLE_BYTES}-byte cap"
+        )
+
+
 def sieve_primes(limit: int) -> PrimeTable:
     """Build the smallest-prime-factor table for [2, limit]."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > _UINT32_MAX:
         raise ValueError("sieve entries are uint32; limit must be < 2**32")
+    check_sieve_memory(limit)
     spf = np.arange(limit + 1, dtype=np.uint32)
     spf[:2] = 0
     for p in range(2, math.isqrt(limit) + 1):

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_TABLE_BYTES,
     PrimeTable,
+    ResourceLimitError,
     SieveRangeError,
     double_factorial,
     double_factorial_valuations,
@@ -49,8 +51,6 @@ __all__ = [
 
 DEFAULT_MAX_GENERATED_N = 10**9
 DEFAULT_NODE_BUDGET = 10**8
-# search refuses (ResourceLimitError) a valuation table larger than this
-MAX_TABLE_BYTES = 2**30
 # The log-magnitude prune for target n!! allows a slack of
 # _LOG_RTOL * (1 + log n!!).  logdf[m] is a running sum of m/2 logs, so its
 # rounding error is below (m/2) * 2**-53 * log m!! <= 2.9e-12 * log n!! for
@@ -62,10 +62,6 @@ _LOG_RTOL = 1e-9
 
 class NotASolutionError(ValueError):
     """The candidate instance does not satisfy the product identity."""
-
-
-class ResourceLimitError(RuntimeError):
-    """The search exceeded its node budget or its valuation-table memory cap."""
 
 
 @dataclass(frozen=True)

@@ -103,3 +103,17 @@ def enumerate_r1_solutions(n_max: int, t_max: int) -> set:
     for n in range(4, n_max + 1, 2):
         rec(n, dfs.get(n, df_direct(n)), n - 1, 1, (), False)
     return found
+
+
+def spf_direct(limit: int) -> list:
+    """Smallest prime factor of each i in 0..limit (0 for 0 and 1), by a list sieve."""
+    spf = list(range(limit + 1))
+    spf[: min(2, limit + 1)] = [0] * min(2, limit + 1)
+    p = 2
+    while p * p <= limit:
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+        p += 1
+    return spf

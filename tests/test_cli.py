@@ -1,17 +1,25 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dflab import cli, core
 from dflab.cli import (
     CACHE_ENV_VAR,
     CommandConfig,
     load_or_build_sieve,
     run,
 )
+from oracles import spf_direct
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -22,10 +30,15 @@ def run_inproc(argv, tmp_path, capsys):
     return code, captured.out, captured.err
 
 
-def run_proc(argv, cache_dir, extra_env=None):
+def proc_env(cache_dir):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     env[CACHE_ENV_VAR] = str(cache_dir)
+    return env
+
+
+def run_proc(argv, cache_dir, extra_env=None):
+    env = proc_env(cache_dir)
     if extra_env:
         env.update(extra_env)
     return subprocess.run(
@@ -372,3 +385,160 @@ def test_load_or_build_sieve_unwritable_dir(tmp_path, capsys):
     table = load_or_build_sieve(config)
     assert table.limit == 100
     assert "cannot persist" in capsys.readouterr().err
+
+
+def test_negative_threads_is_usage_error(tmp_path, capsys):
+    argv = ["search", "--mode", "r0", "--n-max", "20", "--t-max", "2", "--sieve-limit", "100"]
+    code, out, err = run_inproc(argv + ["--threads", "-5"], tmp_path, capsys)
+    assert code == 2
+    assert "--threads" in err and out == ""
+    code, out, _ = run_inproc(argv + ["--threads", "0"], tmp_path, capsys)
+    assert code == 0 and len(parse_jsonl(out)) == 1
+
+
+def test_sieve_memory_guard_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(core, "MAX_TABLE_BYTES", 4096)
+    with pytest.raises(core.ResourceLimitError, match="sieve to 10000"):
+        core.sieve_primes(10_000)
+    assert core.sieve_primes(200).limit == 200  # 14 bytes per entry fit under 4096
+    code, out, err = run_inproc(
+        ["verify", "known-factorials", "--sieve-limit", "10000"], tmp_path, capsys
+    )
+    assert code == 3
+    assert "byte cap" in err and out == ""
+    assert not (tmp_path / "cache").exists()
+
+
+def _block_analyze_proc(cache, limit):
+    argv = ["block", "analyze", "--x", "9", "--k", "2", "--sieve-limit", str(limit)]
+    return subprocess.Popen(
+        [sys.executable, "-m", "dflab"] + argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=proc_env(cache),
+    )
+
+
+def test_concurrent_builds_share_one_cache_dir(tmp_path):
+    cache = tmp_path / "shared"
+    procs = [_block_analyze_proc(cache, limit) for limit in (5000, 20000)]
+    results = [(p.communicate(timeout=120), p.returncode) for p in procs]
+    for (out, err), code in results:
+        assert code == 0, err
+        payload = parse_jsonl(out)[0]["payload"]
+        assert payload["lpf"] == 5 and payload["term_radicals"] == [3, 10]
+    assert results[0][0][0] == results[1][0][0]
+    third = _block_analyze_proc(cache, 5000)
+    out, err = third.communicate(timeout=120)
+    assert third.returncode == 0 and out == results[0][0][0]
+    assert "rebuilding" not in err
+    assert sorted(p.name for p in cache.iterdir()) == ["sieve.crc", "sieve.dfl"]
+
+
+def test_prefix_load_returns_requested_limit(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    big = load_or_build_sieve(CommandConfig(sieve_limit=10**7, cache_dir=cache))
+    assert big.limit == 10**7
+    table = load_or_build_sieve(CommandConfig(sieve_limit=1000, cache_dir=cache))
+    assert table.limit == 1000
+    assert table.spf.tolist() == spf_direct(1000)
+    argv = ["block", "analyze", "--x", "5000000", "--k", "3"]
+    for cache_dir in (cache, tmp_path / "cold"):
+        code = run(argv + ["--cache-dir", str(cache_dir)])
+        captured = capsys.readouterr()
+        assert code == 2, cache_dir
+        assert "exceeds sieve limit 1000000" in captured.err
+        assert captured.out == ""
+
+
+def test_prefix_load_checks_only_the_chunks_it_reads(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    limit = 2 * cli._CHUNK_ENTRIES + 100
+    load_or_build_sieve(CommandConfig(sieve_limit=limit, cache_dir=cache))
+    crc_blob = (cache / "sieve.crc").read_bytes()
+    assert len(crc_blob) == 32 + 4 * 3
+    path = cache / "sieve.dfl"
+    blob = bytearray(path.read_bytes())
+    blob[32 + 4 * (2 * cli._CHUNK_ENTRIES + 7)] ^= 0x10  # entry in the third chunk
+    path.write_bytes(blob)
+    table = load_or_build_sieve(CommandConfig(sieve_limit=2000, cache_dir=cache))
+    assert table.spf.tolist() == spf_direct(2000)
+    assert capsys.readouterr().err == ""
+    table = load_or_build_sieve(CommandConfig(sieve_limit=limit, cache_dir=cache))
+    assert table.limit == limit
+    assert "rebuilding sieve cache (checksum mismatch" in capsys.readouterr().err
+    assert (cache / "sieve.crc").read_bytes() == crc_blob
+
+
+def test_missing_sidecar_falls_back_to_whole_file_and_recreates_it(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    load_or_build_sieve(CommandConfig(sieve_limit=5000, cache_dir=cache))
+    sidecar = cache / "sieve.crc"
+    blob = sidecar.read_bytes()
+    sidecar.unlink()
+    reads = []
+    real_read = cli._read_checked
+
+    def spy(f, entries, chunk, crcs):
+        reads.append((entries, chunk))
+        return real_read(f, entries, chunk, crcs)
+
+    monkeypatch.setattr(cli, "_read_checked", spy)
+    config = CommandConfig(sieve_limit=100, cache_dir=cache)
+    assert load_or_build_sieve(config).spf.tolist() == spf_direct(100)
+    assert reads == [(5001, 5001)]
+    assert sidecar.read_bytes() == blob
+    assert load_or_build_sieve(config).spf.tolist() == spf_direct(100)
+    assert reads[1:] == [(5001, cli._CHUNK_ENTRIES)]
+
+
+# A small chunk size makes a 1000-entry cache span 16 chunks, the last short.
+_DAMAGE_CHUNK = 64
+_DAMAGE_LIMIT = 1000
+_DAMAGE_ORACLE = spf_direct(_DAMAGE_LIMIT)
+
+
+@pytest.fixture(scope="module")
+def pristine_cache():
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(cli, "_CHUNK_ENTRIES", _DAMAGE_CHUNK):
+        load_or_build_sieve(CommandConfig(sieve_limit=_DAMAGE_LIMIT, cache_dir=d))
+        return {name: Path(d, name).read_bytes() for name in ("sieve.dfl", "sieve.crc")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    need=st.integers(2, _DAMAGE_LIMIT),
+    target=st.sampled_from(["sieve.dfl", "sieve.crc"]),
+    truncate=st.booleans(),
+    data=st.data(),
+)
+def test_damaged_cache_is_rebuilt_or_never_read(pristine_cache, need, target, truncate, data):
+    damaged = dict(pristine_cache)
+    blob = bytearray(damaged[target])
+    units = 1 if truncate else 8  # truncate at a byte, or flip a bit
+    header = st.integers(0, 32 * units - 1)
+    pos = data.draw(st.one_of(header, st.integers(0, len(blob) * units - 1)), label="pos")
+    if truncate:
+        del blob[pos:]
+    else:
+        blob[pos // 8] ^= 1 << (pos % 8)
+    damaged[target] = bytes(blob)
+    chunks = -(-(need + 1) // _DAMAGE_CHUNK)
+    prefix_end = 32 + 4 * min(_DAMAGE_LIMIT + 1, chunks * _DAMAGE_CHUNK)
+    expect_rebuild = target == "sieve.dfl" and (truncate or pos // 8 < prefix_end)
+
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(cli, "_CHUNK_ENTRIES", _DAMAGE_CHUNK):
+        for name, content in damaged.items():
+            Path(d, name).write_bytes(content)
+        config = CommandConfig(sieve_limit=need, cache_dir=d)
+        for attempt in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                table = load_or_build_sieve(config)
+            assert table.limit == need
+            assert table.spf.tolist() == _DAMAGE_ORACLE[: need + 1]
+            rebuilt = "rebuilding sieve cache" in err.getvalue()
+            assert rebuilt == (expect_rebuild and attempt == 0), err.getvalue()
+        if not expect_rebuild:
+            assert Path(d, "sieve.crc").read_bytes() == pristine_cache["sieve.crc"]
