@@ -2,8 +2,9 @@
 """Double factorials, exactly: values, identities, prime-exponent form.
 
 Walks the arithmetic layer everything else is built on: m!! as an exact
-integer, the two structural identities, and the sparse exponent vectors
-that let gigantic products be compared without ever materializing them.
+integer, the two structural identities, and the per-prime valuation
+vectors that let gigantic products be compared without ever
+materializing them.
 """
 
 import math
@@ -12,13 +13,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # run from a checkout
 
-from dflab import (
-    double_factorial,
-    double_factorial_expvec,
-    factorial_valuation,
-    factorize,
-    sieve_primes,
-)
+from dflab import double_factorial, factorize, sieve_primes
+from dflab.core import double_factorial_valuations, factorial_valuations
 
 table = sieve_primes(10_000)
 
@@ -34,23 +30,30 @@ print("(2l)!! = 2^l * l!       for l up to 150:",
       all(double_factorial(2 * l) == 2**l * math.factorial(l) for l in range(151)))
 
 print("\n== prime-exponent form ==")
-for m in (9, 10, 30):
-    ev = double_factorial_expvec(m, table)
-    print(f"{m:>3}!! = {ev.entries}  ->  {ev.to_int()}")
+primes = table.primes_leq(30)
 
-print("\n== exponent vectors compose like integers ==")
-ten = double_factorial_expvec(10, table)
-nine = double_factorial_expvec(9, table)
-product = ten * nine
-print("10!! * 9!! =", product.entries)
-print("equals 10! =", product.to_int() == math.factorial(10))
-print("9!! divides the product:", nine.divides(product))
-print("product / 9!! recovers 10!!:", product.exact_div(nine) == ten)
+
+def exponents(vec):
+    return {int(p): int(e) for p, e in zip(primes, vec) if e}
+
+
+for m in (9, 10, 30):
+    vec = double_factorial_valuations(m, primes)
+    value = math.prod(int(p) ** int(e) for p, e in zip(primes, vec))
+    print(f"{m:>3}!! = {exponents(vec)}  ->  {value}")
+
+print("\n== valuation vectors add like the integers multiply ==")
+ten = double_factorial_valuations(10, primes)
+nine = double_factorial_valuations(9, primes)
+print("10!! * 9!! =", exponents(ten + nine))
+print("equals 10! =", (ten + nine == factorial_valuations(10, primes)).all())
+print("9!! divides 10!:", (nine <= factorial_valuations(10, primes)).all())
+print("10! / 9!! recovers 10!!:", (factorial_valuations(10, primes) - nine == ten).all())
 
 print("\n== Legendre floor sums ==")
 for m, p in ((10, 2), (16, 2), (100, 5)):
-    print(f"nu_{p}({m}!) = {factorial_valuation(m, p)}")
+    print(f"nu_{p}({m}!) = {factorial_valuations(m, primes[primes == p])[0]}")
 
 print("\n== factorization via the sieve ==")
 for n in (90, 4374, 9973):
-    print(f"{n} = {dict(factorize(n, table).entries)}")
+    print(f"{n} = {factorize(n, table)}")

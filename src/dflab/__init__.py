@@ -10,14 +10,10 @@ Library layout:
 
 from .core import (
     BlockReport,
-    ExpVec,
-    Factorization,
     PrimeTable,
     SieveRangeError,
     analyze_block,
     double_factorial,
-    double_factorial_expvec,
-    factorial_valuation,
     factorize,
     largest_prime_factor,
     log_double_factorial,

@@ -12,7 +12,7 @@ above it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .core import (
     PrimeTable,
     SieveRangeError,
     analyze_block,
+    largest_prime_factor,
     lpf_array,
     _walk_spf,
 )
@@ -245,7 +246,7 @@ def sandwich_check(instance: EquationInstance, table: PrimeTable) -> BoundCheckR
             block = analyze_block(dec.x1, dec.l1, table)
             details.update(
                 {
-                    "decomposition": {"x1": dec.x1, "l1": dec.l1, "x2": dec.x2, "l2": dec.l2},
+                    "decomposition": asdict(dec),
                     "block_all_composite": block.all_composite,
                 }
             )
@@ -281,6 +282,8 @@ def theorem24_scan(k_range, x_max: int, table: PrimeTable):
     ks = sorted({int(k) for k in k_range})
     if not ks or ks[0] < 2:
         raise ValueError("k values must be >= 2")
+    if x_max <= 4 * ks[0]:
+        raise ValueError(f"empty scan: no x with 4k < x <= {x_max} for k in {ks}")
     if x_max + ks[-1] - 1 > table.limit:
         raise SieveRangeError(
             f"x_max + max(k) - 1 = {x_max + ks[-1] - 1} exceeds sieve limit {table.limit}"
@@ -509,5 +512,4 @@ def erdos_graham_ratio(n: int, table: PrimeTable) -> float:
         raise ValueError(f"n must be >= 2, got {n}")
     if n + 1 > table.limit:
         raise SieveRangeError(f"n+1={n + 1} exceeds sieve limit {table.limit}")
-    p = max(max(_walk_spf(n, table.spf)), max(_walk_spf(n + 1, table.spf)))
-    return p / math.log(n)
+    return max(largest_prime_factor(n, table), largest_prime_factor(n + 1, table)) / math.log(n)

@@ -56,7 +56,6 @@ from .equation import (
     EquationInstance,
     NotASolutionError,
     ResourceLimitError,
-    SolutionRecord,
     classify,
     generate_trivial_even,
     generate_trivial_odd,
@@ -280,52 +279,27 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def _solution_record(rec: SolutionRecord) -> OutputRecord:
-    dec = None
-    if rec.decomposition is not None:
-        d = rec.decomposition
-        dec = {"x1": d.x1, "l1": d.l1, "x2": d.x2, "l2": d.l2}
-    return OutputRecord(
-        "solution",
-        {
-            "n": rec.instance.n,
-            "a": list(rec.instance.a),
-            "t": rec.instance.t,
-            "r": rec.instance.r,
-            "classification": rec.classification,
-            "witness": rec.witness,
-            "decomposition": dec,
-        },
-    )
+def _record(kind: str, result, lift: str | None = None, **derived) -> OutputRecord:
+    """A record of result's dataclass fields plus the derived values given.
+
+    The fields of the nested dataclass named by lift move to the top level.
+    """
+    payload = dataclasses.asdict(result)
+    if lift:
+        payload.update(payload.pop(lift))
+    payload.update(derived)
+    return OutputRecord(kind, payload)
 
 
-def _bound_record(res: bounds.BoundCheckResult) -> OutputRecord:
-    return OutputRecord(
-        "bound_check",
-        {
-            "name": res.name,
-            "domain_checked": res.domain_checked,
-            "passed": res.passed,
-            "margin": _jsonable(res.margin),
-            "counterexamples": _jsonable(res.counterexamples),
-            "details": _jsonable(res.details),
-        },
-    )
+def _solution_records(solutions) -> list:
+    """Solution records: the instance's n and a at the top level, plus t and r."""
+    return [_record("solution", s, "instance", t=s.instance.t, r=s.instance.r) for s in solutions]
 
 
-def _triple_record(t: abct.AbcTriple, extra: dict | None = None) -> OutputRecord:
-    payload = {
-        "a": t.a,
-        "b": t.b,
-        "c": t.c,
-        "rad": t.rad,
-        "quality": t.quality,
-        "explicit_ok": t.explicit_ok,
-        "explicit_margin": t.explicit_margin,
-    }
-    if extra:
-        payload.update(extra)
-    return OutputRecord("triple", payload)
+def _checks(results) -> tuple:
+    """Bound-check records and the exit code: 1 if any check failed."""
+    records = [_record("bound_check", r, passed=r.passed) for r in results]
+    return records, EXIT_OK if all(r.passed for r in results) else EXIT_FAILED
 
 
 def _emit_jsonl(records, out):
@@ -359,7 +333,7 @@ def _emit_csv(records, out):
 
 def _emit_human(records, out):
     for rec in records:
-        p = rec.payload
+        p = _jsonable(rec.payload)
         if rec.kind == "solution":
             dec = p.get("decomposition")
             dec_s = f" decomposition={dec}" if dec else ""
@@ -379,7 +353,7 @@ def _emit_human(records, out):
                 f"quality={p['quality']:.4f} explicit_ok={p['explicit_ok']}\n"
             )
         else:
-            body = " ".join(f"{k}={_jsonable(v)}" for k, v in sorted(p.items()))
+            body = " ".join(f"{k}={v}" for k, v in sorted(p.items()))
             out.write(f"scan_summary {body}\n")
 
 
@@ -415,12 +389,14 @@ def _parse_k_range(text: str) -> list:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        if "," in text:
-            return [int(v) for v in text.split(",")]
-        return [int(text)]
+            ks = list(range(int(lo), int(hi) + 1))
+        else:
+            ks = [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse k range {text!r}")
+    if not ks:
+        raise argparse.ArgumentTypeError(f"k range {text!r} is empty")
+    return ks
 
 
 # ----------------------------------------------------------------------
@@ -439,14 +415,12 @@ def _search(args, config, table, mode):
 
 
 def _cmd_search(args, config, table):
-    records = _search(args, config, table, args.mode)
-    return [_solution_record(r) for r in records], EXIT_OK
+    return _solution_records(_search(args, config, table, args.mode)), EXIT_OK
 
 
 def _cmd_classify(args, config, table):
     inst = EquationInstance(args.n, tuple(args.a))
-    rec = classify(inst, table)
-    return [_solution_record(rec)], EXIT_OK
+    return _solution_records([classify(inst, table)]), EXIT_OK
 
 
 def _cmd_generate(args, config, table):
@@ -454,12 +428,13 @@ def _cmd_generate(args, config, table):
         inst = generate_trivial_even(args.evens, max_n=args.max_n)
     else:
         inst = generate_trivial_odd(args.a1, args.evens or (), max_n=args.max_n)
-    rec = classify(inst, table)
-    return [_solution_record(rec)], EXIT_OK
+    return _solution_records([classify(inst, table)]), EXIT_OK
 
 
-def _verdict(results):
-    return EXIT_OK if all(r.passed for r in results) else EXIT_FAILED
+def _require_at_least(flag, value, least):
+    """Usage error unless value >= least, so that a sweep never passes over an empty domain."""
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
 
 
 def _cmd_verify_lemma21(args, config, table):
@@ -467,10 +442,11 @@ def _cmd_verify_lemma21(args, config, table):
         bounds.verify_theta_bound(args.nu_max, table),
         bounds.verify_mertens_bound(args.nu_max, table),
     ]
-    return [_bound_record(r) for r in results], _verdict(results)
+    return _checks(results)
 
 
 def _geometry_scan(k_max, table):
+    _require_at_least("--k-max", k_max, 3)
     bad = []
     checked = 0
     for k in range(2, k_max + 1):
@@ -491,7 +467,7 @@ def _cmd_verify_lemma22(args, config, table):
     results = [_geometry_scan(args.k_max, table)]
     for rec in _search(args, config, table, "r0"):
         results.append(bounds.sandwich_check(rec.instance, table))
-    return [_bound_record(r) for r in results], _verdict(results)
+    return _checks(results)
 
 
 def _cmd_verify_lemma23(args, config, table):
@@ -505,15 +481,21 @@ def _cmd_verify_lemma23(args, config, table):
                 {"checked": 0, "note": f"no single-odd-part solutions with n <= {args.n_max}"},
             )
         ], EXIT_OK
-    return [_bound_record(r) for r in results], _verdict(results)
+    return _checks(results)
 
 
 def _cmd_verify_thm24(args, config, table):
     _, result = bounds.theorem24_scan(args.k, args.x_max, table)
-    return [_bound_record(result)], _verdict([result])
+    return _checks([result])
 
 
 def _cmd_verify_val2(args, config, table):
+    _require_at_least("--x-max", args.x_max, 2)
+    _require_at_least("--k-max", args.k_max, 1)
+    _require_at_least("--samples", args.samples, 1)
+    block_end = args.x_max + args.k_max - 1
+    if block_end > table.limit:
+        raise SieveRangeError(f"--x-max + --k-max - 1 = {block_end} exceeds sieve limit {table.limit}")
     results = [bounds.valuation2_factorial_lower_check(args.m_max)]
     rng = random.Random(args.seed)
     worst = math.inf
@@ -533,15 +515,17 @@ def _cmd_verify_val2(args, config, table):
             details={},
         )
     )
-    return [_bound_record(r) for r in results], _verdict(results)
+    return _checks(results)
 
 
 def _cmd_verify_dusart(args, config, table):
     if args.y is None and args.y_max is None:
         raise ValueError("give --y or --y-max")
     if args.y is not None:
-        results = [bounds.dusart_check(args.y, table)]
-        return [_bound_record(r) for r in results], _verdict(results)
+        return _checks([bounds.dusart_check(args.y, table)])
+    _require_at_least("--y-max", args.y_max, bounds.DUSART_MIN_Y)
+    if args.y_max > table.limit:
+        raise SieveRangeError(f"--y-max={args.y_max} exceeds sieve limit {table.limit}")
     worst = math.inf
     bad = []
     literal_fail = 0
@@ -559,7 +543,7 @@ def _cmd_verify_dusart(args, config, table):
         margin=worst,
         details={"literal_form_failures": literal_fail},
     )
-    return [_bound_record(summary)], _verdict([summary])
+    return _checks([summary])
 
 
 def _cmd_verify_known(args, config, table):
@@ -592,42 +576,20 @@ def _cmd_bound_ineq3(args, config, table):
 
 
 def _cmd_abc_triple(args, config, table):
-    return [_triple_record(abct.make_triple(args.a, args.b, table))], EXIT_OK
-
-
-def _proof_extra(res):
-    return {
-        "x": res.x,
-        "j1": res.j1,
-        "j2": res.j2,
-        "d": res.d,
-        "x_over_d": res.x_over_d,
-        "bound": res.bound,
-        "holds": res.holds,
-    }
+    return [_record("triple", abct.make_triple(args.a, args.b, table))], EXIT_OK
 
 
 def _cmd_abc_proof_triple(args, config, table):
     res = abct.proof_triple(args.x, args.j1, args.j2, table)
-    return [_triple_record(res.triple, _proof_extra(res))], EXIT_OK
+    return [_record("triple", res, "triple")], EXIT_OK
 
 
 def _cmd_abc_scan(args, config, table):
-    res = abct.scan_block_triples(args.x, args.k, table)
-    return [_triple_record(res.triple, _proof_extra(res))], EXIT_OK
+    return [_record("triple", abct.scan_block_triples(args.x, args.k, table), "triple")], EXIT_OK
 
 
 def _cmd_block_analyze(args, config, table):
-    rep = analyze_block(args.x, args.k, table)
-    payload = {
-        "x": rep.x,
-        "k": rep.k,
-        "lpf": rep.lpf,
-        "val2": rep.val2,
-        "all_composite": rep.all_composite,
-        "term_radicals": list(rep.term_radicals),
-    }
-    return [OutputRecord("scan_summary", payload)], EXIT_OK
+    return [_record("scan_summary", analyze_block(args.x, args.k, table))], EXIT_OK
 
 
 def _cmd_ratio_erdos_graham(args, config, table):

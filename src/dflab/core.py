@@ -2,9 +2,14 @@
 
 The sieve is a smallest-prime-factor table (uint32, 4 bytes per integer,
 plus a cached prime list), which makes factorization of any n <= limit a
-walk of O(log n) array lookups.  Integer arithmetic is exact everywhere;
-floats appear only in the log-space helpers.  A PrimeTable never changes
-after construction, so one instance can be shared freely.
+walk of O(log n) array lookups; factorize returns the prime -> exponent
+dict, primes ascending.  Prime-exponent vectors of m! and m!! are int64
+arrays over an ascending prime array (factorial_valuations,
+double_factorial_valuations), so products of double factorials are
+compared by adding vectors, never by forming the integers.  Integer
+arithmetic is exact everywhere; floats appear only in the log-space
+helpers.  A PrimeTable never changes after construction, so one instance
+can be shared freely.
 """
 
 import math
@@ -19,16 +24,12 @@ __all__ = [
     "PrimeTable",
     "check_sieve_memory",
     "sieve_primes",
-    "Factorization",
     "factorize",
     "largest_prime_factor",
     "radical",
     "valuation",
-    "factorial_valuation",
     "double_factorial",
     "log_double_factorial",
-    "ExpVec",
-    "double_factorial_expvec",
     "BlockReport",
     "analyze_block",
     "theta",
@@ -123,7 +124,7 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 
 def _walk_spf(n: int, spf: np.ndarray) -> dict:
-    """Prime -> exponent map of n via smallest-prime-factor chasing."""
+    """Prime -> exponent map of n via smallest-prime-factor chasing, primes ascending."""
     out = {}
     while n > 1:
         p = int(spf[n])
@@ -175,38 +176,13 @@ def _is_prime_trial(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical factorization: (prime, exponent) pairs, primes ascending."""
-
-    entries: tuple
-
-    def value(self) -> int:
-        v = 1
-        for p, e in self.entries:
-            v *= p**e
-        return v
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
-    def largest_prime(self) -> int:
-        return self.entries[-1][0] if self.entries else 1
-
-    def radical_value(self) -> int:
-        v = 1
-        for p, _ in self.entries:
-            v *= p
-        return v
-
-
-def factorize(n: int, table: PrimeTable) -> Factorization:
-    """Factor 1 <= n <= table.limit; factorize(1) is the empty product."""
+def factorize(n: int, table: PrimeTable) -> dict:
+    """Prime -> exponent map of 1 <= n <= table.limit, primes ascending; {} for 1."""
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
     if n > table.limit:
         raise SieveRangeError(f"{n} exceeds sieve limit {table.limit}")
-    return Factorization(tuple(sorted(_walk_spf(n, table.spf).items())))
+    return _walk_spf(n, table.spf)
 
 
 def largest_prime_factor(n: int, table: PrimeTable | None = None) -> int:
@@ -253,20 +229,6 @@ def valuation(n: int, p: int, table: PrimeTable | None = None) -> int:
     return e
 
 
-def factorial_valuation(m: int, p: int) -> int:
-    """nu_p(m!) by the floor-sum  sum_{i>=1} floor(m / p^i)."""
-    if m < 0:
-        raise ValueError(f"factorial_valuation needs m >= 0, got {m}")
-    if not _is_prime_trial(p):
-        raise ValueError(f"{p} is not prime")
-    total = 0
-    q = p
-    while q <= m:
-        total += m // q
-        q *= p
-    return total
-
-
 def double_factorial(m: int) -> int:
     """Exact m!!, with 0!! = 1!! = 1.
 
@@ -295,103 +257,6 @@ def log_double_factorial(m: int) -> float:
         return half * math.log(2.0) + math.lgamma(half + 1)
     half = (m + 1) // 2
     return math.lgamma(m + 2) - half * math.log(2.0) - math.lgamma(half + 1)
-
-
-class ExpVec:
-    """Sparse prime-exponent vector standing for the product prod p^e.
-
-    Lets gigantic products (double factorials and their products) be
-    compared and divided without ever materializing the integer.  Two
-    vectors are equal iff the represented integers are equal.  exact_div
-    raises when any exponent would go negative, i.e. when the quotient
-    would not be an integer.  Keys are trusted to be prime.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict | None = None):
-        clean = {}
-        for p, e in (entries or {}).items():
-            if e < 0:
-                raise ValueError(f"negative exponent for prime {p}")
-            if e:
-                clean[int(p)] = int(e)
-        self.entries = dict(sorted(clean.items()))
-
-    @classmethod
-    def from_int(cls, n: int, table: PrimeTable) -> "ExpVec":
-        return cls(factorize(n, table).as_dict())
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpVec):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(tuple(self.entries.items()))
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __mul__(self, other: "ExpVec") -> "ExpVec":
-        out = dict(self.entries)
-        for p, e in other.entries.items():
-            out[p] = out.get(p, 0) + e
-        return ExpVec(out)
-
-    def divides(self, other: "ExpVec") -> bool:
-        return all(other.entries.get(p, 0) >= e for p, e in self.entries.items())
-
-    def exact_div(self, other: "ExpVec") -> "ExpVec":
-        """self / other; raises ValueError unless other divides self."""
-        out = dict(self.entries)
-        for p, e in other.entries.items():
-            r = out.get(p, 0) - e
-            if r < 0:
-                raise ValueError(f"division not exact at prime {p}")
-            if r:
-                out[p] = r
-            else:
-                out.pop(p, None)
-        return ExpVec(out)
-
-    def to_int(self) -> int:
-        v = 1
-        for p, e in self.entries.items():
-            v *= p**e
-        return v
-
-    def __repr__(self):
-        return f"ExpVec({self.entries})"
-
-
-def double_factorial_expvec(m: int, table: PrimeTable) -> ExpVec:
-    """Prime-exponent form of m!! without computing the product."""
-    if m < 0:
-        raise ValueError(f"double factorial needs m >= 0, got {m}")
-    if m > table.limit:
-        raise SieveRangeError(f"{m} exceeds sieve limit {table.limit}")
-    if m <= 1:
-        return ExpVec({})
-    entries = {}
-    if m % 2 == 0:
-        half = m // 2
-        entries[2] = half + factorial_valuation(half, 2)
-        for p in table.primes_leq(half):
-            if p == 2:
-                continue
-            e = factorial_valuation(half, int(p))
-            if e:
-                entries[int(p)] = e
-    else:
-        half = (m + 1) // 2
-        for p in table.primes_leq(m):
-            if p == 2:
-                continue
-            e = factorial_valuation(m + 1, int(p)) - factorial_valuation(half, int(p))
-            if e:
-                entries[int(p)] = e
-    return ExpVec(entries)
 
 
 @dataclass(frozen=True)

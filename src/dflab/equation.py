@@ -260,19 +260,21 @@ def generate_trivial_odd(
 
 
 class _NodeBudget:
-    """Count of candidate rows compared by one search."""
+    """Count of candidate rows compared by one search; done is the last n fully searched."""
 
-    __slots__ = ("limit", "used")
+    __slots__ = ("limit", "used", "done")
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
+        self.done = None
 
     def spend(self, amount: int):
         self.used += amount
         if self.used > self.limit:
+            done = f"the last fully searched n is {self.done}" if self.done else "no n finished"
             raise ResourceLimitError(
-                f"search exceeded the node budget of {self.limit} candidate rows"
+                f"search exceeded the node budget of {self.limit} candidate rows; {done}"
             )
 
 
@@ -416,11 +418,10 @@ def search(
     tab = _valuation_table(n_max, table)
     one_odd = mode == "r1"
     budget = _NodeBudget(node_budget)
-    hits = [
-        (n, parts)
-        for n in range(4, n_max + 1, 2)
-        for parts in _search_one(n, tab, t_max, one_odd, budget)
-    ]
+    hits = []
+    for n in range(4, n_max + 1, 2):
+        hits += [(n, parts) for parts in _search_one(n, tab, t_max, one_odd, budget)]
+        budget.done = n
     return [classify(EquationInstance(n, parts), table) for n, parts in sorted(hits)]
 
 

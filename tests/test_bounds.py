@@ -156,6 +156,10 @@ def test_theorem24_member_verdicts(table_small):
 def test_theorem24_scan_validation(table_small):
     with pytest.raises(ValueError):
         theorem24_scan([1], 100, table_small)
+    with pytest.raises(ValueError, match="empty scan"):
+        theorem24_scan([2, 3], 8, table_small)  # 4k < x <= 8 holds for no x
+    _, res = theorem24_scan([2, 3], 9, table_small)
+    assert res.details["pairs_scanned"] == 1
 
 
 def test_erdos_ratio(table_small):

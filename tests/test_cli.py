@@ -267,7 +267,37 @@ def test_node_budget_exit_code(tmp_path, capsys):
         capsys,
     )
     assert code == 3
-    assert "node budget" in err
+    assert "node budget of 50 candidate rows; the last fully searched n is 14" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["verify", "dusart", "--y-max", "100"], "--y-max must be >= 3275", id="dusart"),
+        pytest.param(["verify", "thm24", "--x-max", "5"], "empty scan: no x with 4k < x <= 5", id="thm24"),
+        pytest.param(["verify", "thm24", "--k", "7..2"], "k range '7..2' is empty", id="thm24-k"),
+        pytest.param(["verify", "val2", "--x-max", "1"], "--x-max must be >= 2, got 1", id="val2-x"),
+        pytest.param(["verify", "val2", "--k-max", "0"], "--k-max must be >= 1, got 0", id="val2-k"),
+        pytest.param(["verify", "val2", "--samples", "0"], "--samples must be >= 1, got 0", id="val2-n"),
+        pytest.param(["verify", "lemma22", "--k-max", "2"], "--k-max must be >= 3", id="lemma22"),
+        # beyond the sieve: refused before the sweep, whatever the seed draws
+        pytest.param(
+            ["verify", "val2", "--x-max", "5000", "--samples", "20"],
+            "--x-max + --k-max - 1 = 5049 exceeds sieve limit 5000",
+            id="val2-limit",
+        ),
+        pytest.param(
+            ["verify", "dusart", "--y-max", "6000"],
+            "--y-max=6000 exceeds sieve limit 5000",
+            id="dusart-limit",
+        ),
+    ],
+)
+def test_verify_sweep_domain_is_checked_first(tmp_path, capsys, argv, message):
+    code, out, err = run_inproc(argv + ["--sieve-limit", "5000"], tmp_path, capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
 
 
 def test_verify_lemmas_honour_node_budget(tmp_path, capsys):

@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from dflab import (
-    ExpVec,
     SieveRangeError,
     analyze_block,
     double_factorial,
-    double_factorial_expvec,
-    factorial_valuation,
     factorize,
     largest_prime_factor,
     log_double_factorial,
@@ -55,17 +52,18 @@ def test_prime_count_at_million(table_big):
 
 
 def test_factorize_examples(table_small):
-    assert factorize(90, table_small).as_dict() == {2: 1, 3: 2, 5: 1}
-    assert factorize(1, table_small).entries == ()
-    assert factorize(4374, table_small).as_dict() == {2: 1, 3: 7}
+    assert factorize(90, table_small) == {2: 1, 3: 2, 5: 1}
+    assert factorize(1, table_small) == {}
+    assert factorize(4374, table_small) == {2: 1, 3: 7}
 
 
 def test_factorize_matches_trial_division(table_small):
     rng = random.Random(7)
     for n in [rng.randint(2, 10_000) for _ in range(300)]:
         fac = factorize(n, table_small)
-        assert fac.as_dict() == trial_factor(n)
-        assert fac.value() == n
+        assert fac == trial_factor(n)
+        assert list(fac) == sorted(fac)
+        assert math.prod(p**e for p, e in fac.items()) == n
 
 
 def test_factorize_errors(table_small):
@@ -113,21 +111,22 @@ def test_valuation(table_small):
 
 
 def test_factorial_valuation_examples():
-    assert factorial_valuation(10, 2) == 8
-    assert factorial_valuation(0, 2) == 0
-    assert factorial_valuation(16, 2) == 15
+    primes = np.array([2, 3, 5, 7])
+    assert factorial_valuations(10, primes).tolist() == [8, 4, 2, 1]  # 10! = 2^8 3^4 5^2 7
+    assert factorial_valuations(0, primes).tolist() == [0, 0, 0, 0]
+    assert factorial_valuations(16, primes)[0] == 15
     with pytest.raises(ValueError):
-        factorial_valuation(5, 6)
+        factorial_valuations(-1, primes)
 
 
 def test_factorial_valuation_matches_summed_valuations():
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        running = 0
-        for n in range(1, 10_001):
-            running += valuation(n, p)
-            if n % 997 == 0 or n < 40:
-                assert factorial_valuation(n, p) == running
-        assert factorial_valuation(10_000, p) == running
+    primes = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    running = [0] * primes.size
+    for n in range(1, 10_001):
+        running = [acc + valuation(n, int(p)) for acc, p in zip(running, primes)]
+        if n % 997 == 0 or n < 40:
+            assert factorial_valuations(n, primes).tolist() == running
+    assert factorial_valuations(10_000, primes).tolist() == running
 
 
 def test_double_factorial_examples():
@@ -151,51 +150,6 @@ def test_double_factorial_identities():
 def test_log_double_factorial():
     for m in (0, 1, 5, 12, 37, 100):
         assert log_double_factorial(m) == pytest.approx(math.log(df_direct(m)), rel=1e-12)
-
-
-def test_double_factorial_expvec_examples(table_small):
-    assert double_factorial_expvec(10, table_small).entries == {2: 8, 3: 1, 5: 1}
-    assert double_factorial_expvec(9, table_small).entries == {3: 3, 5: 1, 7: 1}
-    assert double_factorial_expvec(1, table_small).entries == {}
-    with pytest.raises(SieveRangeError):
-        double_factorial_expvec(10_001, table_small)
-
-
-def test_double_factorial_expvec_reconstructs(table_small):
-    for m in range(0, 61):
-        assert double_factorial_expvec(m, table_small).to_int() == df_direct(m)
-
-
-def test_expvec_algebra(table_small):
-    ten = double_factorial_expvec(10, table_small)
-    nine = double_factorial_expvec(9, table_small)
-    prod = ten * nine
-    assert prod.to_int() == math.factorial(10)
-    assert nine.divides(prod)
-    assert prod.exact_div(nine) == ten
-    with pytest.raises(ValueError):
-        nine.exact_div(ten)
-    with pytest.raises(ValueError):
-        ExpVec({3: -1})
-
-
-def test_expvec_equality_matches_integer_equality(table_small):
-    rng = random.Random(11)
-    pool = list(range(3, 41))
-    for _ in range(150):
-        xs = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
-        ys = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
-        vx = ExpVec({})
-        vy = ExpVec({})
-        px = py = 1
-        for v in xs:
-            vx = vx * double_factorial_expvec(v, table_small)
-            px *= df_direct(v)
-        for v in ys:
-            vy = vy * double_factorial_expvec(v, table_small)
-            py *= df_direct(v)
-        assert (vx == vy) == (px == py)
-        assert vx.divides(vy) == (py % px == 0)
 
 
 def test_analyze_block_examples(table_small):
@@ -263,11 +217,13 @@ def test_array_helpers_match_pointwise(table_small):
 def test_valuation_vectors_match_scalars(table_small):
     primes = table_small.primes_leq(200)
     for m in (0, 1, 7, 10, 16, 100, 199):
-        vec = factorial_valuations(m, primes)
-        for p, got in zip(primes, vec):
-            assert got == factorial_valuation(m, int(p))
-    for m in range(0, 50):
+        truth = trial_factor(math.factorial(m))
+        assert factorial_valuations(m, primes).tolist() == [truth.get(int(p), 0) for p in primes]
+    assert double_factorial_valuations(10, primes[:3]).tolist() == [8, 1, 1]
+    assert double_factorial_valuations(9, primes[:4]).tolist() == [0, 3, 1, 1]
+    assert double_factorial_valuations(1, primes).sum() == 0
+    for m in range(0, 61):
         vec = double_factorial_valuations(m, primes)
-        truth = trial_factor(df_direct(m)) if m > 1 else {}
-        for p, got in zip(primes, vec):
-            assert got == truth.get(int(p), 0)
+        truth = trial_factor(df_direct(m))
+        assert vec.tolist() == [truth.get(int(p), 0) for p in primes]
+        assert math.prod(int(p) ** int(e) for p, e in zip(primes, vec)) == df_direct(m)

@@ -8,9 +8,9 @@ from dflab import (
     EquationInstance,
     NotASolutionError,
     ResourceLimitError,
+    SieveRangeError,
     check_identity,
     classify,
-    double_factorial_expvec,
     generate_trivial_even,
     generate_trivial_odd,
     odd_decomposition,
@@ -19,7 +19,6 @@ from dflab import (
     verify_known_factorial_solutions,
 )
 from dflab import equation
-from dflab.core import ExpVec
 
 from oracles import (
     df_direct,
@@ -59,6 +58,8 @@ def test_check_identity_examples(table_small):
     assert check_identity(EquationInstance(8, (6, 4)), table_small)
     assert check_identity(EquationInstance(120, (118, 5, 4)), table_small)
     assert not check_identity(EquationInstance(10, (6, 4)), table_small)
+    with pytest.raises(SieveRangeError):
+        check_identity(EquationInstance(10_001, (10_000, 3)), table_small)
 
 
 def test_check_identity_matches_bigint_exhaustively(table_small):
@@ -77,10 +78,7 @@ def test_check_identity_matches_expvec_product(table_small):
         n = rng.randint(6, 120)
         parts = tuple(rng.randint(3, n - 1) for _ in range(rng.randint(2, 4)))
         inst = EquationInstance(n, parts)
-        prod = ExpVec({})
-        for v in inst.a:
-            prod = prod * double_factorial_expvec(v, table_small)
-        expected = prod == double_factorial_expvec(n, table_small)
+        expected = math.prod(df_direct(v) for v in inst.a) == df_direct(n)
         assert check_identity(inst, table_small) == expected
 
 
@@ -275,7 +273,9 @@ def test_search_refuses_oversized_table_before_allocating(table_big):
 def test_node_budget_counts_candidate_rows(table_small):
     # r1 n <= 100 t <= 3 compares 2,865 candidate rows in all
     search(100, 3, "r1", table_small, node_budget=2865)
-    with pytest.raises(ResourceLimitError, match="node budget of 2864"):
+    with pytest.raises(
+        ResourceLimitError, match="node budget of 2864 .*; the last fully searched n is 98$"
+    ):
         search(100, 3, "r1", table_small, node_budget=2864)
 
 
@@ -291,6 +291,9 @@ def test_search_validation(table_small):
 def test_search_node_budget(table_small):
     with pytest.raises(ResourceLimitError):
         search(400, 3, "r1", table_small, node_budget=50)
+    # spent before the first n finishes
+    with pytest.raises(ResourceLimitError, match="no n finished"):
+        equation._NodeBudget(1).spend(2)
 
 
 def test_parity_obstruction_small(table_small):
