@@ -219,11 +219,24 @@ def test_valuation_vectors_match_scalars(table_small):
     for m in (0, 1, 7, 10, 16, 100, 199):
         truth = trial_factor(math.factorial(m))
         assert factorial_valuations(m, primes).tolist() == [truth.get(int(p), 0) for p in primes]
-    assert double_factorial_valuations(10, primes[:3]).tolist() == [8, 1, 1]
-    assert double_factorial_valuations(9, primes[:4]).tolist() == [0, 3, 1, 1]
-    assert double_factorial_valuations(1, primes).sum() == 0
+    for m in range(0, 50):
+        truth = trial_factor(df_direct(m))
+        assert double_factorial_valuations(m, primes).tolist() == [
+            truth.get(int(p), 0) for p in primes
+        ]
+
+
+def test_double_factorial_expvec_examples(table_small):
+    primes = table_small.primes_leq(10)
+    assert double_factorial_valuations(10, primes).tolist() == [8, 1, 1, 0]  # 2^8 3 5
+    assert double_factorial_valuations(9, primes).tolist() == [0, 3, 1, 1]  # 3^3 5 7
+    assert double_factorial_valuations(1, primes).tolist() == [0, 0, 0, 0]
+    with pytest.raises(ValueError):
+        double_factorial_valuations(-1, primes)
+
+
+def test_double_factorial_expvec_reconstructs(table_small):
+    primes = table_small.primes_leq(60)
     for m in range(0, 61):
         vec = double_factorial_valuations(m, primes)
-        truth = trial_factor(df_direct(m))
-        assert vec.tolist() == [truth.get(int(p), 0) for p in primes]
         assert math.prod(int(p) ** int(e) for p, e in zip(primes, vec)) == df_direct(m)
