@@ -45,7 +45,9 @@ from .bounds import (
     BoundCheckResult,
     HypothesisViolationError,
     check_composite_block_geometry,
+    composite_block_geometry_scan,
     dusart_check,
+    dusart_sweep,
     erdos_graham_ratio,
     erdos_ratio,
     radical_product_bound_check,
@@ -54,6 +56,7 @@ from .bounds import (
     theorem24_scan,
     thm12ii_bound,
     valuation2_block_bound_check,
+    valuation2_block_sweep,
     valuation2_factorial_lower_check,
     verify_mertens_bound,
     verify_theta_bound,

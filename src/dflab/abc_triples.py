@@ -6,6 +6,7 @@ used throughout is c < rad^(7/4), decided exactly as c^4 < rad^7 with
 the float margin reported alongside.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,11 @@ def make_triple(a: int, b: int, table: PrimeTable) -> AbcTriple:
     three pairwise gcds coincide.  rad then factors as
     N(a) * N(b) * N(c).
     """
+    return _make_triple(a, b, table, lambda n: radical(n, table))
+
+
+def _make_triple(a: int, b: int, table: PrimeTable, rad_of) -> AbcTriple:
+    """make_triple with the radical taken from rad_of."""
     if a < 1 or b < 1:
         raise ValueError(f"triple entries must be positive, got ({a}, {b})")
     g = math.gcd(a, b)
@@ -52,7 +58,7 @@ def make_triple(a: int, b: int, table: PrimeTable) -> AbcTriple:
     c = a + b
     if c > table.limit:
         raise SieveRangeError(f"c={c} exceeds sieve limit {table.limit}")
-    rad = radical(a, table) * radical(b, table) * radical(c, table)
+    rad = rad_of(a) * rad_of(b) * rad_of(c)
     quality = math.log(c) / math.log(rad) if rad > 1 else math.inf
     return AbcTriple(
         a=a,
@@ -87,6 +93,11 @@ def proof_triple(x: int, j1: int, j2: int, table: PrimeTable) -> ProofTripleResu
     x/d <= (N(x+j1) * N(x+j2) * (j1-j2)/d)^(7/4), deciding it exactly in
     integer arithmetic.
     """
+    return _proof_triple(x, j1, j2, table, lambda n: radical(n, table))
+
+
+def _proof_triple(x: int, j1: int, j2: int, table: PrimeTable, rad_of) -> ProofTripleResult:
+    """proof_triple with every radical taken from rad_of."""
     if j1 <= j2:
         raise ValueError(f"need j2 < j1, got j1={j1}, j2={j2}")
     if j2 < 0:
@@ -97,8 +108,8 @@ def proof_triple(x: int, j1: int, j2: int, table: PrimeTable) -> ProofTripleResu
         raise SieveRangeError(f"x+j1={x + j1} exceeds sieve limit {table.limit}")
     diff = j1 - j2
     d = math.gcd(x + j1, diff)
-    triple = make_triple(diff, x + j2, table)
-    rad_pair = radical(x + j1, table) * radical(x + j2, table) * (diff // d)
+    triple = _make_triple(diff, x + j2, table, rad_of)
+    rad_pair = rad_of(x + j1) * rad_of(x + j2) * (diff // d)
     bound = rad_pair**ABC_EXPONENT
     holds = x**4 <= rad_pair**7 * d**4
     return ProofTripleResult(
@@ -138,14 +149,16 @@ def inequality3_rhs(k: int, a2: int, m: int):
 def scan_block_triples(x: int, k: int, table: PrimeTable) -> ProofTripleResult:
     """Best-quality difference triple over all pairs j2 < j1 < k.
 
-    Deterministic: ties keep the first pair in (j1, j2) order.
+    Deterministic: ties keep the first pair in (j1, j2) order.  Each
+    distinct radical is computed once per scan.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    rad_of = functools.cache(lambda n: radical(n, table))
     best = None
     for j1 in range(1, k):
         for j2 in range(j1):
-            cand = proof_triple(x, j1, j2, table)
+            cand = _proof_triple(x, j1, j2, table, rad_of)
             if best is None or cand.triple.quality > best.triple.quality:
                 best = cand
     return best

@@ -12,6 +12,7 @@ above it.
 """
 
 import math
+import random
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "VAL2_OFFSET",
     "THM12II_OFFSET",
     "DUSART_MIN_Y",
+    "DUSART_SCREEN_RTOL",
     "FLOAT_TOLERANCE",
     "EXCEPTIONAL_PAIRS_ORDERED",
     "EXCEPTIONAL_PAIRS",
@@ -47,16 +49,19 @@ __all__ = [
     "verify_theta_bound",
     "verify_mertens_bound",
     "check_composite_block_geometry",
+    "composite_block_geometry_scan",
     "sandwich_check",
     "theorem24_scan",
     "erdos_ratio",
     "valuation2_block_bound_check",
+    "valuation2_block_sweep",
     "valuation2_factorial_lower_check",
     "thm12ii_bound",
     "radical_product_bound_check",
     "smallest_two_radicals",
     "SmallestRadicals",
     "dusart_check",
+    "dusart_sweep",
     "erdos_graham_ratio",
 ]
 
@@ -76,6 +81,18 @@ VAL2_OFFSET = 7.0
 THM12II_OFFSET = 4.01
 # Below this y the short prime-gap interval statement is not asserted.
 DUSART_MIN_Y = 3275
+# dusart_sweep screens y in numpy and lets dusart_check's scalar math formula
+# decide every y whose screened margin lies within DUSART_SCREEN_RTOL * y of
+# a decision.  numpy's vectorized log need not match math.log bit for bit
+# (79 of 1.43 M sampled y <= 10^7 differ on an AVX-512 host), and each
+# cutoff y / (1 + c) takes a few roundings more.  With log off by at most
+# 4 ulp the cutoffs stay within 20 ulp, about 4.4e-15 * y, of the scalar
+# ones (2.4e-16 * y is the largest gap measured on that sample), and the
+# margins witness - cutoff inherit that error plus one rounding: the
+# tolerance is more than 10^4 times the worst case.
+DUSART_SCREEN_RTOL = 1e-9
+# y values per dusart_sweep chunk, so its memory does not grow with y_max
+_DUSART_CHUNK = 1 << 16
 # Double-precision comparisons are trusted down to this slack.
 FLOAT_TOLERANCE = 1e-9
 
@@ -162,6 +179,32 @@ def check_composite_block_geometry(x: int, k: int, table: PrimeTable) -> bool:
         raise ValueError(f"block length must be >= 2, got {k}")
     report = analyze_block(x, k, table)
     return not (report.all_composite and x < k)
+
+
+def composite_block_geometry_scan(k_max: int, table: PrimeTable) -> BoundCheckResult:
+    """check_composite_block_geometry over every block 2 <= x < k <= k_max.
+
+    A block [x, x+k-1] is all composite iff pi(x+k-1) - pi(x-1) = 0, so one
+    prime-count array over [0, 2*k_max - 2] decides every block exactly.
+    Counterexamples are ordered by k, then x.
+    """
+    if k_max < 3:
+        raise ValueError(f"empty scan: no block with 2 <= x < k <= {k_max}")
+    hi = 2 * k_max - 2
+    if hi > table.limit:
+        raise SieveRangeError(f"block end {hi} exceeds sieve limit {table.limit}")
+    pi = np.searchsorted(table.primes, np.arange(hi + 1), side="right")
+    ks, xs = np.nonzero(np.tri(k_max + 1, k=-1, dtype=bool))  # x < k, ordered by k then x
+    keep = xs >= 2
+    ks, xs = ks[keep], xs[keep]
+    composite = pi[xs + ks - 1] == pi[xs - 1]
+    return BoundCheckResult(
+        name="all_composite_block_geometry",
+        domain_checked=f"2 <= x < k <= {k_max}",
+        counterexamples=[(int(x), int(k)) for x, k in zip(xs[composite], ks[composite])],
+        margin=math.inf,
+        details={"blocks_checked": int(ks.size)},
+    )
 
 
 def _log_factor_sum(m: int, step: int) -> float:
@@ -288,20 +331,23 @@ def theorem24_scan(k_range, x_max: int, table: PrimeTable):
         raise SieveRangeError(
             f"x_max + max(k) - 1 = {x_max + ks[-1] - 1} exceeds sieve limit {table.limit}"
         )
+    ks = [k for k in ks if 4 * k < x_max]
     lpf = lpf_array(x_max + ks[-1] - 1, table)
     exceptions = []
     min_slack = math.inf
     member_verdicts = []
     pairs_scanned = 0
-    for k in ks:
-        lo = 4 * k + 1
-        if lo > x_max:
+    # running[i] = P((x0+i)(x0+i+1)...(x0+i+k-1)) for the current k: one
+    # np.maximum per block length, best_k = max(best_{k-1}, lpf[x+k-1])
+    x0 = 4 * ks[0] + 1
+    running = lpf[x0 : x_max + 1].copy()
+    for k in range(2, ks[-1] + 1):
+        np.maximum(running, lpf[x0 + k - 1 : x_max + k], out=running)
+        if k not in ks:
             continue
+        lo = 4 * k + 1
         count = x_max - lo + 1
-        window = lpf[lo : x_max + k]
-        best = window[:count].copy()
-        for off in range(1, k):
-            np.maximum(best, window[off : off + count], out=best)
+        best = running[lo - x0 :]
         thresh = LPF_BLOCK_COEFF * k
         slack = best - thresh
         pairs_scanned += count
@@ -343,17 +389,60 @@ def erdos_ratio(x: int, k: int, table: PrimeTable) -> float | None:
     return report.lpf / (k * math.log(k))
 
 
+def _val2_block_slack(x: int, k: int) -> tuple:
+    """(nu_2 of the block, the bound k - 1 + log2(x + k), bound - nu_2).
+
+    By Legendre nu_2(m!) = m - s_2(m), with s_2 the count of binary ones,
+    so the block (x+k-1)!/(x-1)! has nu_2 = k - s_2(x+k-1) + s_2(x-1).
+    """
+    val2 = k - (x + k - 1).bit_count() + (x - 1).bit_count()
+    bound = k - 1 + math.log2(x + k)
+    return val2, bound, bound - val2
+
+
 def valuation2_block_bound_check(x: int, k: int, table: PrimeTable) -> BoundCheckResult:
     """nu_2(x(x+1)...(x+k-1)) <= k - 1 + log2(x + k)."""
-    report = analyze_block(x, k, table)
-    bound = k - 1 + math.log2(x + k)
-    slack = bound - report.val2
+    if x < 2:
+        raise ValueError(f"block start must be >= 2, got {x}")
+    if k < 1:
+        raise ValueError(f"block length must be >= 1, got {k}")
+    if x + k - 1 > table.limit:
+        raise SieveRangeError(f"block end {x + k - 1} exceeds sieve limit {table.limit}")
+    val2, bound, slack = _val2_block_slack(x, k)
     return BoundCheckResult(
         name="block_power_of_two_upper",
         domain_checked=f"x={x}, k={k}",
-        counterexamples=[] if slack > 0 else [(x, k, report.val2)],
+        counterexamples=[] if slack > 0 else [(x, k, val2)],
         margin=slack,
-        details={"val2": report.val2, "bound": bound, "float_tolerance": FLOAT_TOLERANCE},
+        details={"val2": val2, "bound": bound, "float_tolerance": FLOAT_TOLERANCE},
+    )
+
+
+def valuation2_block_sweep(x_max: int, k_max: int, samples: int, seed: int) -> BoundCheckResult:
+    """valuation2_block_bound_check at blocks drawn by random.Random(seed).
+
+    Each sample draws x = randint(2, x_max), then k = randint(1, k_max).
+    The valuation is the closed form above, so no block is factored; the
+    bound keeps math.log2, so each margin equals the single check's.
+    """
+    if x_max < 2 or k_max < 1 or samples < 1:
+        raise ValueError("empty sweep: need x_max >= 2, k_max >= 1 and samples >= 1")
+    rng = random.Random(seed)
+    worst = math.inf
+    bad = []
+    for _ in range(samples):
+        x = rng.randint(2, x_max)
+        k = rng.randint(1, k_max)
+        val2, _, slack = _val2_block_slack(x, k)
+        worst = min(worst, slack)
+        if not slack > 0:
+            bad.append((x, k, val2))
+    return BoundCheckResult(
+        name="block_power_of_two_upper_sweep",
+        domain_checked=f"{samples} samples, x <= {x_max}, k <= {k_max}, seed={seed}",
+        counterexamples=bad,
+        margin=worst,
+        details={},
     )
 
 
@@ -473,6 +562,12 @@ def smallest_two_radicals(x: int, k: int, table: PrimeTable) -> SmallestRadicals
     return SmallestRadicals(j1, j2, bound, holds, rads)
 
 
+def _dusart_cutoffs(y: int) -> tuple:
+    """Lower ends (used, literal) of the two prime-gap intervals below y."""
+    log_sq = math.log(y) ** 2
+    return y / (1 + 1 / (2 * log_sq)), y / (1 + 2 * log_sq)
+
+
 def dusart_check(y: int, table: PrimeTable) -> BoundCheckResult:
     """A prime in (y / (1 + 1/(2*log^2 y)), y) for y >= DUSART_MIN_Y.
 
@@ -484,9 +579,7 @@ def dusart_check(y: int, table: PrimeTable) -> BoundCheckResult:
         raise ValueError(f"the interval statement needs y >= {DUSART_MIN_Y}, got {y}")
     if y > table.limit:
         raise SieveRangeError(f"y={y} exceeds sieve limit {table.limit}")
-    log_sq = math.log(y) ** 2
-    lo_used = y / (1 + 1 / (2 * log_sq))
-    lo_literal = y / (1 + 2 * log_sq)
+    lo_used, lo_literal = _dusart_cutoffs(y)
     primes = table.primes
     i = int(np.searchsorted(primes, y, side="left"))
     witness = int(primes[i - 1]) if i > 0 else None
@@ -503,6 +596,56 @@ def dusart_check(y: int, table: PrimeTable) -> BoundCheckResult:
             "interval_literal": [lo_literal, y],
             "literal_form_ok": literal_ok,
         },
+    )
+
+
+def _dusart_screen(ys: np.ndarray, witness: np.ndarray) -> tuple:
+    """numpy estimates of witness - cutoff for both intervals; they only screen."""
+    log_sq = np.log(ys) ** 2
+    return witness - ys / (1 + 1 / (2 * log_sq)), witness - ys / (1 + 2 * log_sq)
+
+
+def dusart_sweep(y_max: int, table: PrimeTable) -> BoundCheckResult:
+    """dusart_check at every DUSART_MIN_Y <= y <= y_max, folded into one result.
+
+    Chunk by chunk, one searchsorted finds the witness prime of every y
+    exactly, and numpy screens both margins.  Every y whose screened margin
+    for either interval lies within DUSART_SCREEN_RTOL * y of 0, or that
+    could hold the least margin so far, is re-evaluated with dusart_check's
+    scalar formula, and only those values decide.  Counterexamples, literal-form failures and the
+    margin therefore equal those of a per-y dusart_check fold bit for bit.
+    """
+    if y_max < DUSART_MIN_Y:
+        raise ValueError(f"the interval statement needs y >= {DUSART_MIN_Y}, got y_max={y_max}")
+    if y_max > table.limit:
+        raise SieveRangeError(f"y_max={y_max} exceeds sieve limit {table.limit}")
+    primes = table.primes
+    worst = math.inf
+    bad = []
+    literal_fail = 0
+    for start in range(DUSART_MIN_Y, y_max + 1, _DUSART_CHUNK):
+        ys = np.arange(start, min(start + _DUSART_CHUNK, y_max + 1), dtype=np.int64)
+        witness = primes[np.searchsorted(primes, ys, side="left") - 1]
+        used, literal = _dusart_screen(ys, witness)
+        tol = DUSART_SCREEN_RTOL * ys
+        # a y can hold the least exact margin only if its lower estimate
+        # reaches the least upper estimate of the chunk and the running minimum
+        least = min(float((used + tol).min()), worst)
+        recheck = (used <= tol) | (literal <= tol) | (used - tol <= least)
+        for i in np.flatnonzero(recheck):
+            y, w = int(ys[i]), int(witness[i])
+            lo_used, lo_literal = _dusart_cutoffs(y)
+            worst = min(worst, w - lo_used)
+            if not w > lo_used:
+                bad.append((y, w))
+            if not w > lo_literal:
+                literal_fail += 1
+    return BoundCheckResult(
+        name="short_prime_gap_interval_sweep",
+        domain_checked=f"{DUSART_MIN_Y} <= y <= {y_max}",
+        counterexamples=bad,
+        margin=worst,
+        details={"literal_form_failures": literal_fail},
     )
 
 

@@ -35,7 +35,6 @@ import dataclasses
 import json
 import math
 import os
-import random
 import struct
 import sys
 import tempfile
@@ -445,26 +444,9 @@ def _cmd_verify_lemma21(args, config, table):
     return _checks(results)
 
 
-def _geometry_scan(k_max, table):
-    _require_at_least("--k-max", k_max, 3)
-    bad = []
-    checked = 0
-    for k in range(2, k_max + 1):
-        for x in range(2, k):
-            checked += 1
-            if not bounds.check_composite_block_geometry(x, k, table):
-                bad.append((x, k))
-    return bounds.BoundCheckResult(
-        name="all_composite_block_geometry",
-        domain_checked=f"2 <= x < k <= {k_max}",
-        counterexamples=bad,
-        margin=math.inf,
-        details={"blocks_checked": checked},
-    )
-
-
 def _cmd_verify_lemma22(args, config, table):
-    results = [_geometry_scan(args.k_max, table)]
+    _require_at_least("--k-max", args.k_max, 3)
+    results = [bounds.composite_block_geometry_scan(args.k_max, table)]
     for rec in _search(args, config, table, "r0"):
         results.append(bounds.sandwich_check(rec.instance, table))
     return _checks(results)
@@ -496,54 +478,19 @@ def _cmd_verify_val2(args, config, table):
     block_end = args.x_max + args.k_max - 1
     if block_end > table.limit:
         raise SieveRangeError(f"--x-max + --k-max - 1 = {block_end} exceeds sieve limit {table.limit}")
-    results = [bounds.valuation2_factorial_lower_check(args.m_max)]
-    rng = random.Random(args.seed)
-    worst = math.inf
-    bad = []
-    for _ in range(args.samples):
-        x = rng.randint(2, args.x_max)
-        k = rng.randint(1, args.k_max)
-        res = bounds.valuation2_block_bound_check(x, k, table)
-        worst = min(worst, res.margin)
-        bad.extend(res.counterexamples)
-    results.append(
-        bounds.BoundCheckResult(
-            name="block_power_of_two_upper_sweep",
-            domain_checked=f"{args.samples} samples, x <= {args.x_max}, k <= {args.k_max}, seed={args.seed}",
-            counterexamples=bad,
-            margin=worst,
-            details={},
-        )
-    )
-    return _checks(results)
+    return _checks([
+        bounds.valuation2_factorial_lower_check(args.m_max),
+        bounds.valuation2_block_sweep(args.x_max, args.k_max, args.samples, args.seed),
+    ])
 
 
 def _cmd_verify_dusart(args, config, table):
-    if args.y is None and args.y_max is None:
-        raise ValueError("give --y or --y-max")
     if args.y is not None:
         return _checks([bounds.dusart_check(args.y, table)])
     _require_at_least("--y-max", args.y_max, bounds.DUSART_MIN_Y)
     if args.y_max > table.limit:
         raise SieveRangeError(f"--y-max={args.y_max} exceeds sieve limit {table.limit}")
-    worst = math.inf
-    bad = []
-    literal_fail = 0
-    for y in range(bounds.DUSART_MIN_Y, args.y_max + 1):
-        res = bounds.dusart_check(y, table)
-        if res.margin < worst:
-            worst = res.margin
-        bad.extend(res.counterexamples)
-        if not res.details["literal_form_ok"]:
-            literal_fail += 1
-    summary = bounds.BoundCheckResult(
-        name="short_prime_gap_interval_sweep",
-        domain_checked=f"{bounds.DUSART_MIN_Y} <= y <= {args.y_max}",
-        counterexamples=bad,
-        margin=worst,
-        details={"literal_form_failures": literal_fail},
-    )
-    return _checks([summary])
+    return _checks([bounds.dusart_sweep(args.y_max, table)])
 
 
 def _cmd_verify_known(args, config, table):
@@ -687,8 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(handler=_cmd_verify_val2)
     v = vsub.add_parser("dusart", parents=[common])
-    v.add_argument("--y", type=int, default=None)
-    v.add_argument("--y-max", type=int, default=None)
+    one_or_sweep = v.add_mutually_exclusive_group(required=True)
+    one_or_sweep.add_argument("--y", type=int, default=None)
+    one_or_sweep.add_argument("--y-max", type=int, default=None)
     v.set_defaults(handler=_cmd_verify_dusart)
     v = vsub.add_parser("known-factorials", parents=[common])
     v.set_defaults(handler=_cmd_verify_known)

@@ -4,6 +4,8 @@ Everything here is deliberately naive (trial division, direct products,
 exhaustive enumeration) so it shares no code path with the library.
 """
 
+import math
+
 
 def trial_is_prime(n: int) -> bool:
     if n < 2:
@@ -117,3 +119,24 @@ def spf_direct(limit: int) -> list:
                     spf[m] = p
         p += 1
     return spf
+
+
+def dusart_failures(y_max: int, y_min: int = 3275) -> list:
+    """y in [y_min, y_max] with no prime in (y / (1 + 1/(2 log^2 y)), y).
+
+    A bytearray sieve gives the largest prime below each y; the cutoff is
+    evaluated with math.log, one y at a time.
+    """
+    sieve = bytearray([1]) * y_max
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(y_max - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, y_max, p)))
+    bad = []
+    prev = 0  # largest prime below y
+    for y in range(2, y_max + 1):
+        if y >= y_min and not prev > y / (1 + 1 / (2 * math.log(y) ** 2)):
+            bad.append(y)
+        if y < y_max and sieve[y]:
+            prev = y
+    return bad

@@ -121,6 +121,22 @@ def test_scan_block_triples_is_argmax(table_small):
         assert best.triple.quality == max(qualities)
 
 
+def test_scan_block_triples_equals_fold_of_proof_triple(table_big):
+    # the scan shares radicals between pairs; the result must be the
+    # first-best pair of independent proof_triple calls, field for field
+    rng = random.Random(47)
+    for x, k in [(2, 2), (9, 40), (999_900, 60)] + [
+        (rng.randint(2, 999_000), rng.randint(2, 40)) for _ in range(12)
+    ]:
+        best = None
+        for j1 in range(1, k):
+            for j2 in range(j1):
+                cand = proof_triple(x, j1, j2, table_big)
+                if best is None or cand.triple.quality > best.triple.quality:
+                    best = cand
+        assert scan_block_triples(x, k, table_big) == best
+
+
 def test_rad_multiplicativity_against_trial_division(table_small):
     # coprimality makes rad(a)*rad(b)*rad(c) the radical of the product
     rng = random.Random(43)

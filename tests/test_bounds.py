@@ -1,15 +1,21 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from hypothesis import given, settings, strategies as st
 
 from dflab import (
     EquationInstance,
     HypothesisViolationError,
     NotASolutionError,
+    analyze_block,
     check_composite_block_geometry,
+    composite_block_geometry_scan,
     dusart_check,
+    dusart_sweep,
     erdos_graham_ratio,
     erdos_ratio,
     radical_product_bound_check,
@@ -19,13 +25,15 @@ from dflab import (
     theorem24_scan,
     thm12ii_bound,
     valuation2_block_bound_check,
+    valuation2_block_sweep,
     valuation2_factorial_lower_check,
     verify_mertens_bound,
     verify_theta_bound,
 )
-from dflab.bounds import EXCEPTIONAL_PAIRS, EXCEPTIONAL_PAIRS_ORDERED
+from dflab import bounds
+from dflab.bounds import EXCEPTIONAL_PAIRS, EXCEPTIONAL_PAIRS_ORDERED, BoundCheckResult
 
-from oracles import block_lpf_violators, trial_is_prime
+from oracles import block_lpf_violators, dusart_failures, trial_is_prime
 
 # Exceptions the k in [2,7], x <= 5000 scan actually finds.  (15, 2) is a
 # true violator -- P(15*16) = P(240) = 5 <= 8.84 -- that the catalogued
@@ -78,6 +86,43 @@ def test_composite_block_geometry(table_small):
     for k in range(2, 51):
         for x in range(2, k):
             assert check_composite_block_geometry(x, k, table_small)
+
+
+def _geometry_fold(k_max, table):
+    """The geometry scan as per-block check_composite_block_geometry calls."""
+    bad = [
+        (x, k)
+        for k in range(2, k_max + 1)
+        for x in range(2, k)
+        if not check_composite_block_geometry(x, k, table)
+    ]
+    return BoundCheckResult(
+        name="all_composite_block_geometry",
+        domain_checked=f"2 <= x < k <= {k_max}",
+        counterexamples=bad,
+        margin=math.inf,
+        details={"blocks_checked": (k_max - 1) * (k_max - 2) // 2},
+    )
+
+
+def test_geometry_scan_equals_per_block_checks(table_small):
+    for k_max in (3, 4, 5, 17, 60):
+        assert composite_block_geometry_scan(k_max, table_small) == _geometry_fold(k_max, table_small)
+    assert composite_block_geometry_scan(100, table_small).details == {"blocks_checked": 4851}
+    with pytest.raises(ValueError, match="empty scan"):
+        composite_block_geometry_scan(2, table_small)
+
+
+def test_geometry_scan_reports_every_prime_free_block(table_small):
+    # By Bertrand no block 2 <= x < k is free of primes, so the real scan
+    # always passes.  Against a thinned prime list it must report exactly
+    # the blocks that list leaves prime-free.
+    kept = [int(p) for p in table_small.primes if p not in (3, 5, 7, 11, 13, 23)]
+    thinned = SimpleNamespace(limit=table_small.limit, primes=np.array(kept, dtype=np.int64))
+    kept_set = set(kept)
+    want = [(x, k) for k in range(2, 41) for x in range(2, k) if not kept_set & set(range(x, x + k))]
+    assert len(want) == 36
+    assert composite_block_geometry_scan(40, thinned).counterexamples == want
 
 
 def test_sandwich_even_case_values(table_small):
@@ -162,6 +207,21 @@ def test_theorem24_scan_validation(table_small):
     assert res.details["pairs_scanned"] == 1
 
 
+def test_theorem24_running_maximum_matches_trial_division(table_small):
+    # k values with gaps: the running block maximum must still pass every k
+    exceptions, _ = theorem24_scan([3, 5, 9], 3000, table_small)
+    assert sorted(exceptions, key=lambda p: (p[1], p[0])) == block_lpf_violators([3, 5, 9], 3000, 4.42)
+
+
+def test_theorem24_domain_names_only_scanned_k(table_small):
+    # 4k < x <= 50 holds for k <= 12 only
+    _, res = theorem24_scan(range(2, 21), 50, table_small)
+    assert res.domain_checked == f"k in {list(range(2, 13))}, 4k < x <= 50"
+    assert res.details["pairs_scanned"] == sum(50 - 4 * k for k in range(2, 13))
+    _, res = theorem24_scan(range(2, 8), 5000, table_small)
+    assert res.domain_checked == "k in [2, 3, 4, 5, 6, 7], 4k < x <= 5000"
+
+
 def test_erdos_ratio(table_small):
     assert erdos_ratio(9, 2, table_small) == pytest.approx(5 / (2 * math.log(2)), abs=1e-9)
     assert erdos_ratio(13, 3, table_small) is None
@@ -182,6 +242,32 @@ def test_valuation2_block_bound_sweep(table_big):
         x = rng.randint(2, 10_000)
         k = rng.randint(1, 50)
         assert valuation2_block_bound_check(x, k, table_big).passed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**6 - 59), st.integers(1, 60))
+def test_valuation2_closed_form_matches_block_factorization(table_big, x, k):
+    res = valuation2_block_bound_check(x, k, table_big)
+    assert res.details["val2"] == analyze_block(x, k, table_big).val2
+
+
+def test_valuation2_block_sweep_equals_factored_fold(table_big):
+    # the fold the sweep replaced: same draws, valuation from factored terms
+    for seed in (0, 17, 123456):
+        rng = random.Random(seed)
+        worst, bad = math.inf, []
+        for _ in range(2000):
+            x = rng.randint(2, 10**4)
+            k = rng.randint(1, 50)
+            val2 = analyze_block(x, k, table_big).val2
+            slack = k - 1 + math.log2(x + k) - val2
+            worst = min(worst, slack)
+            bad += [] if slack > 0 else [(x, k, val2)]
+        res = valuation2_block_sweep(10**4, 50, 2000, seed)
+        assert res.domain_checked == f"2000 samples, x <= 10000, k <= 50, seed={seed}"
+        assert (res.counterexamples, res.margin.hex()) == (bad, worst.hex())
+    with pytest.raises(ValueError, match="empty sweep"):
+        valuation2_block_sweep(10, 5, 0, 0)
 
 
 def test_valuation2_factorial_lower():
@@ -289,6 +375,93 @@ def test_dusart_sweep(table_big):
         assert res.passed == (y not in (3296, 3297, 3298, 3299))
         assert res.details["witness"] == int(witness[y - 3275])
         assert res.details["literal_form_ok"]
+
+
+def _dusart_fold(y_max, table):
+    """The dusart sweep as a fold of per-y dusart_check results."""
+    worst, bad, literal_fail = math.inf, [], 0
+    for y in range(3275, y_max + 1):
+        res = dusart_check(y, table)
+        if res.margin < worst:
+            worst = res.margin
+        bad.extend(res.counterexamples)
+        literal_fail += not res.details["literal_form_ok"]
+    return BoundCheckResult(
+        name="short_prime_gap_interval_sweep",
+        domain_checked=f"3275 <= y <= {y_max}",
+        counterexamples=bad,
+        margin=worst,
+        details={"literal_form_failures": literal_fail},
+    )
+
+
+@pytest.fixture(scope="module")
+def dusart_fold_1e6(table_big):
+    return _dusart_fold(10**6, table_big)
+
+
+def _assert_same_sweep(res, fold):
+    assert res == fold
+    assert res.margin.hex() == fold.margin.hex()
+
+
+def test_dusart_sweep_equals_per_y_fold(table_big, dusart_fold_1e6):
+    _assert_same_sweep(dusart_sweep(10**6, table_big), dusart_fold_1e6)
+
+
+def test_dusart_sweep_rechecking_every_y(table_big, dusart_fold_1e6, monkeypatch):
+    monkeypatch.setattr(bounds, "DUSART_SCREEN_RTOL", math.inf)
+    _assert_same_sweep(dusart_sweep(10**6, table_big), dusart_fold_1e6)
+
+
+def test_dusart_sweep_small_odd_chunks(table_big, dusart_fold_1e6, monkeypatch):
+    monkeypatch.setattr(bounds, "_DUSART_CHUNK", 1001)
+    _assert_same_sweep(dusart_sweep(10**6, table_big), dusart_fold_1e6)
+    # chunk edges on and around the four failing y, at every end point nearby
+    for chunk in (1, 3, 5, 7):
+        monkeypatch.setattr(bounds, "_DUSART_CHUNK", chunk)
+        for y_max in range(3275, 3320):
+            _assert_same_sweep(dusart_sweep(y_max, table_big), _dusart_fold(y_max, table_big))
+
+
+def test_dusart_sweep_survives_a_screen_off_by_its_tolerance(table_big, dusart_fold_1e6, monkeypatch):
+    # Floats only screen: with the screen wrong by 0.9 of the tolerance in
+    # either direction (a tolerance widened so that the skew flips screened
+    # verdicts near y = 3296), the scalar formula still decides everything.
+    rtol = 1e-3
+    screen = bounds._dusart_screen
+
+    def skewed(ys, witness):
+        used, literal = screen(ys, witness)
+        skew = np.where(ys % 2 == 0, 0.9, -0.9) * rtol * ys
+        return used + skew, literal - skew
+
+    monkeypatch.setattr(bounds, "DUSART_SCREEN_RTOL", rtol)
+    monkeypatch.setattr(bounds, "_dusart_screen", skewed)
+    _assert_same_sweep(dusart_sweep(10**6, table_big), dusart_fold_1e6)
+
+
+def test_dusart_screen_tolerance_exceeds_rounding(table_big):
+    # the cutoffs stay within 20 ulp of the scalar ones; the tolerance is
+    # more than 10^4 times that, and no sampled y comes near it
+    assert bounds.DUSART_SCREEN_RTOL > 1e4 * 20 * 2.0**-53
+    rng = random.Random(59)
+    ys = np.array(sorted(rng.sample(range(3275, 10**6 + 1), 20_000)), dtype=np.int64)
+    primes = table_big.primes
+    witness = primes[np.searchsorted(primes, ys, side="left") - 1]
+    used, literal = bounds._dusart_screen(ys, witness)
+    for y, w, u, lit in zip(ys.tolist(), witness.tolist(), used, literal):
+        lo_used, lo_literal = bounds._dusart_cutoffs(y)
+        assert abs(u - (w - lo_used)) <= 20 * 2.0**-53 * y
+        assert abs(lit - (w - lo_literal)) <= 20 * 2.0**-53 * y
+
+
+def test_dusart_sweep_failures_match_oracle(table_big, dusart_fold_1e6):
+    res = dusart_sweep(10**6, table_big)
+    assert [y for y, _ in res.counterexamples] == dusart_failures(10**6) == [3296, 3297, 3298, 3299]
+    assert res.details == {"literal_form_failures": 0}
+    with pytest.raises(ValueError):
+        dusart_sweep(3274, table_big)
 
 
 def test_erdos_graham_ratio(table_small):

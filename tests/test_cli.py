@@ -204,6 +204,33 @@ def test_verify_dusart_sweep_hits_gap_edge(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_dusart_single_y_and_sweep_are_exclusive(tmp_path, capsys):
+    # --y 5000 used to check y = 5000 alone and exit 0, dropping a sweep
+    # that fails at y = 3296..3299
+    code, out, err = run_inproc(
+        ["verify", "dusart", "--y", "5000", "--y-max", "3400", "--sieve-limit", "5000"],
+        tmp_path,
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+    code, out, err = run_inproc(["verify", "dusart", "--sieve-limit", "5000"], tmp_path, capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_verify_thm24_names_only_the_k_it_scanned(tmp_path, capsys):
+    code, out, _ = run_inproc(
+        ["verify", "thm24", "--k", "2..20", "--x-max", "50", "--sieve-limit", "1000"],
+        tmp_path,
+        capsys,
+    )
+    assert code == 1
+    rec = parse_jsonl(out)[0]
+    assert rec["payload"]["domain_checked"] == "k in [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], 4k < x <= 50"
+
+
 def test_classify_non_solution_is_usage_error(tmp_path, capsys):
     code, _, err = run_inproc(
         ["classify", "--n", "10", "--a", "6,4", "--sieve-limit", "100"], tmp_path, capsys
