@@ -93,6 +93,8 @@ DUSART_MIN_Y = 3275
 DUSART_SCREEN_RTOL = 1e-9
 # y values per dusart_sweep chunk, so its memory does not grow with y_max
 _DUSART_CHUNK = 1 << 16
+# m values per valuation2_factorial_lower_check pass, for the same reason
+_VAL2_CHUNK = 1 << 16
 # Double-precision comparisons are trusted down to this slack.
 FLOAT_TOLERANCE = 1e-9
 
@@ -453,19 +455,23 @@ def valuation2_factorial_lower_check(m_max: int) -> BoundCheckResult:
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    ms = np.arange(1, m_max + 1, dtype=np.int64)
-    v2 = np.zeros_like(ms)
-    shifted = ms >> 1
-    while shifted.any():
-        v2 += shifted
-        shifted >>= 1
-    slack = v2 - (VAL2_SLOPE * ms - VAL2_OFFSET)
-    bad = np.flatnonzero(slack <= 0)
+    counterexamples = []
+    margin = math.inf
+    for start in range(1, m_max + 1, _VAL2_CHUNK):
+        ms = np.arange(start, min(start + _VAL2_CHUNK, m_max + 1), dtype=np.int64)
+        v2 = np.zeros_like(ms)
+        shifted = ms >> 1
+        while shifted.any():
+            v2 += shifted
+            shifted >>= 1
+        slack = v2 - (VAL2_SLOPE * ms - VAL2_OFFSET)
+        margin = min(margin, float(slack.min()))
+        counterexamples += [(int(ms[i]), int(v2[i])) for i in np.flatnonzero(slack <= 0)]
     return BoundCheckResult(
         name="factorial_power_of_two_lower",
         domain_checked=f"1 <= m <= {m_max}",
-        counterexamples=[(int(ms[i]), int(v2[i])) for i in bad],
-        margin=float(slack.min()),
+        counterexamples=counterexamples,
+        margin=margin,
         details={"float_tolerance": FLOAT_TOLERANCE},
     )
 

@@ -363,20 +363,26 @@ def double_factorial_valuations(m: int, primes: np.ndarray) -> np.ndarray:
     return vec
 
 
+# Entries lpf_array factors per pass, so its temporaries do not grow with hi
+_LPF_CHUNK = 1 << 16
+
+
 def lpf_array(hi: int, table: PrimeTable) -> np.ndarray:
     """Array a with a[i] = P(i) for 0 <= i <= hi (a[0] = a[1] = 1)."""
     if hi > table.limit:
         raise SieveRangeError(f"{hi} exceeds sieve limit {table.limit}")
     res = np.ones(hi + 1, dtype=np.int64)
-    rem = np.arange(hi + 1, dtype=np.int64)
-    rem[:2] = 1
     spf = table.spf
-    idx = np.flatnonzero(rem > 1)
-    while idx.size:
-        p = spf[rem[idx]].astype(np.int64)
-        res[idx] = np.maximum(res[idx], p)
-        rem[idx] //= p
-        idx = idx[rem[idx] > 1]
+    for start in range(2, hi + 1, _LPF_CHUNK):
+        rem = np.arange(start, min(start + _LPF_CHUNK, hi + 1), dtype=np.int64)
+        out = res[start : start + rem.size]
+        idx = np.arange(rem.size)
+        while idx.size:
+            # smallest prime factors come in ascending order, so the last is P(i)
+            p = spf[rem[idx]].astype(np.int64)
+            out[idx] = p
+            rem[idx] //= p
+            idx = idx[rem[idx] > 1]
     return res
 
 

@@ -14,7 +14,6 @@ are simply refuted by check_identity.
 """
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,7 +259,7 @@ def generate_trivial_odd(
 
 
 class _NodeBudget:
-    """Count of candidate rows compared by one search; done is the last n fully searched."""
+    """Count of candidates one search visited; done is the last n fully searched."""
 
     __slots__ = ("limit", "used", "done")
 
@@ -278,33 +277,40 @@ class _NodeBudget:
             )
 
 
+class _ChunkOverflow(Exception):
+    """A chunk of n spent more than the budget had left."""
+
+
 @dataclass(frozen=True)
 class _ValuationTable:
     """Every row a search over n <= n_max reads, built once per call.
 
-    v[m, i] = nu_{p_i}(m!!) over the primes p_i <= n_max, as int32 (nu_2
-    of m!! is below m).  Row m is zero beyond its first count[m] columns,
-    count[m] being the number of primes <= m.  rowsum[m] is the sum of
-    row m and logdf[m] = log m!!.  Everything but v is a plain list, for
-    fast scalar lookups.
+    v[m, i] = nu_{p_i}(m!!) over the primes p_i <= n_max, as uint16 (every
+    exponent of m!! is below m < 2**16).  Row m is zero beyond its first
+    count[m] columns, count[m] being the number of primes <= m.  rowsum[m]
+    is the sum of row m and logdf[m] = log m!!, nondecreasing in m.
     """
 
     v: np.ndarray
     primes: list
-    count: list
-    rowsum: list
-    logdf: list
+    count: np.ndarray
+    rowsum: np.ndarray
+    logdf: np.ndarray
 
 
 def _valuation_table(n_max: int, table: PrimeTable) -> _ValuationTable:
     primes = table.primes_leq(n_max)
-    need = (n_max + 1) * primes.size * 4
+    need = (n_max + 1) * primes.size * 2
     if need > MAX_TABLE_BYTES:
         raise ResourceLimitError(
             f"the valuation table for n_max={n_max} needs {need} bytes, "
             f"above the {MAX_TABLE_BYTES}-byte cap"
         )
-    v = np.zeros((n_max + 1, primes.size), dtype=np.int32)
+    if n_max >= 2**16:
+        raise ResourceLimitError(
+            f"the valuation table holds uint16 exponents, so n_max must be below 65536, got {n_max}"
+        )
+    v = np.zeros((n_max + 1, primes.size), dtype=np.uint16)
     for i, p in enumerate(primes.tolist()):
         q = p
         while q <= n_max:
@@ -320,70 +326,204 @@ def _valuation_table(n_max: int, table: PrimeTable) -> _ValuationTable:
     return _ValuationTable(
         v,
         primes.tolist(),
-        np.searchsorted(primes, np.arange(n_max + 1), side="right").tolist(),
-        v.sum(axis=1, dtype=np.int64).tolist(),
-        logdf.tolist(),
+        np.searchsorted(primes, np.arange(n_max + 1), side="right"),
+        v.sum(axis=1, dtype=np.int64),
+        logdf,
     )
 
 
-def _search_one(n, tab, t_max, one_odd, budget):
-    """All descending part tuples solving the identity for this n.
+# Cells one batch of the search may hold: candidate rows times the owed
+# columns they are compared on.  Batches are expanded depth-first, so each
+# level keeps at most one batch live.
+_CELL_CAP = 1 << 17
+# A last-part lookup counts as this many cells: about the bytes of
+# temporaries it holds against one compared cell's.
+_LOOKUP_CELLS = 32
 
-    Depth-first over nonincreasing parts; each node compares its whole
-    candidate window against the owed exponent vector in one numpy pass
-    and counts the rows it compared.  The window is cut three ways:
 
-    - the largest odd prime q still owed forces v >= q (odd candidates)
-      or v >= 2q (even candidates, whose double factorial contains odd
-      primes only up to v/2);
+@dataclass(frozen=True)
+class _States:
+    """Live search states of one level, one per row.
+
+    parts holds the parts chosen so far (descending, one column per level)
+    for target n; owed is the exponent vector n!! / prod parts!! still owed
+    (zero beyond its columns), rest its sum and log_owed its log; odd says
+    whether the single odd part is used.
+    """
+
+    n: np.ndarray
+    parts: np.ndarray
+    owed: np.ndarray
+    rest: np.ndarray
+    log_owed: np.ndarray
+    odd: np.ndarray
+
+
+class _Frontier:
+    """Batched depth-first search over a chunk of consecutive even n.
+
+    Every live state of a level is a row of arrays.  Each level computes all
+    states' candidate windows at once, cut three ways as in a plain
+    depth-first search with nonincreasing parts:
+
+    - the largest odd prime q still owed forces v >= q when the odd part is
+      still free, else v >= 2q (an even v!! holds odd primes only up to v/2);
     - log v!! <= log owed, since v!! must divide what is owed;
     - slots * log v!! >= log owed, since the remaining parts are all <= v.
 
-    The two log cuts only prune: a hit needs the integer owed vector to
-    reach exactly zero.
+    Levels with at least three parts left compare each batch of candidate
+    rows against the owed vectors in one call; a survivor either pays off
+    the whole debt or becomes a state of the next level.  With two parts
+    left no rows are compared: for every (state, a) pair the last part b is
+    fixed by its log window, log b!! = log owed - log a!! within the
+    tolerance, and a is also tried as the last part itself.  Floats only
+    nominate: a hit needs the integer owed vector to reach exactly zero.
+
+    spent counts the candidates visited, rows compared plus pairs looked
+    up; past room the chunk stops with _ChunkOverflow.
     """
-    v_tab, primes, count, rowsum, logdf = tab.v, tab.primes, tab.count, tab.rowsum, tab.logdf
-    owed = v_tab[n, : count[n]].copy()
-    tol = _LOG_RTOL * (1.0 + logdf[n])
-    found = []
-    min_t = 3 if one_odd else 2
 
-    def extend(v_cap, slots, odd_used, prefix, log_owed, owed_total):
-        lo = bisect_left(logdf, (log_owed - tol) / slots)
-        hi = min(v_cap, bisect_right(logdf, log_owed + tol) - 1)
-        if lo > hi:
-            return
-        top = owed.nonzero()[0][-1]
-        q = primes[top] if top else 0
-        odd_available = one_odd and not odd_used
-        lo = max(lo, (q if odd_available else 2 * q) if q else 4)
-        if odd_available and slots == 1:
-            if not q:
-                return  # this last part must be odd, and no odd v!! divides a power of 2
-            step, lo = 2, lo | 1
-        elif odd_available and q:
-            step = 1
-        else:
-            step, lo = 2, lo + (lo & 1)
-        if lo > hi:
-            return
-        k = count[hi]
-        rows = v_tab[lo : hi + 1 : step, :k]
-        budget.spend(rows.shape[0])
-        for j in np.flatnonzero((rows <= owed[:k]).all(axis=1))[::-1].tolist():
-            v = lo + step * j
-            row = v_tab[v, : count[v]]
-            owed[: row.size] -= row
-            rest = owed_total - rowsum[v]
-            if not rest:
-                if len(prefix) + 1 >= min_t and (odd_used or v & 1 or not one_odd):
-                    found.append(prefix + (v,))
-            elif slots > 1:
-                extend(v, slots - 1, odd_used or v & 1 == 1, prefix + (v,), log_owed - logdf[v], rest)
-            owed[: row.size] += row
+    def __init__(self, tab, t_max, one_odd, room):
+        self.tab = tab
+        self.primes = np.asarray(tab.primes)
+        self.t_max = t_max
+        self.one_odd = one_odd
+        self.min_t = 3 if one_odd else 2
+        self.room = room
+        self.spent = 0
+        self.found = []
 
-    extend(n - 1, t_max, False, (), logdf[n], rowsum[n])
-    return found
+    def run(self, ns):
+        tab = self.tab
+        width = int(tab.count[ns[-1]])
+        roots = _States(
+            ns,
+            np.empty((ns.size, 0), dtype=np.int64),
+            tab.v[ns, :width],
+            tab.rowsum[ns],
+            tab.logdf[ns],
+            np.zeros(ns.size, dtype=bool),
+        )
+        self._level(roots, self.t_max)
+        return self.found
+
+    def _charge(self, amount):
+        self.spent += amount
+        if self.spent > self.room:
+            raise _ChunkOverflow
+
+    def _record(self, n, parts):
+        self.found += zip(n.tolist(), map(tuple, parts.tolist()))
+
+    def _windows(self, st, slots):
+        """Per state: first candidate, candidate step and count, and log tolerance."""
+        logdf = self.tab.logdf
+        tol = _LOG_RTOL * (1.0 + logdf[st.n])
+        lo = np.searchsorted(logdf, (st.log_owed - tol) / slots)
+        cap = st.parts[:, -1] if st.parts.shape[1] else st.n - 1
+        hi = np.minimum(cap, np.searchsorted(logdf, st.log_owed + tol, side="right") - 1)
+        top = st.owed.shape[1] - 1 - np.argmax(st.owed[:, ::-1] != 0, axis=1)
+        q = np.where(top > 0, self.primes[top], 0)
+        free = ~st.odd if self.one_odd else np.zeros(st.n.size, dtype=bool)
+        lo = np.maximum(lo, np.where(q > 0, np.where(free, q, 2 * q), 4))
+        step = np.where(free & (q > 0), 1, 2)
+        lo += (step == 2) & (lo & 1 == 1)
+        count = np.maximum((hi - lo) // step + 1, 0)
+        return lo, hi, step, count, tol
+
+    @staticmethod
+    def _batches(order, count, size):
+        """Yield (i, s, j) per batch: candidate j of state s, over the states in order.
+
+        A batch starts inside the state order[i] and holds at most size(i)
+        candidates.
+        """
+        ends = np.cumsum(count[order])
+        starts = ends - count[order]
+        total = int(ends[-1]) if ends.size else 0
+        start = 0
+        while start < total:
+            first = int(np.searchsorted(ends, start, side="right"))
+            stop = min(total, start + size(first))
+            last = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+            take = np.minimum(ends[first:last], stop) - np.maximum(starts[first:last], start)
+            j = np.arange(start, stop) - np.repeat(starts[first:last], take)
+            yield first, np.repeat(order[first:last], take), j
+            start = stop
+
+    def _level(self, st, slots):
+        lo, hi, step, count, tol = self._windows(st, slots)
+        live = np.flatnonzero(count)
+        if slots == 2:
+            self._last_two(st, lo, step, count, tol, live)
+            return
+        tab = self.tab
+        # widest first, so a batch's first state has its widest row
+        order = live[np.argsort(-tab.count[hi[live]], kind="stable")]
+        k = tab.count[hi[order]]
+        depth = self.t_max - slots + 1  # parts once v is chosen
+        for first, s, j in self._batches(order, count, lambda i: max(1, _CELL_CAP // int(k[i]))):
+            self._charge(s.size)
+            kb = int(k[first])
+            v = lo[s] + step[s] * j
+            ok = (tab.v[v, :kb] <= st.owed[s, :kb]).all(axis=1)
+            s, v = s[ok], v[ok]
+            rest = st.rest[s] - tab.rowsum[v]
+            odd = st.odd[s] | (v & 1 == 1)
+            parts = np.column_stack((st.parts[s], v))
+            done = rest == 0
+            if depth >= self.min_t:
+                hit = done & odd if self.one_odd else done
+                self._record(st.n[s[hit]], parts[hit])
+            go = ~done
+            if go.any():
+                s, v = s[go], v[go]
+                owed = st.owed[s, :kb] - tab.v[v, :kb]
+                nxt = _States(st.n[s], parts[go], owed, rest[go], st.log_owed[s] - tab.logdf[v], odd[go])
+                self._level(nxt, slots - 1)
+
+    def _last_two(self, st, lo, step, count, tol, live):
+        tab = self.tab
+        logdf = tab.logdf
+        width = st.owed.shape[1]
+        depth = self.t_max - 1  # parts once a is chosen
+        for _, s, j in self._batches(live, count, lambda i: max(1, _CELL_CAP // _LOOKUP_CELLS)):
+            self._charge(s.size)
+            a = lo[s] + step[s] * j
+            left = st.log_owed[s] - logdf[a]
+            t = tol[s]
+            # a as the last part
+            if depth >= self.min_t:
+                last = np.abs(left) <= t
+                if self.one_odd:
+                    last &= st.odd[s] | (a & 1 == 1)
+                self._settle(st, s[last], a[last], None, width)
+            # b <= a as the last part
+            b_lo = np.maximum(np.searchsorted(logdf, left - t), 3)
+            b_hi = np.minimum(np.searchsorted(logdf, left + t, side="right") - 1, a)
+            m = np.maximum(b_hi - b_lo + 1, 0)
+            if not m.any():
+                continue
+            i = np.repeat(np.arange(s.size), m)
+            b = b_lo[i] + np.arange(i.size) - np.repeat(np.cumsum(m) - m, m)
+            s, a = s[i], a[i]
+            # b is odd exactly when the odd part is still free
+            odd_b = ~(st.odd[s] | (a & 1 == 1)) if self.one_odd else np.zeros(b.size, dtype=bool)
+            keep = (b & 1 == 1) == odd_b
+            self._settle(st, s[keep], a[keep], b[keep], width)
+
+    def _settle(self, st, s, a, b, width):
+        """Record the nominated endings whose integer owed vector reaches zero."""
+        if not s.size:
+            return
+        tab = self.tab
+        rest = st.owed[s].astype(np.int32) - tab.v[a, :width]
+        ends = a[:, None]
+        if b is not None:
+            rest -= tab.v[b, :width]
+            ends = np.column_stack((a, b))
+        ok = ~rest.any(axis=1)
+        self._record(st.n[s[ok]], np.column_stack((st.parts[s[ok]], ends[ok])))
 
 
 def search(
@@ -399,9 +539,10 @@ def search(
 
     mode "r0" finds all-even-part solutions (t >= 2); mode "r1" finds
     solutions with exactly one odd part (t >= 3, forced by parity).
-    The node budget caps the candidate rows compared.  Results are
-    classified and sorted by (n, parts).  threads is accepted for
-    compatibility and ignored: the search runs in this process.
+    The node budget caps the candidates visited: rows compared plus
+    last-part lookups, charged in n order.  Results are classified and
+    sorted by (n, parts).  threads is accepted for compatibility and
+    ignored: the search runs in this process.
     """
     if mode not in ("r0", "r1"):
         raise ValueError(f"mode must be 'r0' or 'r1', got {mode!r}")
@@ -416,12 +557,31 @@ def search(
         return []
 
     tab = _valuation_table(n_max, table)
-    one_odd = mode == "r1"
     budget = _NodeBudget(node_budget)
+
+    def run(ns):
+        frontier = _Frontier(tab, t_max, mode == "r1", budget.limit - budget.used)
+        try:
+            found = frontier.run(ns)
+        except _ChunkOverflow:
+            if ns.size == 1:
+                budget.spend(frontier.spent)  # past the limit: raises, naming the last n done
+            raise
+        budget.spend(frontier.spent)
+        budget.done = int(ns[-1])
+        return found
+
+    ns = np.arange(4, n_max + 1, 2)
+    # a chunk's root owed vectors fill at most one batch
+    per_chunk = max(1, _CELL_CAP // int(tab.count[n_max]))
     hits = []
-    for n in range(4, n_max + 1, 2):
-        hits += [(n, parts) for parts in _search_one(n, tab, t_max, one_odd, budget)]
-        budget.done = n
+    for chunk in np.split(ns, range(per_chunk, ns.size, per_chunk)):
+        try:
+            hits += run(chunk)
+        except _ChunkOverflow:
+            # redo the chunk one n at a time, so that the budget names the last n searched
+            for i in range(chunk.size):
+                hits += run(chunk[i : i + 1])
     return [classify(EquationInstance(n, parts), table) for n, parts in sorted(hits)]
 
 

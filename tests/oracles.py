@@ -140,3 +140,34 @@ def dusart_failures(y_max: int, y_min: int = 3275) -> list:
         if y < y_max and sieve[y]:
             prev = y
     return bad
+
+
+def gap2_family(n_max: int, t_max: int) -> set:
+    """Gap-2 family members (n, parts) with n <= n_max and at most t_max parts.
+
+    n = e_1!! * ... * e_j!! * o!! for even e_i >= 4 (j >= 1) and at most one
+    odd o >= 3.  Then n!! = n * (n-2)!! = (n-2)!! * e_1!! * ... * o!!, so
+    (n; n-2, e_1, ..., e_j, o) solves the identity.  Parts are descending.
+    """
+    dfs = {}
+    m = 3
+    while df_direct(m) <= n_max:
+        dfs[m] = df_direct(m)
+        m += 1
+    found = set()
+
+    def rec(n, evens):
+        if len(evens) + 1 <= t_max:
+            found.add((n, tuple(sorted((n - 2,) + evens, reverse=True))))
+        if len(evens) + 2 <= t_max:
+            for o in range(3, m, 2):
+                if n * dfs[o] <= n_max:
+                    parts = (n * dfs[o] - 2,) + evens + (o,)
+                    found.add((n * dfs[o], tuple(sorted(parts, reverse=True))))
+            for e in range(4, evens[-1] + 1, 2):
+                if n * dfs[e] <= n_max:
+                    rec(n * dfs[e], evens + (e,))
+
+    for e in range(4, m, 2):
+        rec(dfs[e], (e,))
+    return found

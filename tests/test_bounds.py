@@ -278,6 +278,22 @@ def test_valuation2_factorial_lower():
     assert valuation2_factorial_lower_check(1).passed
 
 
+def test_valuation2_factorial_lower_chunks_agree(monkeypatch):
+    # offset 3 makes the bound fail at some m, so counterexamples span chunks
+    default = bounds._VAL2_CHUNK
+    for offset in (bounds.VAL2_OFFSET, 3):
+        monkeypatch.setattr(bounds, "VAL2_OFFSET", offset)
+        monkeypatch.setattr(bounds, "_VAL2_CHUNK", default)
+        whole = valuation2_factorial_lower_check(5000)
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(bounds, "_VAL2_CHUNK", chunk)
+            got = valuation2_factorial_lower_check(5000)
+            assert got == whole and got.margin.hex() == whole.margin.hex(), (offset, chunk)
+        assert [m for m, _ in whole.counterexamples] == [
+            m for m in range(1, 5001) if m - bin(m).count("1") <= bounds.VAL2_SLOPE * m - offset
+        ]
+
+
 def test_valuation2_factorial_matches_popcount_identity():
     res = valuation2_factorial_lower_check(4096)
     assert res.passed

@@ -294,7 +294,7 @@ def test_node_budget_exit_code(tmp_path, capsys):
         capsys,
     )
     assert code == 3
-    assert "node budget of 50 candidate rows; the last fully searched n is 14" in err
+    assert "node budget of 50 candidate rows; the last fully searched n is 16" in err
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from dflab import (
     theta,
     valuation,
 )
+from dflab import core
 from dflab.core import double_factorial_valuations, factorial_valuations
 
 from oracles import df_direct, primes_upto, trial_factor, trial_is_prime
@@ -212,6 +213,16 @@ def test_array_helpers_match_pointwise(table_small):
     for n in range(2, 3001):
         assert int(lpf[n]) == largest_prime_factor(n, table_small)
         assert int(rad[n]) == radical(n, table_small)
+
+
+def test_lpf_array_chunks_agree(table_small, monkeypatch):
+    whole = {hi: lpf_array(hi, table_small) for hi in (0, 1, 2, 3, 64, 9_999)}
+    assert [int(p) for p in whole[64][:8]] == [1, 1, 2, 3, 2, 5, 3, 7]
+    for chunk in (1, 3, 7, 1000):
+        monkeypatch.setattr(core, "_LPF_CHUNK", chunk)
+        for hi, want in whole.items():
+            got = lpf_array(hi, table_small)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (chunk, hi)
 
 
 def test_valuation_vectors_match_scalars(table_small):

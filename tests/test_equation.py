@@ -24,6 +24,7 @@ from oracles import (
     df_direct,
     enumerate_r0_solutions,
     enumerate_r1_solutions,
+    gap2_family,
     trial_factor,
     trial_is_prime,
 )
@@ -227,6 +228,92 @@ def test_search_r1_frontier_to_800(table_small):
     assert df_direct(718) * df_direct(6) * df_direct(5) == df_direct(720)
 
 
+# r1 solutions outside the gap-2 family, keyed by their number of parts
+# (none has n above 72, though the r1 sizes below reach n = 2000)
+SPORADIC_R1 = {
+    3: {(12, (8, 5, 4)), (20, (14, 8, 5)), (30, (26, 7, 4)), (72, (68, 7, 6))},
+    4: {(12, (6, 5, 4, 4)), (20, (14, 6, 5, 4)), (30, (16, 13, 10, 4)), (32, (28, 5, 4, 4))},
+    5: {(18, (9, 8, 4, 4, 4))},
+}
+
+
+@pytest.mark.parametrize(
+    "mode, n_max, t_max",
+    [("r1", 2000, 3), ("r1", 1000, 4), ("r1", 300, 5), ("r0", 2000, 4), ("r0", 10_000, 3)],
+)
+def test_search_is_gap2_family_plus_pinned_sporadics(table_small, mode, n_max, t_max):
+    got = {(r.instance.n, r.instance.a) for r in search(n_max, t_max, mode, table_small)}
+    odd_parts = 1 if mode == "r1" else 0
+    family = {
+        (n, parts)
+        for n, parts in gap2_family(n_max, t_max)
+        if sum(v % 2 for v in parts) == odd_parts
+    }
+    assert family <= got
+    sporadic = set().union(*(SPORADIC_R1[t] for t in range(3, t_max + 1))) if mode == "r1" else set()
+    assert got - family == sporadic
+
+
+# (mode, n_max, t_max) the frontier must answer alike under every batch
+# shape and log tolerance
+FRONTIER_CASES = [("r1", 150, 3), ("r1", 100, 4), ("r1", 50, 5), ("r0", 300, 4), ("r0", 100, 2)]
+
+
+def _frontier_lists(table):
+    return [
+        [(r.instance.n, r.instance.a) for r in search(n_max, t_max, mode, table)]
+        for mode, n_max, t_max in FRONTIER_CASES
+    ]
+
+
+@pytest.fixture(scope="module")
+def frontier_lists(table_small):
+    return _frontier_lists(table_small)
+
+
+def test_frontier_cases_match_enumeration_oracles(frontier_lists):
+    for (mode, n_max, t_max), got in zip(FRONTIER_CASES, frontier_lists):
+        if n_max > 60:
+            continue
+        oracle = enumerate_r1_solutions if mode == "r1" else enumerate_r0_solutions
+        assert set(got) == {(n, parts) for n, parts, *_ in oracle(n_max, t_max)}
+
+
+@pytest.mark.parametrize("cap", [1, 7, 100])
+def test_frontier_batches_do_not_change_the_search(table_small, frontier_lists, monkeypatch, cap):
+    # cap 1 and 7 make one-row batches and one-n chunks; cap 100 mixes
+    # several n per chunk with batches of a few rows
+    monkeypatch.setattr(equation, "_CELL_CAP", cap)
+    assert _frontier_lists(table_small) == frontier_lists
+    for mode, t_max in (("r0", 4), ("r1", 4)):
+        oracle = enumerate_r1_solutions if mode == "r1" else enumerate_r0_solutions
+        got = {(r.instance.n, r.instance.a) for r in search(60, t_max, mode, table_small)}
+        assert got == {(n, parts) for n, parts, *_ in oracle(60, t_max)}
+    # the budget counts the same candidates, and redoes an overflowing chunk n by n
+    search(100, 3, "r1", table_small, node_budget=2860)
+    with pytest.raises(ResourceLimitError, match="the last fully searched n is 98$"):
+        search(100, 3, "r1", table_small, node_budget=2859)
+
+
+def test_wide_log_window_leaves_the_decision_to_integers(table_small, frontier_lists, monkeypatch):
+    # at 1e-3 the log window around each last part spans several rows, so
+    # it nominates endings that only the integer owed vector rejects
+    monkeypatch.setattr(equation, "_LOG_RTOL", 1e-3)
+    nominated = []
+    settle = equation._Frontier._settle
+
+    def spy(self, st, s, a, b, width):
+        before = len(self.found)
+        settle(self, st, s, a, b, width)
+        nominated.append((s.size, len(self.found) - before))
+
+    monkeypatch.setattr(equation._Frontier, "_settle", spy)
+    assert _frontier_lists(table_small) == frontier_lists
+    assert sum(kept for _, kept in nominated) < sum(size for size, _ in nominated)
+    got = {(r.instance.n, r.instance.a) for r in search(60, 4, "r1", table_small)}
+    assert got == enumerate_r1_solutions(60, 4)
+
+
 @st.composite
 def _search_sizes(draw):
     mode = draw(st.sampled_from(["r0", "r1"]))
@@ -270,13 +357,20 @@ def test_search_refuses_oversized_table_before_allocating(table_big):
         search(10**6, 3, "r0", table_big)
 
 
+def test_search_refuses_n_past_the_uint16_table(table_big):
+    # the table fits the byte cap at n_max = 65536, but its exponents would not fit uint16
+    with pytest.raises(ResourceLimitError, match="below 65536, got 65536"):
+        search(65536, 2, "r0", table_big)
+
+
 def test_node_budget_counts_candidate_rows(table_small):
-    # r1 n <= 100 t <= 3 compares 2,865 candidate rows in all
-    search(100, 3, "r1", table_small, node_budget=2865)
+    # r1 n <= 100 t <= 3 compares first-part rows and looks up second-part
+    # pairs, 2,860 candidates in all
+    search(100, 3, "r1", table_small, node_budget=2860)
     with pytest.raises(
-        ResourceLimitError, match="node budget of 2864 .*; the last fully searched n is 98$"
+        ResourceLimitError, match="node budget of 2859 .*; the last fully searched n is 98$"
     ):
-        search(100, 3, "r1", table_small, node_budget=2864)
+        search(100, 3, "r1", table_small, node_budget=2859)
 
 
 def test_search_validation(table_small):
