@@ -5,69 +5,52 @@ Library layout:
     equation     the product identity, trivial families, exhaustive search
     bounds       empirical checkers for every explicit inequality used
     abc_triples  coprime sum triples, radicals, the 7/4-exponent check
+    formulas     closed-form evaluators and their constants (no numpy)
     cli          command-line surface with jsonl/csv/human output
+
+The public names below are resolved on first use (PEP 562), so importing
+the package loads no submodule and no numpy.
 """
 
-from .core import (
-    BlockReport,
-    PrimeTable,
-    SieveRangeError,
-    analyze_block,
-    double_factorial,
-    factorize,
-    largest_prime_factor,
-    log_double_factorial,
-    lpf_array,
-    mertens_log_sum,
-    radical,
-    radical_array,
-    sieve_primes,
-    theta,
-    valuation,
-)
-from .equation import (
-    EquationInstance,
-    NotASolutionError,
-    OddDecomposition,
-    ResourceLimitError,
-    SolutionRecord,
-    check_identity,
-    classify,
-    generate_trivial_even,
-    generate_trivial_odd,
-    odd_decomposition,
-    odd_gap_obstruction,
-    search,
-    verify_known_factorial_solutions,
-)
-from .bounds import (
-    EXCEPTIONAL_PAIRS,
-    BoundCheckResult,
-    HypothesisViolationError,
-    check_composite_block_geometry,
-    composite_block_geometry_scan,
-    dusart_check,
-    dusart_sweep,
-    erdos_graham_ratio,
-    erdos_ratio,
-    radical_product_bound_check,
-    sandwich_check,
-    smallest_two_radicals,
-    theorem24_scan,
-    thm12ii_bound,
-    valuation2_block_bound_check,
-    valuation2_block_sweep,
-    valuation2_factorial_lower_check,
-    verify_mertens_bound,
-    verify_theta_bound,
-)
-from .abc_triples import (
-    AbcTriple,
-    ProofTripleResult,
-    inequality3_rhs,
-    make_triple,
-    proof_triple,
-    scan_block_triples,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_HOMES = {
+    "core": (
+        "BlockReport PrimeTable SieveRangeError analyze_block double_factorial factorize"
+        " largest_prime_factor log_double_factorial lpf_array mertens_log_sum radical"
+        " radical_array sieve_primes theta valuation"
+    ),
+    "equation": (
+        "EquationInstance NotASolutionError OddDecomposition ResourceLimitError SolutionRecord"
+        " check_identity classify generate_trivial_even generate_trivial_odd odd_decomposition"
+        " odd_gap_obstruction search"
+    ),
+    "bounds": (
+        "EXCEPTIONAL_PAIRS BoundCheckResult HypothesisViolationError"
+        " check_composite_block_geometry composite_block_geometry_scan dusart_check dusart_sweep"
+        " erdos_graham_ratio erdos_ratio radical_product_bound_check sandwich_check"
+        " smallest_two_radicals theorem24_scan valuation2_block_bound_check"
+        " valuation2_block_sweep valuation2_factorial_lower_check verify_mertens_bound"
+        " verify_theta_bound"
+    ),
+    "abc_triples": "AbcTriple ProofTripleResult make_triple proof_triple scan_block_triples",
+    "formulas": "inequality3_rhs thm12ii_bound verify_known_factorial_solutions",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

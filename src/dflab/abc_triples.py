@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .core import PrimeTable, SieveRangeError, radical
-from .bounds import THETA_COEFF
+from .formulas import ABC_EXPONENT, inequality3_rhs
 
 __all__ = [
     "ABC_EXPONENT",
@@ -22,9 +22,6 @@ __all__ = [
     "inequality3_rhs",
     "scan_block_triples",
 ]
-
-# Explicit exponent: c < N(abc)^ABC_EXPONENT, checked exactly as c^4 < rad^7.
-ABC_EXPONENT = 7.0 / 4.0
 
 
 @dataclass(frozen=True)
@@ -122,28 +119,6 @@ def _proof_triple(x: int, j1: int, j2: int, table: PrimeTable, rad_of) -> ProofT
         bound=bound,
         holds=holds,
     )
-
-
-def inequality3_rhs(k: int, a2: int, m: int):
-    """Evaluate k*log(m) <= (7/4)*(k*2.00016*a2/(k-1) + 2k^2*log(k)/(k-1) + k*log(k)).
-
-    Returns (rhs, holds).  A pure evaluator: the inequality is a
-    consequence of the explicit triple bound for solution-derived
-    (k, a2, m), not a universal truth, and callers pick the inputs.
-    The same formula serves the single-odd-part case under the
-    substitution a2 -> a1 + 1, m -> x1, k -> l1.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if a2 < 3:
-        raise ValueError(f"a2 must be >= 3, got {a2}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    log_k = math.log(k)
-    rhs = ABC_EXPONENT * (
-        k * (2 * THETA_COEFF) * a2 / (k - 1) + 2 * k * k * log_k / (k - 1) + k * log_k
-    )
-    return rhs, k * math.log(m) <= rhs
 
 
 def scan_block_triples(x: int, k: int, table: PrimeTable) -> ProofTripleResult:

@@ -31,6 +31,7 @@ from .equation import (
     check_identity,
     odd_decomposition,
 )
+from .formulas import THETA_COEFF, THM12II_OFFSET, VAL2_SLOPE, thm12ii_bound
 
 __all__ = [
     "THETA_COEFF",
@@ -65,20 +66,14 @@ __all__ = [
     "erdos_graham_ratio",
 ]
 
-# theta(nu) < THETA_COEFF * nu for nu > 1 (natural logs throughout).
-THETA_COEFF = 1.00008
 # P(x(x+1)...(x+k-1)) > LPF_BLOCK_COEFF * k for x > 4k, k >= 2, outside the
 # exceptional pairs below.
 LPF_BLOCK_COEFF = 4.42
 # P(block) > ERDOS_BLOCK_COEFF * k * log(k) for all-composite blocks and
 # k large (threshold unknown); used only for the exploratory ratio.
 ERDOS_BLOCK_COEFF = 2.0 / 7.0
-# nu_2(m!) > VAL2_SLOPE * m - VAL2_OFFSET (seven-term truncation of the
-# floor sum).
-VAL2_SLOPE = 0.99
+# nu_2(m!) > VAL2_SLOPE * m - VAL2_OFFSET; VAL2_SLOPE lives in formulas.
 VAL2_OFFSET = 7.0
-# 0.99*a1 <= 4*l1 + THM12II_OFFSET + 2*log2(5) + 2*log2(l1) when x1 <= 4*l1.
-THM12II_OFFSET = 4.01
 # Below this y the short prime-gap interval statement is not asserted.
 DUSART_MIN_Y = 3275
 # dusart_sweep screens y in numpy and lets dusart_check's scalar math formula
@@ -474,14 +469,6 @@ def valuation2_factorial_lower_check(m_max: int) -> BoundCheckResult:
         margin=margin,
         details={"float_tolerance": FLOAT_TOLERANCE},
     )
-
-
-def thm12ii_bound(l1: int) -> float:
-    """Upper bound on a1 implied by 0.99*a1 <= 4*l1 + 4.01 + 2*log2(5) + 2*log2(l1)."""
-    if l1 < 1:
-        raise ValueError(f"l1 must be >= 1, got {l1}")
-    rhs = 4 * l1 + THM12II_OFFSET + 2 * math.log2(5) + 2 * math.log2(l1)
-    return rhs / VAL2_SLOPE
 
 
 def radical_product_bound_check(

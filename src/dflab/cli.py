@@ -6,6 +6,13 @@ csv or human on request) and diagnostics to stderr.  Exit codes: 0 ok,
 3 resource limit.  Records are buffered and emitted after all work is
 done, in a deterministic order.
 
+The leaf commands are declared once, in COMMANDS: the words that name
+each, its flags, its handler, and whether it reads the sieve.  A command
+that reads none (bound thm12ii, bound ineq3, verify known-factorials)
+evaluates a closed form: it loads no cache, builds none and never imports
+numpy.  Every other command imports only the library modules it calls,
+when it runs.
+
 The sieve is cached on disk in two files.  sieve.dfl holds a 32-byte
 header (magic "DFL1", uint32 version 1, uint64 limit, uint32 CRC-32 of the
 payload, 12 zero bytes) followed by the smallest-prime-factor array as
@@ -16,10 +23,11 @@ uint32 chunk size in entries, uint32 CRC-32 of the chunk table, 4 zero
 bytes) followed by ceil((limit+1) / chunk) uint32 LE chunk CRCs, the last
 chunk being short.  All integers are little-endian.
 
-A command with --sieve-limit N gets a table whose limit is exactly N.  When
-the sidecar matches sieve.dfl (same limit and payload CRC, the chunk size
-above, an intact chunk table, both file sizes as their headers imply), only
-the chunks covering entries 0..N are read, each checked against its CRC.
+A command that reads the sieve with --sieve-limit N gets a table whose
+limit is exactly N.  When the sidecar matches sieve.dfl (same limit and
+payload CRC, the chunk size above, an intact chunk table, both file sizes
+as their headers imply), only the chunks covering entries 0..N are read,
+each checked against its CRC.
 Otherwise (no sidecar, a stale one, or a cache written before sidecars
 existed) the whole payload is read and checked against the header CRC, and
 the sidecar is written afresh.  A damaged header, payload length or checked
@@ -28,46 +36,23 @@ at N.  Both files are written through unique temp files and renamed into
 place, so processes sharing a cache directory never see a partial file.
 """
 
+from __future__ import annotations
+
 import argparse
+import collections
 import contextlib
-import csv
-import dataclasses
 import json
 import math
 import os
 import struct
 import sys
-import tempfile
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
-
-from .core import (
-    PrimeTable,
-    SieveRangeError,
-    analyze_block,
-    check_sieve_memory,
-    sieve_primes,
-)
-from .equation import (
-    EquationInstance,
-    NotASolutionError,
-    ResourceLimitError,
-    classify,
-    generate_trivial_even,
-    generate_trivial_odd,
-    odd_gap_obstruction,
-    search,
-    verify_known_factorial_solutions,
-)
-from . import bounds
-from . import abc_triples as abct
 
 __all__ = [
     "CommandConfig",
     "OutputRecord",
+    "COMMANDS",
     "load_or_build_sieve",
     "run",
     "main",
@@ -93,38 +78,48 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
 class CommandConfig:
-    sieve_limit: int = 10**6
-    cache_dir: Path = None
-    output_format: str = "jsonl"
-    threads: int = 0  # accepted for compatibility; the search runs in one process
-    node_budget: int = 10**8
+    """The flags every command shares (a plain class, like OutputRecord, since
+    importing dataclasses would add about a tenth to a closed-form command)."""
 
-    def __post_init__(self):
-        if self.cache_dir is None:
+    def __init__(
+        self,
+        sieve_limit: int = 10**6,
+        cache_dir: Path | None = None,
+        output_format: str = "jsonl",
+        threads: int = 0,  # accepted for compatibility; the search runs in one process
+        node_budget: int = 10**8,
+    ):
+        if cache_dir is None:
             env = os.environ.get(CACHE_ENV_VAR)
-            base = Path(env) if env else Path.home() / ".cache" / "dflab"
-            self.cache_dir = base
-        self.cache_dir = Path(self.cache_dir)
-        if self.sieve_limit < 2:
+            cache_dir = Path(env) if env else Path.home() / ".cache" / "dflab"
+        self.sieve_limit = sieve_limit
+        self.cache_dir = Path(cache_dir)
+        self.output_format = output_format
+        self.threads = threads
+        self.node_budget = node_budget
+        if sieve_limit < 2:
             raise ValueError("sieve limit must be >= 2")
-        if self.node_budget < 1:
+        if node_budget < 1:
             raise ValueError("node budget must be >= 1")
-        if self.threads < 0:
+        if threads < 0:
             raise ValueError("threads must be >= 0")
-        if self.output_format not in ("jsonl", "csv", "human"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+        if output_format not in ("jsonl", "csv", "human"):
+            raise ValueError(f"unknown output format {output_format!r}")
 
     def effective_threads(self) -> int:
         return self.threads if self.threads > 0 else max(1, os.cpu_count() or 1)
 
 
-@dataclass
 class OutputRecord:
-    kind: str  # solution | bound_check | triple | scan_summary
-    payload: dict
-    schema_version: int = SCHEMA_VERSION
+    """One record of a command's output."""
+
+    __slots__ = ("kind", "payload", "schema_version")
+
+    def __init__(self, kind: str, payload: dict, schema_version: int = SCHEMA_VERSION):
+        self.kind = kind  # solution | bound_check | triple | scan_summary
+        self.payload = payload
+        self.schema_version = schema_version
 
 
 class _CacheInvalid(Exception):
@@ -135,7 +130,7 @@ def _cache_path(config: CommandConfig) -> Path:
     return config.cache_dir / CACHE_FILENAME
 
 
-def _chunk_crcs(spf: np.ndarray) -> list:
+def _chunk_crcs(spf) -> list:
     return [
         zlib.crc32(spf[i : i + _CHUNK_ENTRIES]) for i in range(0, spf.size, _CHUNK_ENTRIES)
     ]
@@ -165,8 +160,9 @@ def _read_sidecar(path: Path, limit: int, payload_crc: int) -> tuple | None:
     return crcs if blob == _sidecar_blob(limit, payload_crc, crcs) else None
 
 
-def _read_checked(f, entries: int, chunk: int, crcs) -> np.ndarray:
+def _read_checked(f, entries: int, chunk: int, crcs):
     """Read entries uint32 values from f in chunks of chunk entries, checking each CRC."""
+    import numpy as np
     spf = np.empty(entries, dtype="<u4")
     for i, start in enumerate(range(0, entries, chunk)):
         view = spf[start : start + chunk]
@@ -184,6 +180,7 @@ def _read_cache(path: Path, need: int) -> PrimeTable | None:
     checked against its own CRC.  Without one the whole payload is read and
     checked against the header CRC, and the sidecar is written afresh.
     """
+    from .core import PrimeTable
     with open(path, "rb") as f:
         st = os.fstat(f.fileno())
         header = f.read(_HEADER.size)
@@ -217,6 +214,7 @@ def _read_cache(path: Path, need: int) -> PrimeTable | None:
 
 def _write_atomic(path: Path, *parts):
     """Write parts to a unique temp file in path's directory, then rename it to path."""
+    import tempfile
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
@@ -231,6 +229,7 @@ def _write_atomic(path: Path, *parts):
 
 
 def _write_cache(path: Path, table: PrimeTable):
+    import numpy as np
     spf = np.ascontiguousarray(table.spf, dtype="<u4")
     crc = zlib.crc32(spf)
     header = _HEADER.pack(CACHE_MAGIC, CACHE_FORMAT_VERSION, table.limit, crc, bytes(12))
@@ -240,6 +239,7 @@ def _write_cache(path: Path, table: PrimeTable):
 
 def load_or_build_sieve(config: CommandConfig) -> PrimeTable:
     """The sieve to exactly config.sieve_limit: a checked cache prefix, else built and persisted."""
+    from .core import check_sieve_memory, sieve_primes
     check_sieve_memory(config.sieve_limit)
     path = _cache_path(config)
     if path.exists():
@@ -263,16 +263,18 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if type(obj).__module__ == "numpy":  # recognised without importing numpy
+        import numbers
+
+        if isinstance(obj, numbers.Real):  # numpy integers and floats
+            return obj.item()
     if isinstance(obj, Path):
         return str(obj)
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
+    import dataclasses  # already loaded by the library module that made obj
     if dataclasses.is_dataclass(obj):
         return _jsonable(dataclasses.asdict(obj))
     return repr(obj)
@@ -283,6 +285,7 @@ def _record(kind: str, result, lift: str | None = None, **derived) -> OutputReco
 
     The fields of the nested dataclass named by lift move to the top level.
     """
+    import dataclasses
     payload = dataclasses.asdict(result)
     if lift:
         payload.update(payload.pop(lift))
@@ -312,6 +315,7 @@ def _emit_jsonl(records, out):
 
 
 def _emit_csv(records, out):
+    import csv
     keys = sorted({k for rec in records for k in rec.payload})
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["kind", "schema_version"] + [f"payload.{k}" for k in keys])
@@ -399,18 +403,15 @@ def _parse_k_range(text: str) -> list:
 
 
 # ----------------------------------------------------------------------
-# Subcommand handlers: each returns (records, exit_code).
+# Subcommand handlers: each returns (records, exit_code).  A handler imports
+# the library names it calls when it runs, so a command loads only the
+# modules it uses and reads each function from its module at call time.
 
 
 def _search(args, config, table, mode):
     """search() over the command's --n-max and --t-max, honouring the shared flags."""
-    return search(
-        args.n_max,
-        args.t_max,
-        mode,
-        table,
-        node_budget=config.node_budget,
-    )
+    from .equation import search
+    return search(args.n_max, args.t_max, mode, table, node_budget=config.node_budget)
 
 
 def _cmd_search(args, config, table):
@@ -418,15 +419,19 @@ def _cmd_search(args, config, table):
 
 
 def _cmd_classify(args, config, table):
-    inst = EquationInstance(args.n, tuple(args.a))
+    from .equation import EquationInstance, classify
+    return _solution_records([classify(EquationInstance(args.n, tuple(args.a)), table)]), EXIT_OK
+
+
+def _cmd_generate_even(args, config, table):
+    from .equation import classify, generate_trivial_even
+    inst = generate_trivial_even(args.evens, max_n=args.max_n)
     return _solution_records([classify(inst, table)]), EXIT_OK
 
 
-def _cmd_generate(args, config, table):
-    if args.family == "trivial-even":
-        inst = generate_trivial_even(args.evens, max_n=args.max_n)
-    else:
-        inst = generate_trivial_odd(args.a1, args.evens or (), max_n=args.max_n)
+def _cmd_generate_odd(args, config, table):
+    from .equation import classify, generate_trivial_odd
+    inst = generate_trivial_odd(args.a1, args.evens, max_n=args.max_n)
     return _solution_records([classify(inst, table)]), EXIT_OK
 
 
@@ -437,14 +442,15 @@ def _require_at_least(flag, value, least):
 
 
 def _cmd_verify_lemma21(args, config, table):
-    results = [
+    from . import bounds
+    return _checks([
         bounds.verify_theta_bound(args.nu_max, table),
         bounds.verify_mertens_bound(args.nu_max, table),
-    ]
-    return _checks(results)
+    ])
 
 
 def _cmd_verify_lemma22(args, config, table):
+    from . import bounds
     _require_at_least("--k-max", args.k_max, 3)
     results = [bounds.composite_block_geometry_scan(args.k_max, table)]
     for rec in _search(args, config, table, "r0"):
@@ -453,25 +459,24 @@ def _cmd_verify_lemma22(args, config, table):
 
 
 def _cmd_verify_lemma23(args, config, table):
-    results = []
-    for rec in _search(args, config, table, "r1"):
-        results.append(bounds.sandwich_check(rec.instance, table))
+    from . import bounds
+    solutions = _search(args, config, table, "r1")
+    results = [bounds.sandwich_check(rec.instance, table) for rec in solutions]
     if not results:
-        return [
-            OutputRecord(
-                "scan_summary",
-                {"checked": 0, "note": f"no single-odd-part solutions with n <= {args.n_max}"},
-            )
-        ], EXIT_OK
+        note = f"no single-odd-part solutions with n <= {args.n_max}"
+        return [OutputRecord("scan_summary", {"checked": 0, "note": note})], EXIT_OK
     return _checks(results)
 
 
 def _cmd_verify_thm24(args, config, table):
+    from . import bounds
     _, result = bounds.theorem24_scan(args.k, args.x_max, table)
     return _checks([result])
 
 
 def _cmd_verify_val2(args, config, table):
+    from . import bounds
+    from .core import SieveRangeError
     _require_at_least("--x-max", args.x_max, 2)
     _require_at_least("--k-max", args.k_max, 1)
     _require_at_least("--samples", args.samples, 1)
@@ -485,6 +490,8 @@ def _cmd_verify_val2(args, config, table):
 
 
 def _cmd_verify_dusart(args, config, table):
+    from . import bounds
+    from .core import SieveRangeError
     if args.y is not None:
         return _checks([bounds.dusart_check(args.y, table)])
     _require_at_least("--y-max", args.y_max, bounds.DUSART_MIN_Y)
@@ -494,69 +501,121 @@ def _cmd_verify_dusart(args, config, table):
 
 
 def _cmd_verify_known(args, config, table):
+    from .formulas import verify_known_factorial_solutions
     rows = verify_known_factorial_solutions()
     payload = {
         "identities": [{"identity": label, "holds": ok} for label, ok in rows],
         "all_hold": all(ok for _, ok in rows),
     }
-    return [OutputRecord("scan_summary", payload)], (
-        EXIT_OK if payload["all_hold"] else EXIT_FAILED
-    )
+    return [OutputRecord("scan_summary", payload)], EXIT_OK if payload["all_hold"] else EXIT_FAILED
 
 
 def _cmd_bound_thm12ii(args, config, table):
-    value = bounds.thm12ii_bound(args.l1)
-    return [OutputRecord("scan_summary", {"l1": args.l1, "a1_upper_bound": value})], EXIT_OK
+    from .formulas import thm12ii_bound
+    payload = {"l1": args.l1, "a1_upper_bound": thm12ii_bound(args.l1)}
+    return [OutputRecord("scan_summary", payload)], EXIT_OK
 
 
 def _cmd_bound_ineq3(args, config, table):
-    rhs, holds = abct.inequality3_rhs(args.k, args.a2, args.m)
-    payload = {
-        "k": args.k,
-        "a2": args.a2,
-        "m": args.m,
-        "lhs": args.k * math.log(args.m),
-        "rhs": rhs,
-        "holds": holds,
-    }
+    from .formulas import inequality3_rhs
+    rhs, holds = inequality3_rhs(args.k, args.a2, args.m)
+    lhs = args.k * math.log(args.m)
+    payload = {"k": args.k, "a2": args.a2, "m": args.m, "lhs": lhs, "rhs": rhs, "holds": holds}
     return [OutputRecord("scan_summary", payload)], EXIT_OK
 
 
 def _cmd_abc_triple(args, config, table):
-    return [_record("triple", abct.make_triple(args.a, args.b, table))], EXIT_OK
+    from .abc_triples import make_triple
+    return [_record("triple", make_triple(args.a, args.b, table))], EXIT_OK
 
 
 def _cmd_abc_proof_triple(args, config, table):
-    res = abct.proof_triple(args.x, args.j1, args.j2, table)
-    return [_record("triple", res, "triple")], EXIT_OK
+    from .abc_triples import proof_triple
+    return [_record("triple", proof_triple(args.x, args.j1, args.j2, table), "triple")], EXIT_OK
 
 
 def _cmd_abc_scan(args, config, table):
-    return [_record("triple", abct.scan_block_triples(args.x, args.k, table), "triple")], EXIT_OK
+    from .abc_triples import scan_block_triples
+    return [_record("triple", scan_block_triples(args.x, args.k, table), "triple")], EXIT_OK
 
 
 def _cmd_block_analyze(args, config, table):
+    from .core import analyze_block
     return [_record("scan_summary", analyze_block(args.x, args.k, table))], EXIT_OK
 
 
 def _cmd_ratio_erdos_graham(args, config, table):
-    value = bounds.erdos_graham_ratio(args.n, table)
-    return [OutputRecord("scan_summary", {"n": args.n, "ratio": value})], EXIT_OK
+    from .bounds import erdos_graham_ratio
+    payload = {"n": args.n, "ratio": erdos_graham_ratio(args.n, table)}
+    return [OutputRecord("scan_summary", payload)], EXIT_OK
 
 
 def _cmd_ratio_erdos_block(args, config, table):
-    value = bounds.erdos_ratio(args.x, args.k, table)
+    from .bounds import erdos_ratio
+    value = erdos_ratio(args.x, args.k, table)
     payload = {"x": args.x, "k": args.k, "ratio": value, "all_composite": value is not None}
     return [OutputRecord("scan_summary", payload)], EXIT_OK
 
 
 def _cmd_gap_witness(args, config, table):
-    p = odd_gap_obstruction(args.n, args.l, table)
-    payload = {"n": args.n, "l": args.l, "witness": p}
+    from .equation import odd_gap_obstruction
+    payload = {"n": args.n, "l": args.l, "witness": odd_gap_obstruction(args.n, args.l, table)}
     return [OutputRecord("scan_summary", payload)], EXIT_OK
 
 
 # ----------------------------------------------------------------------
+# The command table.
+
+Command = collections.namedtuple("Command", "handler flags reads_table", defaults=(True,))
+
+# Leaf commands by the words that name them.  A flag maps to its type when it
+# is required, to its default when it is optional (an int, or (type, default)
+# with the default parsed by the type), or to the tuple of its choices; a
+# tuple of flags is a required choice of exactly one of them.
+COMMANDS = {
+    "search": Command(_cmd_search, {"--mode": ("r0", "r1"), "--n-max": int, "--t-max": int}),
+    "classify": Command(_cmd_classify, {"--n": int, "--a": _parse_int_list}),
+    "generate trivial-even": Command(
+        _cmd_generate_even, {"--evens": _parse_int_list, "--max-n": 10**9}
+    ),
+    "generate trivial-odd": Command(
+        _cmd_generate_odd, {"--a1": int, "--evens": (_parse_int_list, ""), "--max-n": 10**9}
+    ),
+    "verify lemma21": Command(_cmd_verify_lemma21, {"--nu-max": 10**6}),
+    "verify lemma22": Command(_cmd_verify_lemma22, {"--k-max": 50, "--n-max": 400, "--t-max": 3}),
+    "verify lemma23": Command(_cmd_verify_lemma23, {"--n-max": 400, "--t-max": 3}),
+    "verify thm24": Command(_cmd_verify_thm24, {"--k": (_parse_k_range, "2..7"), "--x-max": 5000}),
+    "verify val2": Command(
+        _cmd_verify_val2,
+        {"--m-max": 10**6, "--x-max": 10**4, "--k-max": 50, "--samples": 10**4, "--seed": 0},
+    ),
+    "verify dusart": Command(_cmd_verify_dusart, {("--y", "--y-max"): int}),
+    "verify known-factorials": Command(_cmd_verify_known, {}, reads_table=False),
+    "bound thm12ii": Command(_cmd_bound_thm12ii, {"--l1": int}, reads_table=False),
+    "bound ineq3": Command(
+        _cmd_bound_ineq3, {"--k": int, "--a2": int, "--m": int}, reads_table=False
+    ),
+    "abc triple": Command(_cmd_abc_triple, {"--a": int, "--b": int}),
+    "abc proof-triple": Command(_cmd_abc_proof_triple, {"--x": int, "--j1": int, "--j2": int}),
+    "abc scan": Command(_cmd_abc_scan, {"--x": int, "--k": int}),
+    "block analyze": Command(_cmd_block_analyze, {"--x": int, "--k": int}),
+    "ratio erdos-graham": Command(_cmd_ratio_erdos_graham, {"--n": int}),
+    "ratio erdos-block": Command(_cmd_ratio_erdos_block, {"--x": int, "--k": int}),
+    "gap-witness": Command(_cmd_gap_witness, {"--n": int, "--l": int}),
+}
+
+_HELP = {
+    "search": "exhaustive solution search",
+    "classify": "classify one candidate solution",
+    "generate": "construct a trivial-family solution",
+    "verify": "run a verification scan",
+    "bound": "evaluate a closed-form bound",
+    "abc": "coprime sum triples",
+    "block": "consecutive-integer block anatomy",
+    "ratio": "largest-prime growth ratios",
+    "gap-witness": "prime dividing (n-l)!! but not n!!",
+}
+_METAVARS = {_parse_int_list: "LIST", _parse_k_range: "RANGE"}
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -577,121 +636,38 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
+def _add_flags(parser, flags: dict):
+    for flag, spec in flags.items():
+        if isinstance(flag, tuple):
+            group = parser.add_mutually_exclusive_group(required=True)
+            for one in flag:
+                group.add_argument(one, type=spec)
+        elif isinstance(spec, int):
+            parser.add_argument(flag, type=int, default=spec)
+        elif callable(spec):
+            parser.add_argument(flag, type=spec, required=True, metavar=_METAVARS.get(spec))
+        elif callable(spec[0]):
+            parser.add_argument(flag, type=spec[0], default=spec[1], metavar=_METAVARS.get(spec[0]))
+        else:
+            parser.add_argument(flag, choices=spec, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="dflab",
         description="Double-factorial product equations: search, classify, verify bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("search", parents=[common], help="exhaustive solution search")
-    p.add_argument("--mode", choices=("r0", "r1"), required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--t-max", type=int, required=True)
-    p.set_defaults(handler=_cmd_search)
-
-    p = sub.add_parser("classify", parents=[common], help="classify one candidate solution")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=_parse_int_list, required=True, metavar="LIST")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("generate", help="construct a trivial-family solution")
-    gsub = p.add_subparsers(dest="family", required=True)
-    ge = gsub.add_parser("trivial-even", parents=[common])
-    ge.add_argument("--evens", type=_parse_int_list, required=True, metavar="LIST")
-    ge.add_argument("--max-n", type=int, default=10**9)
-    ge.set_defaults(handler=_cmd_generate, family="trivial-even")
-    go = gsub.add_parser("trivial-odd", parents=[common])
-    go.add_argument("--a1", type=int, required=True)
-    go.add_argument("--evens", type=_parse_int_list, default=[], metavar="LIST")
-    go.add_argument("--max-n", type=int, default=10**9)
-    go.set_defaults(handler=_cmd_generate, family="trivial-odd")
-
-    p = sub.add_parser("verify", help="run a verification scan")
-    vsub = p.add_subparsers(dest="check", required=True)
-    v = vsub.add_parser("lemma21", parents=[common])
-    v.add_argument("--nu-max", type=int, default=10**6)
-    v.set_defaults(handler=_cmd_verify_lemma21)
-    v = vsub.add_parser("lemma22", parents=[common])
-    v.add_argument("--k-max", type=int, default=50)
-    v.add_argument("--n-max", type=int, default=400)
-    v.add_argument("--t-max", type=int, default=3)
-    v.set_defaults(handler=_cmd_verify_lemma22)
-    v = vsub.add_parser("lemma23", parents=[common])
-    v.add_argument("--n-max", type=int, default=400)
-    v.add_argument("--t-max", type=int, default=3)
-    v.set_defaults(handler=_cmd_verify_lemma23)
-    v = vsub.add_parser("thm24", parents=[common])
-    v.add_argument("--k", type=_parse_k_range, default=list(range(2, 8)), metavar="RANGE")
-    v.add_argument("--x-max", type=int, default=5000)
-    v.set_defaults(handler=_cmd_verify_thm24)
-    v = vsub.add_parser("val2", parents=[common])
-    v.add_argument("--m-max", type=int, default=10**6)
-    v.add_argument("--x-max", type=int, default=10**4)
-    v.add_argument("--k-max", type=int, default=50)
-    v.add_argument("--samples", type=int, default=10**4)
-    v.add_argument("--seed", type=int, default=0)
-    v.set_defaults(handler=_cmd_verify_val2)
-    v = vsub.add_parser("dusart", parents=[common])
-    one_or_sweep = v.add_mutually_exclusive_group(required=True)
-    one_or_sweep.add_argument("--y", type=int, default=None)
-    one_or_sweep.add_argument("--y-max", type=int, default=None)
-    v.set_defaults(handler=_cmd_verify_dusart)
-    v = vsub.add_parser("known-factorials", parents=[common])
-    v.set_defaults(handler=_cmd_verify_known)
-
-    p = sub.add_parser("bound", help="evaluate a closed-form bound")
-    bsub = p.add_subparsers(dest="which", required=True)
-    b = bsub.add_parser("thm12ii", parents=[common])
-    b.add_argument("--l1", type=int, required=True)
-    b.set_defaults(handler=_cmd_bound_thm12ii)
-    b = bsub.add_parser("ineq3", parents=[common])
-    b.add_argument("--k", type=int, required=True)
-    b.add_argument("--a2", type=int, required=True)
-    b.add_argument("--m", type=int, required=True)
-    b.set_defaults(handler=_cmd_bound_ineq3)
-
-    p = sub.add_parser("abc", help="coprime sum triples")
-    asub = p.add_subparsers(dest="which", required=True)
-    a = asub.add_parser("triple", parents=[common])
-    a.add_argument("--a", type=int, required=True)
-    a.add_argument("--b", type=int, required=True)
-    a.set_defaults(handler=_cmd_abc_triple)
-    a = asub.add_parser("proof-triple", parents=[common])
-    a.add_argument("--x", type=int, required=True)
-    a.add_argument("--j1", type=int, required=True)
-    a.add_argument("--j2", type=int, required=True)
-    a.set_defaults(handler=_cmd_abc_proof_triple)
-    a = asub.add_parser("scan", parents=[common])
-    a.add_argument("--x", type=int, required=True)
-    a.add_argument("--k", type=int, required=True)
-    a.set_defaults(handler=_cmd_abc_scan)
-
-    p = sub.add_parser("block", help="consecutive-integer block anatomy")
-    ksub = p.add_subparsers(dest="which", required=True)
-    k = ksub.add_parser("analyze", parents=[common])
-    k.add_argument("--x", type=int, required=True)
-    k.add_argument("--k", type=int, required=True)
-    k.set_defaults(handler=_cmd_block_analyze)
-
-    p = sub.add_parser("ratio", help="largest-prime growth ratios")
-    rsub = p.add_subparsers(dest="which", required=True)
-    r = rsub.add_parser("erdos-graham", parents=[common])
-    r.add_argument("--n", type=int, required=True)
-    r.set_defaults(handler=_cmd_ratio_erdos_graham)
-    r = rsub.add_parser("erdos-block", parents=[common])
-    r.add_argument("--x", type=int, required=True)
-    r.add_argument("--k", type=int, required=True)
-    r.set_defaults(handler=_cmd_ratio_erdos_block)
-
-    p = sub.add_parser(
-        "gap-witness", parents=[common], help="prime dividing (n-l)!! but not n!!"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.set_defaults(handler=_cmd_gap_witness)
-
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for path, command in COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        if group and group not in groups:
+            sub = top.add_parser(group, help=_HELP[group])
+            groups[group] = sub.add_subparsers(dest="command", required=True)
+        leaf = groups.get(group, top).add_parser(name, parents=[common], help=_HELP.get(path))
+        _add_flags(leaf, command.flags)
+        leaf.set_defaults(leaf=command)
     return parser
 
 
@@ -703,26 +679,20 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         config = CommandConfig(
-            sieve_limit=args.sieve_limit,
-            cache_dir=args.cache_dir,
-            output_format=args.output_format,
-            threads=args.threads,
-            node_budget=args.node_budget,
+            args.sieve_limit, args.cache_dir, args.output_format, args.threads, args.node_budget
         )
-        table = load_or_build_sieve(config)
-        records, code = args.handler(args, config, table)
-    except ResourceLimitError as exc:
-        print(f"dflab: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (
-        SieveRangeError,
-        NotASolutionError,
-        bounds.HypothesisViolationError,
-        ValueError,
-        OverflowError,
-    ) as exc:
+        table = load_or_build_sieve(config) if args.leaf.reads_table else None
+        records, code = args.leaf.handler(args, config, table)
+    except (ValueError, OverflowError) as exc:
+        # SieveRangeError, NotASolutionError and HypothesisViolationError are ValueErrors
         print(f"dflab: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        from .core import ResourceLimitError  # only a command that loaded core can raise it
+        if not isinstance(exc, ResourceLimitError):
+            raise
+        print(f"dflab: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     _emit(records, config.output_format)
     return code
 

@@ -43,11 +43,15 @@ __all__ = [
 _UINT32_MAX = 2**32 - 1
 # sieve_primes and search refuse (ResourceLimitError) a table larger than this
 MAX_TABLE_BYTES = 2**30
-# Bytes a sieve touches per entry while it is built, indexed and persisted:
-# 4 for the uint32 spf array, 8 for PrimeTable's int64 index, 1 for the
-# prime mask, and 1 for the int64 prime list (fewer than one prime in eight
-# entries above 10^4).  Writing the cache streams the array without a copy.
+# Bytes per entry the memory guard charges a sieve: 4 for the uint32 spf
+# array, 1 for the int64 prime list (fewer than one prime in eight entries
+# above 10^4), and headroom.  The prime scan works in chunks and writing the
+# cache streams the array without a copy, so building or loading a table
+# touches about 5 bytes per entry; a cache read whole because its checksum
+# sidecar is missing holds 4 more while its prefix is copied.
 _SIEVE_BYTES_PER_ENTRY = 14
+# Entries PrimeTable scans for primes per pass, so no index spans the table
+_PRIME_SCAN_CHUNK = 1 << 16
 
 
 class SieveRangeError(ValueError):
@@ -76,8 +80,12 @@ class PrimeTable:
             raise ValueError("spf array does not match the stated limit")
         self.limit = int(limit)
         self.spf = spf
-        idx = np.arange(2, limit + 1, dtype=np.int64)
-        self.primes = idx[spf[2:] == idx]
+        chunks = []
+        for start in range(2, limit + 1, _PRIME_SCAN_CHUNK):
+            stop = min(start + _PRIME_SCAN_CHUNK, limit + 1)
+            idx = np.arange(start, stop, dtype=spf.dtype)
+            chunks.append(np.flatnonzero(spf[start:stop] == idx) + start)
+        self.primes = np.concatenate(chunks)
 
     def is_prime(self, n: int) -> bool:
         if n < 2:

@@ -27,6 +27,7 @@ from .core import (
     double_factorial_valuations,
     log_double_factorial,
 )
+from .formulas import KNOWN_FACTORIAL_IDENTITIES, verify_known_factorial_solutions
 
 __all__ = [
     "NotASolutionError",
@@ -583,26 +584,6 @@ def search(
             for i in range(chunk.size):
                 hits += run(chunk[i : i + 1])
     return [classify(EquationInstance(n, parts), table) for n, parts in sorted(hits)]
-
-
-KNOWN_FACTORIAL_IDENTITIES = (
-    ("7!*3!*3!*2! = 9!", (7, 3, 3, 2), 9),
-    ("7!*6! = 10!", (7, 6), 10),
-    ("7!*5!*3! = 10!", (7, 5, 3), 10),
-    ("14!*5!*2! = 16!", (14, 5, 2), 16),
-    ("15!*2!*2!*2!*2! = 16!", (15, 2, 2, 2, 2), 16),
-)
-
-
-def verify_known_factorial_solutions() -> list:
-    """Evaluate the five classical single-factorial identities exactly."""
-    out = []
-    for label, parts, n in KNOWN_FACTORIAL_IDENTITIES:
-        prod = 1
-        for v in parts:
-            prod *= math.factorial(v)
-        out.append((label, prod == math.factorial(n)))
-    return out
 
 
 def odd_gap_obstruction(n: int, l: int, table: PrimeTable) -> int | None:

@@ -430,9 +430,37 @@ def test_cache_roundtrip_and_recovery(tmp_path):
 
 def test_cache_env_var_override(tmp_path):
     env_cache = tmp_path / "from-env"
-    res = run_proc(["verify", "known-factorials", "--sieve-limit", "50"], env_cache)
+    res = run_proc(["block", "analyze", "--x", "9", "--k", "2", "--sieve-limit", "50"], env_cache)
     assert res.returncode == 0
     assert (env_cache / "sieve.dfl").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "thm12ii", "--l1", "5"],
+        ["bound", "ineq3", "--k", "10", "--a2", "30", "--m", "1000"],
+        ["verify", "known-factorials"],
+    ],
+)
+def test_closed_form_commands_read_no_sieve(tmp_path, argv):
+    # a 10^7 limit would make any sieve load or build visible: a 40 MB cache
+    cache = tmp_path / "cache"
+    script = (
+        "import sys; from dflab.cli import run; code = run(sys.argv[1:]); "
+        "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+    flags = ["--sieve-limit", "10000000", "--cache-dir", str(cache)]
+    res = subprocess.run(
+        [sys.executable, "-c", script, *argv, *flags],
+        capture_output=True,
+        text=True,
+        env=proc_env(tmp_path / "unused"),
+    )
+    assert res.returncode == 0, res.stderr
+    assert len(parse_jsonl(res.stdout)) == 1
+    assert res.stderr == "False\n"
+    assert not cache.exists() or not any(cache.iterdir())
 
 
 def test_load_or_build_sieve_unwritable_dir(tmp_path, capsys):
@@ -459,7 +487,7 @@ def test_sieve_memory_guard_exits_3(tmp_path, capsys, monkeypatch):
         core.sieve_primes(10_000)
     assert core.sieve_primes(200).limit == 200  # 14 bytes per entry fit under 4096
     code, out, err = run_inproc(
-        ["verify", "known-factorials", "--sieve-limit", "10000"], tmp_path, capsys
+        ["block", "analyze", "--x", "9", "--k", "2", "--sieve-limit", "10000"], tmp_path, capsys
     )
     assert code == 3
     assert "byte cap" in err and out == ""

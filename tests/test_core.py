@@ -225,6 +225,14 @@ def test_lpf_array_chunks_agree(table_small, monkeypatch):
             assert got.dtype == want.dtype and np.array_equal(got, want), (chunk, hi)
 
 
+def test_prime_scan_chunks_agree(monkeypatch):
+    for chunk in (1, 3, 7, 1000):
+        monkeypatch.setattr(core, "_PRIME_SCAN_CHUNK", chunk)
+        for limit in (2, 3, 4, 7, 1000, 1001, 9_999):
+            got = sieve_primes(limit).primes
+            assert got.dtype == np.int64 and got.tolist() == primes_upto(limit), (chunk, limit)
+
+
 def test_valuation_vectors_match_scalars(table_small):
     primes = table_small.primes_leq(200)
     for m in (0, 1, 7, 10, 16, 100, 199):

@@ -1,0 +1,52 @@
+"""The package resolves its public names lazily and commands load only what they use."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dflab
+from test_golden import CASES, run_case
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+SUBMODULES = ("core", "equation", "bounds", "abc_triples", "formulas")
+CLOSED_FORM_CASES = {"bound-thm12ii", "bound-ineq3", "verify-known-factorials"}
+
+
+def test_public_names_are_the_defining_modules_objects():
+    modules = [importlib.import_module(f"dflab.{name}") for name in SUBMODULES]
+    assert len(dflab.__all__) == len(set(dflab.__all__)) > 50
+    for name in dflab.__all__:
+        homes = [mod for mod in modules if name in mod.__all__]
+        assert homes, name
+        for mod in homes:
+            assert getattr(dflab, name) is getattr(mod, name), (name, mod.__name__)
+    assert set(dflab.__all__) <= set(dir(dflab))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dflab.no_such_name
+    assert not hasattr(dflab, "__no_such_dunder__")
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    script = (
+        "import sys, dflab; "
+        "print(sorted(m for m in sys.modules if m.startswith(('dflab', 'numpy'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "['dflab']\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_only_closed_form_commands_leave_the_cache_empty(name, tmp_path):
+    cache = tmp_path / "cache"
+    run_case(name, "jsonl", cache)
+    empty = not cache.exists() or not any(cache.iterdir())
+    assert empty == (name in CLOSED_FORM_CASES)
