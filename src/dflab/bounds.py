@@ -9,13 +9,17 @@ inlined at use sites.
 Verdicts that rest on double-precision comparisons are reliable down to
 FLOAT_TOLERANCE; every margin at desk scale sits orders of magnitude
 above it.
+
+The scans import numpy inside the functions that vectorize; the point
+checks (erdos_ratio, erdos_graham_ratio, the single-block checks) read
+the sieve entry by entry and need none.
 """
+
+from __future__ import annotations
 
 import math
 import random
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from .core import (
     PrimeTable,
@@ -129,6 +133,7 @@ def verify_theta_bound(nu_max: int, table: PrimeTable) -> BoundCheckResult:
     theta only jumps at primes and the linear side grows, so the minimum
     slack over real nu is attained at a prime.
     """
+    import numpy as np
     if nu_max > table.limit:
         raise SieveRangeError(f"nu_max={nu_max} exceeds sieve limit {table.limit}")
     ps = table.primes_leq(nu_max).astype(np.float64)
@@ -148,6 +153,7 @@ def verify_theta_bound(nu_max: int, table: PrimeTable) -> BoundCheckResult:
 
 def verify_mertens_bound(nu_max: int, table: PrimeTable) -> BoundCheckResult:
     """sum_{p <= nu} log(p)/p < log(nu) at every prime nu <= nu_max."""
+    import numpy as np
     if nu_max > table.limit:
         raise SieveRangeError(f"nu_max={nu_max} exceeds sieve limit {table.limit}")
     ps = table.primes_leq(nu_max).astype(np.float64)
@@ -185,6 +191,7 @@ def composite_block_geometry_scan(k_max: int, table: PrimeTable) -> BoundCheckRe
     prime-count array over [0, 2*k_max - 2] decides every block exactly.
     Counterexamples are ordered by k, then x.
     """
+    import numpy as np
     if k_max < 3:
         raise ValueError(f"empty scan: no block with 2 <= x < k <= {k_max}")
     hi = 2 * k_max - 2
@@ -319,6 +326,7 @@ def theorem24_scan(k_range, x_max: int, table: PrimeTable):
     scan is one-directional: exceptional pairs that happen to satisfy the
     bound anyway are reported in details, never treated as errors.
     """
+    import numpy as np
     ks = sorted({int(k) for k in k_range})
     if not ks or ks[0] < 2:
         raise ValueError("k values must be >= 2")
@@ -448,6 +456,7 @@ def valuation2_factorial_lower_check(m_max: int) -> BoundCheckResult:
 
     The valuation is the vectorized floor sum  sum_i (m >> i).
     """
+    import numpy as np
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     counterexamples = []
@@ -568,6 +577,7 @@ def dusart_check(y: int, table: PrimeTable) -> BoundCheckResult:
     literal-statement interval (y / (1 + 2*log^2 y), y) is evaluated
     alongside and reported in details; neither is silently preferred.
     """
+    import numpy as np
     if y < DUSART_MIN_Y:
         raise ValueError(f"the interval statement needs y >= {DUSART_MIN_Y}, got {y}")
     if y > table.limit:
@@ -594,6 +604,7 @@ def dusart_check(y: int, table: PrimeTable) -> BoundCheckResult:
 
 def _dusart_screen(ys: np.ndarray, witness: np.ndarray) -> tuple:
     """numpy estimates of witness - cutoff for both intervals; they only screen."""
+    import numpy as np
     log_sq = np.log(ys) ** 2
     return witness - ys / (1 + 1 / (2 * log_sq)), witness - ys / (1 + 2 * log_sq)
 
@@ -608,6 +619,7 @@ def dusart_sweep(y_max: int, table: PrimeTable) -> BoundCheckResult:
     scalar formula, and only those values decide.  Counterexamples, literal-form failures and the
     margin therefore equal those of a per-y dusart_check fold bit for bit.
     """
+    import numpy as np
     if y_max < DUSART_MIN_Y:
         raise ValueError(f"the interval statement needs y >= {DUSART_MIN_Y}, got y_max={y_max}")
     if y_max > table.limit:

@@ -8,10 +8,18 @@ done, in a deterministic order.
 
 The leaf commands are declared once, in COMMANDS: the words that name
 each, its flags, its handler, and whether it reads the sieve.  A command
-that reads none (bound thm12ii, bound ineq3, verify known-factorials)
-evaluates a closed form: it loads no cache, builds none and never imports
-numpy.  Every other command imports only the library modules it calls,
-when it runs.
+builds the parser of its own leaf only (every leaf when argv names none,
+as for --help).  A command that reads no sieve (bound thm12ii, bound
+ineq3, verify known-factorials) evaluates a closed form: it loads no cache
+and builds none.  Every other command imports only the library modules it
+calls, when it runs.
+
+A loaded table is one read-only memoryview of native uint32 entries over
+the checked cache bytes, with no copy on a little-endian host.  The point
+queries (classify, generate, abc, block analyze, gap-witness, ratio) read
+it entry by entry, so neither they nor the closed forms import numpy.
+numpy is imported by search, the other verify commands, and a sieve
+build on a missing or damaged cache.
 
 The sieve is cached on disk in two files.  sieve.dfl holds a 32-byte
 header (magic "DFL1", uint32 version 1, uint64 limit, uint32 CRC-32 of the
@@ -130,10 +138,27 @@ def _cache_path(config: CommandConfig) -> Path:
     return config.cache_dir / CACHE_FILENAME
 
 
-def _chunk_crcs(spf) -> list:
-    return [
-        zlib.crc32(spf[i : i + _CHUNK_ENTRIES]) for i in range(0, spf.size, _CHUNK_ENTRIES)
-    ]
+def _chunk_crcs(payload) -> list:
+    """CRC-32 of each chunk of the little-endian payload bytes."""
+    view, step = memoryview(payload), 4 * _CHUNK_ENTRIES
+    return [zlib.crc32(view[i : i + step]) for i in range(0, len(view), step)]
+
+
+def _swap_le(buf) -> memoryview:
+    """The bytes of buf's uint32 entries, swapped between host and little-endian order.
+
+    On a little-endian host this is a zero-copy byte view of buf; on a
+    big-endian host a byte-swapped copy.  Swapping twice is the identity, so
+    it turns cache bytes into table entries and table entries into cache bytes.
+    """
+    view = memoryview(buf).cast("B")
+    if sys.byteorder == "little":
+        return view
+    import array
+    swapped = array.array("I")
+    swapped.frombytes(view)
+    swapped.byteswap()
+    return memoryview(swapped).cast("B")
 
 
 def _sidecar_blob(limit: int, payload_crc: int, crcs: list) -> bytes:
@@ -160,17 +185,18 @@ def _read_sidecar(path: Path, limit: int, payload_crc: int) -> tuple | None:
     return crcs if blob == _sidecar_blob(limit, payload_crc, crcs) else None
 
 
-def _read_checked(f, entries: int, chunk: int, crcs):
-    """Read entries uint32 values from f in chunks of chunk entries, checking each CRC."""
-    import numpy as np
-    spf = np.empty(entries, dtype="<u4")
+def _read_checked(f, entries: int, chunk: int, crcs) -> bytearray:
+    """Read entries little-endian uint32 values from f in chunks of chunk entries, checking each CRC."""
+    payload = bytearray(4 * entries)
+    view = memoryview(payload)
     for i, start in enumerate(range(0, entries, chunk)):
-        view = spf[start : start + chunk]
-        if f.readinto(view) != view.nbytes:
+        part = view[4 * start : 4 * (start + chunk)]
+        if f.readinto(part) != len(part):
             raise _CacheInvalid("truncated payload")
-        if zlib.crc32(view) != crcs[i]:
-            raise _CacheInvalid(f"checksum mismatch in entries {start}..{start + view.size - 1}")
-    return spf
+        if zlib.crc32(part) != crcs[i]:
+            end = start + len(part) // 4 - 1
+            raise _CacheInvalid(f"checksum mismatch in entries {start}..{end}")
+    return payload
 
 
 def _read_cache(path: Path, need: int) -> PrimeTable | None:
@@ -178,7 +204,8 @@ def _read_cache(path: Path, need: int) -> PrimeTable | None:
 
     With a matching sidecar only the chunks covering 0..need are read, each
     checked against its own CRC.  Without one the whole payload is read and
-    checked against the header CRC, and the sidecar is written afresh.
+    checked against the header CRC, and the sidecar is written afresh.  The
+    table is a view of the entries read, no copy.
     """
     from .core import PrimeTable
     with open(path, "rb") as f:
@@ -201,15 +228,15 @@ def _read_cache(path: Path, need: int) -> PrimeTable | None:
         crcs = _read_sidecar(sidecar, limit, crc)
         if crcs is not None:
             chunks = -(-(need + 1) // _CHUNK_ENTRIES)
-            spf = _read_checked(f, min(limit + 1, chunks * _CHUNK_ENTRIES), _CHUNK_ENTRIES, crcs)
-            return PrimeTable(need, spf[: need + 1])
-        spf = _read_checked(f, limit + 1, limit + 1, [crc])
+            payload = _read_checked(f, min(limit + 1, chunks * _CHUNK_ENTRIES), _CHUNK_ENTRIES, crcs)
+            return PrimeTable(need, _swap_le(payload).cast("I")[: need + 1])
+        payload = _read_checked(f, limit + 1, limit + 1, [crc])
     try:
         if os.path.samestat(st, os.stat(path)):  # skip if another process replaced the cache
-            _write_atomic(sidecar, _sidecar_blob(limit, crc, _chunk_crcs(spf)))
+            _write_atomic(sidecar, _sidecar_blob(limit, crc, _chunk_crcs(payload)))
     except OSError as exc:
         print(f"dflab: cannot persist sieve checksums: {exc}", file=sys.stderr)
-    return PrimeTable(need, spf[: need + 1].copy() if need < limit else spf)
+    return PrimeTable(need, _swap_le(payload).cast("I")[: need + 1])
 
 
 def _write_atomic(path: Path, *parts):
@@ -229,12 +256,11 @@ def _write_atomic(path: Path, *parts):
 
 
 def _write_cache(path: Path, table: PrimeTable):
-    import numpy as np
-    spf = np.ascontiguousarray(table.spf, dtype="<u4")
-    crc = zlib.crc32(spf)
+    payload = _swap_le(table.spf)
+    crc = zlib.crc32(payload)
     header = _HEADER.pack(CACHE_MAGIC, CACHE_FORMAT_VERSION, table.limit, crc, bytes(12))
-    _write_atomic(path, header, spf)
-    _write_atomic(path.with_name(CRC_FILENAME), _sidecar_blob(table.limit, crc, _chunk_crcs(spf)))
+    _write_atomic(path, header, payload)
+    _write_atomic(path.with_name(CRC_FILENAME), _sidecar_blob(table.limit, crc, _chunk_crcs(payload)))
 
 
 def load_or_build_sieve(config: CommandConfig) -> PrimeTable:
@@ -652,7 +678,15 @@ def _add_flags(parser, flags: dict):
             parser.add_argument(flag, choices=spec, required=True)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The dflab parser; when argv starts with a leaf command's words, only that leaf gets flags.
+
+    Every group and top-level name is still declared, so usage lines, help
+    and errors read the same as with every leaf built, as they are when
+    argv names no complete leaf.
+    """
+    argv = list(argv)
+    chosen = [path for path in COMMANDS if argv[: path.count(" ") + 1] == path.split()]
     common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="dflab",
@@ -665,6 +699,10 @@ def build_parser() -> argparse.ArgumentParser:
         if group and group not in groups:
             sub = top.add_parser(group, help=_HELP[group])
             groups[group] = sub.add_subparsers(dest="command", required=True)
+        if chosen and path not in chosen:
+            if not group:  # keep the name among the top-level choices
+                top.add_parser(name, help=_HELP.get(path))
+            continue
         leaf = groups.get(group, top).add_parser(name, parents=[common], help=_HELP.get(path))
         _add_flags(leaf, command.flags)
         leaf.set_defaults(leaf=command)
@@ -672,9 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

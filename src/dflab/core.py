@@ -1,21 +1,23 @@
 """Exact integer number theory: sieving, factorization, double factorials.
 
-The sieve is a smallest-prime-factor table (uint32, 4 bytes per integer,
-plus a cached prime list), which makes factorization of any n <= limit a
-walk of O(log n) array lookups; factorize returns the prime -> exponent
-dict, primes ascending.  Prime-exponent vectors of m! and m!! are int64
-arrays over an ascending prime array (factorial_valuations,
-double_factorial_valuations), so products of double factorials are
-compared by adding vectors, never by forming the integers.  Integer
-arithmetic is exact everywhere; floats appear only in the log-space
-helpers.  A PrimeTable never changes after construction, so one instance
-can be shared freely.
+The sieve is a smallest-prime-factor table held as one read-only, flat
+uint32 memoryview (4 bytes per integer), which makes factorization of any
+n <= limit a walk of O(log n) lookups that need no numpy; factorize
+returns the prime -> exponent dict, primes ascending.  The ascending
+prime list is found on first access to PrimeTable.primes.  Only the
+functions that vectorize import numpy, each when it runs, and read the
+table through a zero-copy np.frombuffer view: sieve_primes, the prime
+list, the prime log sums, the Legendre vectors (factorial_valuations,
+double_factorial_valuations, int64 arrays over an ascending prime
+array), lpf_array and radical_array.  Integer arithmetic is exact
+everywhere; floats appear only in the log-space helpers.  A PrimeTable
+never changes after construction, so one instance can be shared freely.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "SieveRangeError",
@@ -44,11 +46,12 @@ _UINT32_MAX = 2**32 - 1
 # sieve_primes and search refuse (ResourceLimitError) a table larger than this
 MAX_TABLE_BYTES = 2**30
 # Bytes per entry the memory guard charges a sieve: 4 for the uint32 spf
-# array, 1 for the int64 prime list (fewer than one prime in eight entries
+# table, 1 for the int64 prime list (fewer than one prime in eight entries
 # above 10^4), and headroom.  The prime scan works in chunks and writing the
-# cache streams the array without a copy, so building or loading a table
-# touches about 5 bytes per entry; a cache read whole because its checksum
-# sidecar is missing holds 4 more while its prefix is copied.
+# cache streams the table without a copy, so building or loading a table
+# touches about 5 bytes per entry.  A loaded table is a view of the chunks
+# read, not a copy; a cache read whole because its checksum sidecar is
+# missing stays held whole behind the view of its prefix.
 _SIEVE_BYTES_PER_ENTRY = 14
 # Entries PrimeTable scans for primes per pass, so no index spans the table
 _PRIME_SCAN_CHUNK = 1 << 16
@@ -67,38 +70,52 @@ class PrimeTable:
 
     ``spf[i]`` is the least prime dividing i (``spf[0] == spf[1] == 0``).
     For composite c the entry is a prime <= sqrt(c); for prime p it is p
-    itself.  The table and its cached prime list are read-only after
-    construction.
+    itself.  spf is a read-only memoryview of native uint32 entries (format
+    "I"), taken without a copy from the buffer given; ``primes`` is found on
+    first access.
     """
 
-    __slots__ = ("limit", "spf", "primes")
+    __slots__ = ("limit", "spf", "_primes")
 
-    def __init__(self, limit: int, spf: np.ndarray):
+    def __init__(self, limit: int, spf):
         if limit < 2:
             raise ValueError(f"sieve limit must be >= 2, got {limit}")
-        if spf.shape != (limit + 1,):
+        spf = memoryview(spf)
+        if spf.format != "I" or spf.ndim != 1:
+            raise ValueError(f"spf must be a flat uint32 buffer, got format {spf.format!r}")
+        if len(spf) != limit + 1:
             raise ValueError("spf array does not match the stated limit")
         self.limit = int(limit)
-        self.spf = spf
-        chunks = []
-        for start in range(2, limit + 1, _PRIME_SCAN_CHUNK):
-            stop = min(start + _PRIME_SCAN_CHUNK, limit + 1)
-            idx = np.arange(start, stop, dtype=spf.dtype)
-            chunks.append(np.flatnonzero(spf[start:stop] == idx) + start)
-        self.primes = np.concatenate(chunks)
+        self.spf = spf.toreadonly()
+        self._primes = None
+
+    @property
+    def primes(self) -> np.ndarray:
+        """Ascending int64 array of the primes <= limit, scanned from spf on first access."""
+        if self._primes is None:
+            import numpy as np
+            spf = np.frombuffer(self.spf, dtype=np.uint32)
+            chunks = []
+            for start in range(2, self.limit + 1, _PRIME_SCAN_CHUNK):
+                stop = min(start + _PRIME_SCAN_CHUNK, self.limit + 1)
+                idx = np.arange(start, stop, dtype=np.uint32)
+                chunks.append(np.flatnonzero(spf[start:stop] == idx) + start)
+            self._primes = np.concatenate(chunks)
+        return self._primes
 
     def is_prime(self, n: int) -> bool:
         if n < 2:
             return False
         if n > self.limit:
             raise SieveRangeError(f"{n} exceeds sieve limit {self.limit}")
-        return int(self.spf[n]) == n
+        return self.spf[n] == n
 
     def prime_count(self) -> int:
         return int(self.primes.size)
 
     def primes_leq(self, bound) -> np.ndarray:
         """View of all primes <= bound (bound may be real)."""
+        import numpy as np
         cut = np.searchsorted(self.primes, math.floor(bound), side="right")
         return self.primes[:cut]
 
@@ -122,6 +139,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     if limit > _UINT32_MAX:
         raise ValueError("sieve entries are uint32; limit must be < 2**32")
     check_sieve_memory(limit)
+    import numpy as np
     spf = np.arange(limit + 1, dtype=np.uint32)
     spf[:2] = 0
     for p in range(2, math.isqrt(limit) + 1):
@@ -131,11 +149,11 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit, spf)
 
 
-def _walk_spf(n: int, spf: np.ndarray) -> dict:
+def _walk_spf(n: int, spf) -> dict:
     """Prime -> exponent map of n via smallest-prime-factor chasing, primes ascending."""
     out = {}
     while n > 1:
-        p = int(spf[n])
+        p = spf[n]
         e = 0
         while n % p == 0:
             n //= p
@@ -298,7 +316,7 @@ def analyze_block(x: int, k: int, table: PrimeTable) -> BlockReport:
     all_composite = True
     rads = []
     for t in range(x, hi + 1):
-        if int(spf[t]) == t:
+        if spf[t] == t:
             all_composite = False
         fac = _walk_spf(t, spf)
         rad = 1
@@ -318,6 +336,7 @@ def theta(nu, table: PrimeTable) -> float:
         raise ValueError(f"theta needs nu > 1, got {nu}")
     if nu > table.limit:
         raise SieveRangeError(f"nu={nu} exceeds sieve limit {table.limit}")
+    import numpy as np
     ps = table.primes_leq(nu).astype(np.float64)
     return float(np.log(ps).sum())
 
@@ -328,6 +347,7 @@ def mertens_log_sum(nu, table: PrimeTable) -> float:
         raise ValueError(f"mertens_log_sum needs nu > 1, got {nu}")
     if nu > table.limit:
         raise SieveRangeError(f"nu={nu} exceeds sieve limit {table.limit}")
+    import numpy as np
     ps = table.primes_leq(nu).astype(np.float64)
     return float((np.log(ps) / ps).sum())
 
@@ -338,6 +358,7 @@ def factorial_valuations(m: int, primes: np.ndarray) -> np.ndarray:
         raise ValueError(f"factorial_valuations needs m >= 0, got {m}")
     if m >> 31:
         raise ValueError("vectorized floor sums support m < 2**31")
+    import numpy as np
     acc = np.zeros(primes.size, dtype=np.int64)
     q = primes.astype(np.int64, copy=True)
     while True:
@@ -356,6 +377,7 @@ def double_factorial_valuations(m: int, primes: np.ndarray) -> np.ndarray:
     """
     if m < 0:
         raise ValueError(f"double_factorial_valuations needs m >= 0, got {m}")
+    import numpy as np
     has2 = primes.size > 0 and int(primes[0]) == 2
     if m <= 1:
         return np.zeros(primes.size, dtype=np.int64)
@@ -379,8 +401,9 @@ def lpf_array(hi: int, table: PrimeTable) -> np.ndarray:
     """Array a with a[i] = P(i) for 0 <= i <= hi (a[0] = a[1] = 1)."""
     if hi > table.limit:
         raise SieveRangeError(f"{hi} exceeds sieve limit {table.limit}")
+    import numpy as np
     res = np.ones(hi + 1, dtype=np.int64)
-    spf = table.spf
+    spf = np.frombuffer(table.spf, dtype=np.uint32)
     for start in range(2, hi + 1, _LPF_CHUNK):
         rem = np.arange(start, min(start + _LPF_CHUNK, hi + 1), dtype=np.int64)
         out = res[start : start + rem.size]
@@ -398,11 +421,12 @@ def radical_array(hi: int, table: PrimeTable) -> np.ndarray:
     """Array a with a[i] = N(i) for 0 <= i <= hi (a[0] = a[1] = 1)."""
     if hi > table.limit:
         raise SieveRangeError(f"{hi} exceeds sieve limit {table.limit}")
+    import numpy as np
     rad = np.ones(hi + 1, dtype=np.int64)
     rem = np.arange(hi + 1, dtype=np.int64)
     rem[:2] = 1
     last = np.zeros(hi + 1, dtype=np.int64)
-    spf = table.spf
+    spf = np.frombuffer(table.spf, dtype=np.uint32)
     idx = np.flatnonzero(rem > 1)
     while idx.size:
         p = spf[rem[idx]].astype(np.int64)

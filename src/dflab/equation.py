@@ -11,12 +11,16 @@ must be even for the identity to hold, and r <= t - 2 is forced: with
 exactly one even part the remaining product is odd while the even side
 is not.  Instances violating these facts are still representable; they
 are simply refuted by check_identity.
+
+check_identity, classify, the generators and odd_gap_obstruction read the
+sieve entry by entry and never import numpy; the search imports it in the
+functions that build and walk its batched frontier.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     MAX_TABLE_BYTES,
@@ -24,7 +28,6 @@ from .core import (
     ResourceLimitError,
     SieveRangeError,
     double_factorial,
-    double_factorial_valuations,
     log_double_factorial,
 )
 from .formulas import KNOWN_FACTORIAL_IDENTITIES, verify_known_factorial_solutions
@@ -51,12 +54,13 @@ __all__ = [
 
 DEFAULT_MAX_GENERATED_N = 10**9
 DEFAULT_NODE_BUDGET = 10**8
-# The log-magnitude prune for target n!! allows a slack of
-# _LOG_RTOL * (1 + log n!!).  logdf[m] is a running sum of m/2 logs, so its
-# rounding error is below (m/2) * 2**-53 * log m!! <= 2.9e-12 * log n!! for
-# every n the table cap admits (n <= 51217); the running log owed adds one
-# such error per part.  The slack is hundreds of times larger than that bound,
-# and at n = 2000 about 10^4 times.
+# The log-magnitude prunes for target n!!, the search's and check_identity's,
+# allow a slack of _LOG_RTOL * (1 + log n!!); check_identity bounds its own
+# rounding error where it prunes.  In the search logdf[m] is a running sum of
+# m/2 logs, so its rounding error is below (m/2) * 2**-53 * log m!! <=
+# 2.9e-12 * log n!! for every n the table cap admits (n <= 51217); the
+# running log owed adds one such error per part.  The slack is hundreds of
+# times larger than that bound, and at n = 2000 about 10^4 times.
 _LOG_RTOL = 1e-9
 
 
@@ -130,17 +134,43 @@ class SolutionRecord:
 def check_identity(instance: EquationInstance, table: PrimeTable) -> bool:
     """True iff prod a_i!! = n!! exactly.
 
-    Compares per-prime valuations of both sides over all primes <= n,
-    which is exact and avoids materializing the products.
+    The largest part top of n's parity cancels against n!! (top = n mod 2
+    when no part has n's parity, as 0!! = 1!! = 1): the identity holds iff
+    the product of the m with top < m <= n, m = n (mod 2), equals the
+    product of the other parts' double factorials.  A log-magnitude prune
+    rejects most non-solutions; integers decide the rest, by comparing the
+    factorizations of both sides, each term factored by walking the spf
+    table.  Neither product is ever formed.
     """
     n = instance.n
     if n > table.limit:
         raise SieveRangeError(f"n={n} exceeds sieve limit {table.limit}")
-    primes = table.primes_leq(n)
-    total = np.zeros(primes.size, dtype=np.int64)
-    for ai in instance.a:
-        total += double_factorial_valuations(ai, primes)
-    return bool(np.array_equal(total, double_factorial_valuations(n, primes)))
+    others = list(instance.a)
+    top = next((v for v in others if v % 2 == n % 2), n % 2)
+    if top > 1:
+        others.remove(top)
+    # The prune allows the search's slack _LOG_RTOL * (1 + log n!!).  Each
+    # log_double_factorial came within 8.7e-16 of its value, relative, on
+    # every m <= 20000 (against math.log of the exact integer) and on 3200
+    # sampled m <= 10^6 (against a 50-digit Stirling series); lgamma itself
+    # came within 2.7e-16.  fsum adds one rounding.  When the identity holds,
+    # the terms for n, top and the other parts total at most 2 log n!!, so
+    # the error stays below 2e-15 * log n!! plus two roundings: the slack is
+    # over 10^5 times as large.
+    log_n = log_double_factorial(n)
+    gap = log_n - log_double_factorial(top) - math.fsum(map(log_double_factorial, others))
+    if abs(gap) > _LOG_RTOL * (1.0 + log_n):
+        return False
+    spf = table.spf
+    owed = {}  # prime -> its exponent in the n side minus that in the parts side
+    terms = [(range(top + 2, n + 1, 2), 1)] + [(range(v, 1, -2), -1) for v in others]
+    for ms, sign in terms:
+        for m in ms:
+            while m > 1:
+                p = spf[m]
+                m //= p
+                owed[p] = owed.get(p, 0) + sign
+    return not any(owed.values())
 
 
 def odd_decomposition(instance: EquationInstance) -> OddDecomposition | None:
@@ -300,6 +330,7 @@ class _ValuationTable:
 
 
 def _valuation_table(n_max: int, table: PrimeTable) -> _ValuationTable:
+    import numpy as np
     primes = table.primes_leq(n_max)
     need = (n_max + 1) * primes.size * 2
     if need > MAX_TABLE_BYTES:
@@ -385,6 +416,7 @@ class _Frontier:
     """
 
     def __init__(self, tab, t_max, one_odd, room):
+        import numpy as np
         self.tab = tab
         self.primes = np.asarray(tab.primes)
         self.t_max = t_max
@@ -395,6 +427,7 @@ class _Frontier:
         self.found = []
 
     def run(self, ns):
+        import numpy as np
         tab = self.tab
         width = int(tab.count[ns[-1]])
         roots = _States(
@@ -418,6 +451,7 @@ class _Frontier:
 
     def _windows(self, st, slots):
         """Per state: first candidate, candidate step and count, and log tolerance."""
+        import numpy as np
         logdf = self.tab.logdf
         tol = _LOG_RTOL * (1.0 + logdf[st.n])
         lo = np.searchsorted(logdf, (st.log_owed - tol) / slots)
@@ -439,6 +473,7 @@ class _Frontier:
         A batch starts inside the state order[i] and holds at most size(i)
         candidates.
         """
+        import numpy as np
         ends = np.cumsum(count[order])
         starts = ends - count[order]
         total = int(ends[-1]) if ends.size else 0
@@ -453,6 +488,7 @@ class _Frontier:
             start = stop
 
     def _level(self, st, slots):
+        import numpy as np
         lo, hi, step, count, tol = self._windows(st, slots)
         live = np.flatnonzero(count)
         if slots == 2:
@@ -484,6 +520,7 @@ class _Frontier:
                 self._level(nxt, slots - 1)
 
     def _last_two(self, st, lo, step, count, tol, live):
+        import numpy as np
         tab = self.tab
         logdf = tab.logdf
         width = st.owed.shape[1]
@@ -515,6 +552,7 @@ class _Frontier:
 
     def _settle(self, st, s, a, b, width):
         """Record the nominated endings whose integer owed vector reaches zero."""
+        import numpy as np
         if not s.size:
             return
         tab = self.tab
@@ -556,7 +594,7 @@ def search(
         raise ValueError("node budget must be positive")
     if n_max < 4:
         return []
-
+    import numpy as np
     tab = _valuation_table(n_max, table)
     budget = _NodeBudget(node_budget)
 
@@ -602,9 +640,10 @@ def odd_gap_obstruction(n: int, l: int, table: PrimeTable) -> int | None:
         raise ValueError(f"n - l = {a1} must be >= 3")
     if n > table.limit:
         raise SieveRangeError(f"n={n} exceeds sieve limit {table.limit}")
-    primes = table.primes
-    hi = np.searchsorted(primes, a1, side="right")
-    lo = np.searchsorted(primes, n // 2, side="right")
-    if hi > lo:
-        return int(primes[hi - 1])
+    if a1 > table.limit:  # l < 0
+        raise SieveRangeError(f"n - l = {a1} exceeds sieve limit {table.limit}")
+    spf = table.spf
+    for v in range(a1, n // 2, -2):  # odd v, downward: the first prime is the largest
+        if spf[v] == v:
+            return v
     return None

@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -435,6 +437,20 @@ def test_cache_env_var_override(tmp_path):
     assert (env_cache / "sieve.dfl").exists()
 
 
+def run_reporting_numpy(argv, cache, env_dir):
+    """Run argv through cli.run in a fresh interpreter that prints on stderr whether numpy loaded."""
+    script = (
+        "import sys; from dflab.cli import run; code = run(sys.argv[1:]); "
+        "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv, "--cache-dir", str(cache)],
+        capture_output=True,
+        text=True,
+        env=proc_env(env_dir),
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -446,21 +462,60 @@ def test_cache_env_var_override(tmp_path):
 def test_closed_form_commands_read_no_sieve(tmp_path, argv):
     # a 10^7 limit would make any sieve load or build visible: a 40 MB cache
     cache = tmp_path / "cache"
-    script = (
-        "import sys; from dflab.cli import run; code = run(sys.argv[1:]); "
-        "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
-    )
-    flags = ["--sieve-limit", "10000000", "--cache-dir", str(cache)]
-    res = subprocess.run(
-        [sys.executable, "-c", script, *argv, *flags],
-        capture_output=True,
-        text=True,
-        env=proc_env(tmp_path / "unused"),
-    )
+    res = run_reporting_numpy(argv + ["--sieve-limit", "10000000"], cache, tmp_path / "unused")
     assert res.returncode == 0, res.stderr
     assert len(parse_jsonl(res.stdout)) == 1
     assert res.stderr == "False\n"
     assert not cache.exists() or not any(cache.iterdir())
+
+
+POINT_QUERIES = [
+    ["classify", "--n", "720", "--a", "5,718,6"],
+    ["generate", "trivial-even", "--evens", "6,4"],
+    ["generate", "trivial-odd", "--a1", "5", "--evens", "4"],
+    ["abc", "triple", "--a", "1", "--b", "4374"],
+    ["abc", "proof-triple", "--x", "1000", "--j1", "5", "--j2", "2"],
+    ["abc", "scan", "--x", "1000", "--k", "12"],
+    ["block", "analyze", "--x", "24", "--k", "5"],
+    ["gap-witness", "--n", "20", "--l", "5"],
+    ["ratio", "erdos-graham", "--n", "4374"],
+    ["ratio", "erdos-block", "--x", "24", "--k", "5"],
+]
+POINT_LIMIT = ["--sieve-limit", "20000"]
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    cache = tmp_path_factory.mktemp("warm")
+    load_or_build_sieve(CommandConfig(sieve_limit=20000, cache_dir=cache))
+    return cache
+
+
+@pytest.mark.parametrize("argv", POINT_QUERIES, ids=" ".join)
+def test_point_queries_never_import_numpy(argv, warm_cache, tmp_path):
+    res = run_reporting_numpy(argv + POINT_LIMIT, warm_cache, tmp_path / "unused")
+    assert res.returncode == 0, res.stderr
+    assert len(parse_jsonl(res.stdout)) == 1
+    assert res.stderr == "False\n"
+
+
+def test_point_query_on_empty_cache_builds_the_same_files(tmp_path):
+    # SHA-256 of the files the loader wrote before it stopped using numpy
+    parent = {
+        "sieve.dfl": "8b19815b496ea65235285d263fc3c71b2f72b7aca9be5fe5da4d9e5575fcefb4",
+        "sieve.crc": "033e27600fb8d3e8d0e65c86c17e23bb02102e3b1903e1c44846649c9ee59b95",
+    }
+    cache = tmp_path / "cache"
+    argv = ["block", "analyze", "--x", "24", "--k", "5"]
+    res = run_reporting_numpy(argv + POINT_LIMIT, cache, tmp_path / "unused")
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == "True\n"  # the build sieves with numpy
+    golden = Path(__file__).resolve().parent / "golden" / "block-analyze.jsonl"
+    assert res.stdout == golden.read_text()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in cache.iterdir()}
+    assert got == parent
+    blob = (cache / "sieve.dfl").read_bytes()
+    assert list(struct.unpack_from("<20001I", blob, 32)) == spf_direct(20000)
 
 
 def test_load_or_build_sieve_unwritable_dir(tmp_path, capsys):
@@ -576,6 +631,37 @@ def test_missing_sidecar_falls_back_to_whole_file_and_recreates_it(tmp_path, mon
     assert sidecar.read_bytes() == blob
     assert load_or_build_sieve(config).spf.tolist() == spf_direct(100)
     assert reads[1:] == [(5001, cli._CHUNK_ENTRIES)]
+
+
+def test_table_is_the_same_from_every_source(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 64)  # so the prefix load reads a true prefix
+    cache = tmp_path / "cache"
+    load_or_build_sieve(CommandConfig(sieve_limit=20_000, cache_dir=cache))
+    config = CommandConfig(sieve_limit=5000, cache_dir=cache)
+    tables = [core.sieve_primes(5000), load_or_build_sieve(config)]
+    (cache / "sieve.crc").unlink()
+    tables.append(load_or_build_sieve(config))  # the whole file, checked by its header CRC
+    want = spf_direct(5000)
+    for table in tables:
+        assert table.limit == 5000 and len(table.spf) == 5001
+        assert table.spf.tolist() == want
+        assert table.primes.tolist() == [p for p in range(2, 5001) if want[p] == p]
+        with pytest.raises(TypeError):
+            table.spf[7] = 1
+
+
+def test_cache_stays_little_endian_on_a_big_endian_host(tmp_path, monkeypatch):
+    load_or_build_sieve(CommandConfig(sieve_limit=1000, cache_dir=tmp_path / "here"))
+    here = (tmp_path / "here" / "sieve.dfl").read_bytes()
+    # on this host "big" swaps the entries: the file must hold them reversed,
+    # and reading swaps them back
+    monkeypatch.setattr(sys, "byteorder", "big")
+    config = CommandConfig(sieve_limit=1000, cache_dir=tmp_path / "there")
+    load_or_build_sieve(config)
+    there = (tmp_path / "there" / "sieve.dfl").read_bytes()
+    assert len(there) == len(here) and there != here
+    assert all(there[i : i + 4] == here[i : i + 4][::-1] for i in range(32, len(here), 4))
+    assert load_or_build_sieve(config).spf.tolist() == spf_direct(1000)
 
 
 # A small chunk size makes a 1000-entry cache span 16 chunks, the last short.

@@ -1,5 +1,7 @@
 import math
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from dflab import (
     verify_known_factorial_solutions,
 )
 from dflab import equation
+from dflab.core import log_double_factorial
 
 from oracles import (
     df_direct,
@@ -235,6 +238,56 @@ SPORADIC_R1 = {
     4: {(12, (6, 5, 4, 4)), (20, (14, 6, 5, 4)), (30, (16, 13, 10, 4)), (32, (28, 5, 4, 4))},
     5: {(18, (9, 8, 4, 4, 4))},
 }
+
+
+# True solutions with n <= 150 and t <= 4: the gap-2 family, the pinned
+# sporadic ones and the all-odd 45!! = 43!! * 5!! * 3!!
+IDENTITY_SOLUTIONS = sorted(
+    gap2_family(150, 4) | SPORADIC_R1[3] | SPORADIC_R1[4] | {(45, (43, 5, 3))}
+)
+
+
+@st.composite
+def identity_candidates(draw):
+    """(n, parts): a true solution, or parts of mixed or of n's opposite parity."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(IDENTITY_SOLUTIONS))
+    n = draw(st.integers(5, 150))
+    t = draw(st.integers(2, 4))
+    if draw(st.booleans()):  # no part shares n's parity
+        part = st.integers(3, n - 1).filter(lambda v: v % 2 != n % 2)
+    else:
+        part = st.integers(3, n - 1)
+    return n, tuple(draw(part) for _ in range(t))
+
+
+# with an infinite slack the log prune passes everything, so integers decide
+@pytest.mark.parametrize("rtol", [equation._LOG_RTOL, math.inf], ids=["pruned", "unpruned"])
+@settings(max_examples=400, deadline=None)
+@given(case=identity_candidates())
+def test_check_identity_matches_bigint_oracle(table_small, rtol, case):
+    n, parts = case
+    truth = math.prod(df_direct(v) for v in parts) == df_direct(n)
+    with mock.patch.object(equation, "_LOG_RTOL", rtol):
+        assert check_identity(EquationInstance(n, parts), table_small) == truth
+
+
+def test_check_identity_large_cases(table_big):
+    # 9!! * 8!! = 945 * 384 = 362880, so 362880!! = 362880 * 362878!! splits
+    assert check_identity(EquationInstance(362880, (9, 8, 362878)), table_big)
+    # the log prune decides: a table without entries would fail any walk
+    no_entries = SimpleNamespace(limit=10**6, spf=None)
+    assert not check_identity(EquationInstance(10**6, (4, 3)), no_entries)
+
+
+def test_log_double_factorial_error_is_far_below_the_prune_tolerance():
+    for start in (2, 3):
+        prod = 1
+        for m in range(start, 20_001, 2):
+            prod *= m
+            exact = math.log(prod)
+            err = abs(log_double_factorial(m) - exact)
+            assert 10**4 * err <= equation._LOG_RTOL * (1 + exact), m
 
 
 @pytest.mark.parametrize(
