@@ -2,9 +2,9 @@
 """Double factorials, exactly: values, identities, prime-exponent form.
 
 Walks the arithmetic layer everything else is built on: m!! as an exact
-integer, the two structural identities, and the per-prime valuation
-vectors that let gigantic products be compared without ever
-materializing them.
+integer, the two structural identities, and the prime -> exponent dicts
+(spf walks of each term, Legendre sums for factorials) that let gigantic
+products be compared without ever materializing them.
 """
 
 import math
@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # run from a checkout
 
 from dflab import double_factorial, factorize, sieve_primes
-from dflab.core import double_factorial_valuations, factorial_valuations
+from dflab.core import factorial_valuation
 
 table = sieve_primes(10_000)
 
@@ -30,29 +30,38 @@ print("(2l)!! = 2^l * l!       for l up to 150:",
       all(double_factorial(2 * l) == 2**l * math.factorial(l) for l in range(151)))
 
 print("\n== prime-exponent form ==")
-primes = table.primes_leq(30)
 
 
-def exponents(vec):
-    return {int(p): int(e) for p, e in zip(primes, vec) if e}
+def df_exponents(m):
+    """m!! as a prime -> exponent dict: the spf walks of m, m-2, ..., summed."""
+    out = {}
+    for term in range(m, 1, -2):
+        for p, e in factorize(term, table).items():
+            out[p] = out.get(p, 0) + e
+    return dict(sorted(out.items()))
+
+
+def times(a, b, sign=1):
+    out = {p: a.get(p, 0) + sign * b.get(p, 0) for p in sorted(a.keys() | b.keys())}
+    return {p: e for p, e in out.items() if e}
 
 
 for m in (9, 10, 30):
-    vec = double_factorial_valuations(m, primes)
-    value = math.prod(int(p) ** int(e) for p, e in zip(primes, vec))
-    print(f"{m:>3}!! = {exponents(vec)}  ->  {value}")
+    exps = df_exponents(m)
+    value = math.prod(p**e for p, e in exps.items())
+    print(f"{m:>3}!! = {exps}  ->  {value}")
 
-print("\n== valuation vectors add like the integers multiply ==")
-ten = double_factorial_valuations(10, primes)
-nine = double_factorial_valuations(9, primes)
-print("10!! * 9!! =", exponents(ten + nine))
-print("equals 10! =", (ten + nine == factorial_valuations(10, primes)).all())
-print("9!! divides 10!:", (nine <= factorial_valuations(10, primes)).all())
-print("10! / 9!! recovers 10!!:", (factorial_valuations(10, primes) - nine == ten).all())
+print("\n== exponents add like the integers multiply ==")
+ten, nine = df_exponents(10), df_exponents(9)
+fact10 = {p: factorial_valuation(10, p) for p in (2, 3, 5, 7)}
+print("10!! * 9!! =", times(ten, nine))
+print("equals 10! =", times(ten, nine) == fact10)
+print("9!! divides 10!:", all(fact10.get(p, 0) >= e for p, e in nine.items()))
+print("10! / 9!! recovers 10!!:", times(fact10, nine, -1) == ten)
 
 print("\n== Legendre floor sums ==")
 for m, p in ((10, 2), (16, 2), (100, 5)):
-    print(f"nu_{p}({m}!) = {factorial_valuations(m, primes[primes == p])[0]}")
+    print(f"nu_{p}({m}!) = {factorial_valuation(m, p)}")
 
 print("\n== factorization via the sieve ==")
 for n in (90, 4374, 9973):

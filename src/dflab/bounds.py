@@ -11,8 +11,8 @@ FLOAT_TOLERANCE; every margin at desk scale sits orders of magnitude
 above it.
 
 The scans import numpy inside the functions that vectorize; the point
-checks (erdos_ratio, erdos_graham_ratio, the single-block checks) read
-the sieve entry by entry and need none.
+checks (erdos_ratio, erdos_graham_ratio, dusart_check, the single-block
+checks) read the sieve entry by entry and need none.
 """
 
 from __future__ import annotations
@@ -577,27 +577,24 @@ def dusart_check(y: int, table: PrimeTable) -> BoundCheckResult:
     literal-statement interval (y / (1 + 2*log^2 y), y) is evaluated
     alongside and reported in details; neither is silently preferred.
     """
-    import numpy as np
     if y < DUSART_MIN_Y:
         raise ValueError(f"the interval statement needs y >= {DUSART_MIN_Y}, got {y}")
     if y > table.limit:
         raise SieveRangeError(f"y={y} exceeds sieve limit {table.limit}")
     lo_used, lo_literal = _dusart_cutoffs(y)
-    primes = table.primes
-    i = int(np.searchsorted(primes, y, side="left"))
-    witness = int(primes[i - 1]) if i > 0 else None
-    used_ok = witness is not None and witness > lo_used
-    literal_ok = witness is not None and witness > lo_literal
+    spf = table.spf
+    # the largest prime below y, walking down the spf table
+    witness = next(v for v in range(y - 1, 1, -1) if spf[v] == v)
     return BoundCheckResult(
         name="short_prime_gap_interval",
         domain_checked=f"y={y}",
-        counterexamples=[] if used_ok else [(y, witness)],
-        margin=(witness - lo_used) if witness is not None else -math.inf,
+        counterexamples=[] if witness > lo_used else [(y, witness)],
+        margin=witness - lo_used,
         details={
             "witness": witness,
             "interval_used": [lo_used, y],
             "interval_literal": [lo_literal, y],
-            "literal_form_ok": literal_ok,
+            "literal_form_ok": witness > lo_literal,
         },
     )
 

@@ -3,15 +3,16 @@
 The sieve is a smallest-prime-factor table held as one read-only, flat
 uint32 memoryview (4 bytes per integer), which makes factorization of any
 n <= limit a walk of O(log n) lookups that need no numpy; factorize
-returns the prime -> exponent dict, primes ascending.  The ascending
+returns the prime -> exponent dict, primes ascending.  Exponents have
+this one form: spf-walk dicts for products of table-sized integers, and
+the scalar Legendre sum factorial_valuation for nu_p(m!).  The ascending
 prime list is found on first access to PrimeTable.primes.  Only the
 functions that vectorize import numpy, each when it runs, and read the
 table through a zero-copy np.frombuffer view: sieve_primes, the prime
-list, the prime log sums, the Legendre vectors (factorial_valuations,
-double_factorial_valuations, int64 arrays over an ascending prime
-array), lpf_array and radical_array.  Integer arithmetic is exact
-everywhere; floats appear only in the log-space helpers.  A PrimeTable
-never changes after construction, so one instance can be shared freely.
+list, the prime log sums, lpf_array and radical_array.  Integer
+arithmetic is exact everywhere; floats appear only in the log-space
+helpers.  A PrimeTable never changes after construction, so one instance
+can be shared freely.
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ __all__ = [
     "largest_prime_factor",
     "radical",
     "valuation",
+    "factorial_valuation",
     "double_factorial",
     "log_double_factorial",
     "BlockReport",
     "analyze_block",
     "theta",
     "mertens_log_sum",
-    "factorial_valuations",
-    "double_factorial_valuations",
     "lpf_array",
     "radical_array",
 ]
@@ -255,6 +255,17 @@ def valuation(n: int, p: int, table: PrimeTable | None = None) -> int:
     return e
 
 
+def factorial_valuation(m: int, p: int) -> int:
+    """nu_p(m!) for prime p, by Legendre's formula: the sum of m // p^i."""
+    if m < 0:
+        raise ValueError(f"factorial_valuation needs m >= 0, got {m}")
+    e = 0
+    while m >= p:
+        m //= p
+        e += m
+    return e
+
+
 def double_factorial(m: int) -> int:
     """Exact m!!, with 0!! = 1!! = 1.
 
@@ -350,47 +361,6 @@ def mertens_log_sum(nu, table: PrimeTable) -> float:
     import numpy as np
     ps = table.primes_leq(nu).astype(np.float64)
     return float((np.log(ps) / ps).sum())
-
-
-def factorial_valuations(m: int, primes: np.ndarray) -> np.ndarray:
-    """Vector of nu_p(m!) over an ascending int64 prime array."""
-    if m < 0:
-        raise ValueError(f"factorial_valuations needs m >= 0, got {m}")
-    if m >> 31:
-        raise ValueError("vectorized floor sums support m < 2**31")
-    import numpy as np
-    acc = np.zeros(primes.size, dtype=np.int64)
-    q = primes.astype(np.int64, copy=True)
-    while True:
-        mask = q <= m
-        if not mask.any():
-            return acc
-        acc[mask] += m // q[mask]
-        q[mask] *= primes[mask]
-
-
-def double_factorial_valuations(m: int, primes: np.ndarray) -> np.ndarray:
-    """Vector of nu_p(m!!) over an ascending prime array (2 may be included).
-
-    Even m = 2l: nu_2 = l + nu_2(l!), odd p: nu_p(l!).
-    Odd m:       nu_2 = 0,            odd p: nu_p((m+1)!) - nu_p(((m+1)/2)!).
-    """
-    if m < 0:
-        raise ValueError(f"double_factorial_valuations needs m >= 0, got {m}")
-    import numpy as np
-    has2 = primes.size > 0 and int(primes[0]) == 2
-    if m <= 1:
-        return np.zeros(primes.size, dtype=np.int64)
-    if m % 2 == 0:
-        half = m // 2
-        vec = factorial_valuations(half, primes)
-        if has2:
-            vec[0] += half
-        return vec
-    vec = factorial_valuations(m + 1, primes) - factorial_valuations((m + 1) // 2, primes)
-    if has2:
-        vec[0] = 0
-    return vec
 
 
 # Entries lpf_array factors per pass, so its temporaries do not grow with hi

@@ -12,9 +12,11 @@ exactly one even part the remaining product is odd while the even side
 is not.  Instances violating these facts are still representable; they
 are simply refuted by check_identity.
 
-check_identity, classify, the generators and odd_gap_obstruction read the
-sieve entry by entry and never import numpy; the search imports it in the
-functions that build and walk its batched frontier.
+Everything here reads the sieve entry by entry, in plain Python with no
+array library.  The search keeps what is still owed as a sparse
+prime -> exponent dict times one factorial and branches only on the part
+that covers the largest owed prime, so it needs no table beyond the sieve
+and has no cap on n.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    MAX_TABLE_BYTES,
     PrimeTable,
     ResourceLimitError,
     SieveRangeError,
     double_factorial,
+    factorial_valuation,
     log_double_factorial,
 )
 from .formulas import KNOWN_FACTORIAL_IDENTITIES, verify_known_factorial_solutions
@@ -48,7 +50,6 @@ __all__ = [
     "odd_gap_obstruction",
     "DEFAULT_MAX_GENERATED_N",
     "DEFAULT_NODE_BUDGET",
-    "MAX_TABLE_BYTES",
     "KNOWN_FACTORIAL_IDENTITIES",
 ]
 
@@ -56,11 +57,15 @@ DEFAULT_MAX_GENERATED_N = 10**9
 DEFAULT_NODE_BUDGET = 10**8
 # The log-magnitude prunes for target n!!, the search's and check_identity's,
 # allow a slack of _LOG_RTOL * (1 + log n!!); check_identity bounds its own
-# rounding error where it prunes.  In the search logdf[m] is a running sum of
-# m/2 logs, so its rounding error is below (m/2) * 2**-53 * log m!! <=
-# 2.9e-12 * log n!! for every n the table cap admits (n <= 51217); the
-# running log owed adds one such error per part.  The slack is hundreds of
-# times larger than that bound, and at n = 2000 about 10^4 times.
+# rounding error where it prunes.  The search's log owed is log n!! minus
+# the log_double_factorial of each part so far, at most t_max + 1 lgamma
+# values.  Each is within 8.7e-16 of its value, relative (measured to
+# m = 10^6, see check_identity), and on a live path the parts' logs total
+# at most log n!! plus the slack, so the terms
+# are off by at most 2e-15 * log n!!; each subtraction rounds once more,
+# by at most 2**-53 * log n!!.  For t_max below 10^5 the error stays below
+# 1.2e-11 * log n!!, and below 3e-15 * log n!! at the t_max <= 5 the tests
+# run: the slack is 80 and 3 * 10^5 times as large.
 _LOG_RTOL = 1e-9
 
 
@@ -304,265 +309,122 @@ class _NodeBudget:
         if self.used > self.limit:
             done = f"the last fully searched n is {self.done}" if self.done else "no n finished"
             raise ResourceLimitError(
-                f"search exceeded the node budget of {self.limit} candidate rows; {done}"
+                f"search exceeded the node budget of {self.limit} candidates; {done}"
             )
 
 
-class _ChunkOverflow(Exception):
-    """A chunk of n spent more than the budget had left."""
+def _divide(M: int, S: dict, v: int, spf):
+    """(M', S') with M'! * S' = M! * S / v!!, or None when v!! does not divide M! * S.
+
+    S maps primes to exponents, negative where M! covers them.  Even v = 2k:
+    v!! = 2^k k!, so M! / v!! = 2^-k M!/k!, and M' = 0.  Odd v = 2j+1:
+    v!! = v! / (2^j j!), so M! / v!! = 2^j a! b!/v! with a = min(j, M),
+    b = max(j, M), and M' = a.  What is left, M!/k! or b!/v!, is the
+    product of one block of consecutive integers, or its inverse, and S
+    takes its spf-walk factorization.
+    """
+    S = dict(S)
+    half = v >> 1
+    if v & 1:
+        S[2] = S.get(2, 0) + half
+        new_m, top, bot = min(half, M), v, max(half, M)
+    else:
+        S[2] = S.get(2, 0) - half
+        new_m, top, bot = 0, half, M
+    if top < bot:
+        for m in range(top + 1, bot + 1):
+            while m > 1:
+                p = spf[m]
+                m //= p
+                S[p] = S.get(p, 0) + 1
+    else:
+        # exponents only fall from here on, so with M' = 0 the first one
+        # below zero rejects v; walking down meets large primes first
+        for m in range(top, bot, -1):
+            while m > 1:
+                p = spf[m]
+                m //= p
+                e = S.get(p, 0) - 1
+                if e < 0 and not new_m:
+                    return None
+                S[p] = e
+    for p, e in list(S.items()):
+        if not e:
+            del S[p]
+        elif e < 0 and factorial_valuation(new_m, p) + e < 0:
+            return None
+    return new_m, S
 
 
-@dataclass(frozen=True)
-class _ValuationTable:
-    """Every row a search over n <= n_max reads, built once per call.
+def _top_owed(M: int, S: dict, spf) -> int:
+    """Largest prime owed in M! * S (an integer), or 0 when it is 1."""
+    q = max((p for p, e in S.items() if e > 0 and p > M), default=0)
+    for m in range(M, q, -1):
+        if spf[m] == m and factorial_valuation(M, m) + S.get(m, 0) > 0:
+            return m
+    return q
 
-    v[m, i] = nu_{p_i}(m!!) over the primes p_i <= n_max, as uint16 (every
-    exponent of m!! is below m < 2**16).  Row m is zero beyond its first
-    count[m] columns, count[m] being the number of primes <= m.  rowsum[m]
-    is the sum of row m and logdf[m] = log m!!, nondecreasing in m.
+
+class _Cover:
+    """Depth-first prime-cover search for the solutions of one n.
+
+    What is still owed is kept as M! * S.  Each node branches only on the
+    part that covers the largest owed prime q, with p+ the next prime: an
+    odd part from [q, p+), while the single odd part is free, or an even
+    part from [max(2q, 4), 2p+).  Any part v has v!! dividing what is owed,
+    so no v at or past those ends can divide, and some part must hold q,
+    so the branching is complete.  Parts come out in any order, so a
+    solution with several parts holding q is found once per order; found
+    keeps them as descending tuples.
+
+    Floats only prune: a part needs log v!! <= log owed + tol, and the
+    last slot log v!! = log owed within tol.  Integers decide: a hit needs
+    _divide to leave M <= 1 and an empty S.  (M stays above 1 only at the
+    root and after an odd part taken there, and neither owes 1.)  Every
+    candidate past the log cut is charged to the budget.
     """
 
-    v: np.ndarray
-    primes: list
-    count: np.ndarray
-    rowsum: np.ndarray
-    logdf: np.ndarray
-
-
-def _valuation_table(n_max: int, table: PrimeTable) -> _ValuationTable:
-    import numpy as np
-    primes = table.primes_leq(n_max)
-    need = (n_max + 1) * primes.size * 2
-    if need > MAX_TABLE_BYTES:
-        raise ResourceLimitError(
-            f"the valuation table for n_max={n_max} needs {need} bytes, "
-            f"above the {MAX_TABLE_BYTES}-byte cap"
-        )
-    if n_max >= 2**16:
-        raise ResourceLimitError(
-            f"the valuation table holds uint16 exponents, so n_max must be below 65536, got {n_max}"
-        )
-    v = np.zeros((n_max + 1, primes.size), dtype=np.uint16)
-    for i, p in enumerate(primes.tolist()):
-        q = p
-        while q <= n_max:
-            v[q::q, i] += 1
-            q *= p
-    # v[m] held nu(m); v[m] = v[m-2] + nu(m) turns it into nu(m!!)
-    np.cumsum(v[0::2], axis=0, out=v[0::2])
-    np.cumsum(v[1::2], axis=0, out=v[1::2])
-    logs = np.log(np.maximum(np.arange(n_max + 1), 1))
-    logdf = np.empty(n_max + 1)
-    np.cumsum(logs[0::2], out=logdf[0::2])
-    np.cumsum(logs[1::2], out=logdf[1::2])
-    return _ValuationTable(
-        v,
-        primes.tolist(),
-        np.searchsorted(primes, np.arange(n_max + 1), side="right"),
-        v.sum(axis=1, dtype=np.int64),
-        logdf,
-    )
-
-
-# Cells one batch of the search may hold: candidate rows times the owed
-# columns they are compared on.  Batches are expanded depth-first, so each
-# level keeps at most one batch live.
-_CELL_CAP = 1 << 17
-# A last-part lookup counts as this many cells: about the bytes of
-# temporaries it holds against one compared cell's.
-_LOOKUP_CELLS = 32
-
-
-@dataclass(frozen=True)
-class _States:
-    """Live search states of one level, one per row.
-
-    parts holds the parts chosen so far (descending, one column per level)
-    for target n; owed is the exponent vector n!! / prod parts!! still owed
-    (zero beyond its columns), rest its sum and log_owed its log; odd says
-    whether the single odd part is used.
-    """
-
-    n: np.ndarray
-    parts: np.ndarray
-    owed: np.ndarray
-    rest: np.ndarray
-    log_owed: np.ndarray
-    odd: np.ndarray
-
-
-class _Frontier:
-    """Batched depth-first search over a chunk of consecutive even n.
-
-    Every live state of a level is a row of arrays.  Each level computes all
-    states' candidate windows at once, cut three ways as in a plain
-    depth-first search with nonincreasing parts:
-
-    - the largest odd prime q still owed forces v >= q when the odd part is
-      still free, else v >= 2q (an even v!! holds odd primes only up to v/2);
-    - log v!! <= log owed, since v!! must divide what is owed;
-    - slots * log v!! >= log owed, since the remaining parts are all <= v.
-
-    Levels with at least three parts left compare each batch of candidate
-    rows against the owed vectors in one call; a survivor either pays off
-    the whole debt or becomes a state of the next level.  With two parts
-    left no rows are compared: for every (state, a) pair the last part b is
-    fixed by its log window, log b!! = log owed - log a!! within the
-    tolerance, and a is also tried as the last part itself.  Floats only
-    nominate: a hit needs the integer owed vector to reach exactly zero.
-
-    spent counts the candidates visited, rows compared plus pairs looked
-    up; past room the chunk stops with _ChunkOverflow.
-    """
-
-    def __init__(self, tab, t_max, one_odd, room):
-        import numpy as np
-        self.tab = tab
-        self.primes = np.asarray(tab.primes)
+    def __init__(self, n, t_max, one_odd, spf, budget):
+        self.n = n
         self.t_max = t_max
         self.one_odd = one_odd
         self.min_t = 3 if one_odd else 2
-        self.room = room
-        self.spent = 0
-        self.found = []
+        self.spf = spf
+        self.budget = budget
+        self.log_n = log_double_factorial(n)
+        self.tol = _LOG_RTOL * (1.0 + self.log_n)
+        self.found = set()
 
-    def run(self, ns):
-        import numpy as np
-        tab = self.tab
-        width = int(tab.count[ns[-1]])
-        roots = _States(
-            ns,
-            np.empty((ns.size, 0), dtype=np.int64),
-            tab.v[ns, :width],
-            tab.rowsum[ns],
-            tab.logdf[ns],
-            np.zeros(ns.size, dtype=bool),
-        )
-        self._level(roots, self.t_max)
+    def run(self):
+        half = self.n // 2
+        self._node(half, {2: half}, (), self.log_n, self.one_odd)
         return self.found
 
-    def _charge(self, amount):
-        self.spent += amount
-        if self.spent > self.room:
-            raise _ChunkOverflow
-
-    def _record(self, n, parts):
-        self.found += zip(n.tolist(), map(tuple, parts.tolist()))
-
-    def _windows(self, st, slots):
-        """Per state: first candidate, candidate step and count, and log tolerance."""
-        import numpy as np
-        logdf = self.tab.logdf
-        tol = _LOG_RTOL * (1.0 + logdf[st.n])
-        lo = np.searchsorted(logdf, (st.log_owed - tol) / slots)
-        cap = st.parts[:, -1] if st.parts.shape[1] else st.n - 1
-        hi = np.minimum(cap, np.searchsorted(logdf, st.log_owed + tol, side="right") - 1)
-        top = st.owed.shape[1] - 1 - np.argmax(st.owed[:, ::-1] != 0, axis=1)
-        q = np.where(top > 0, self.primes[top], 0)
-        free = ~st.odd if self.one_odd else np.zeros(st.n.size, dtype=bool)
-        lo = np.maximum(lo, np.where(q > 0, np.where(free, q, 2 * q), 4))
-        step = np.where(free & (q > 0), 1, 2)
-        lo += (step == 2) & (lo & 1 == 1)
-        count = np.maximum((hi - lo) // step + 1, 0)
-        return lo, hi, step, count, tol
-
-    @staticmethod
-    def _batches(order, count, size):
-        """Yield (i, s, j) per batch: candidate j of state s, over the states in order.
-
-        A batch starts inside the state order[i] and holds at most size(i)
-        candidates.
-        """
-        import numpy as np
-        ends = np.cumsum(count[order])
-        starts = ends - count[order]
-        total = int(ends[-1]) if ends.size else 0
-        start = 0
-        while start < total:
-            first = int(np.searchsorted(ends, start, side="right"))
-            stop = min(total, start + size(first))
-            last = int(np.searchsorted(ends, stop - 1, side="right")) + 1
-            take = np.minimum(ends[first:last], stop) - np.maximum(starts[first:last], start)
-            j = np.arange(start, stop) - np.repeat(starts[first:last], take)
-            yield first, np.repeat(order[first:last], take), j
-            start = stop
-
-    def _level(self, st, slots):
-        import numpy as np
-        lo, hi, step, count, tol = self._windows(st, slots)
-        live = np.flatnonzero(count)
-        if slots == 2:
-            self._last_two(st, lo, step, count, tol, live)
-            return
-        tab = self.tab
-        # widest first, so a batch's first state has its widest row
-        order = live[np.argsort(-tab.count[hi[live]], kind="stable")]
-        k = tab.count[hi[order]]
-        depth = self.t_max - slots + 1  # parts once v is chosen
-        for first, s, j in self._batches(order, count, lambda i: max(1, _CELL_CAP // int(k[i]))):
-            self._charge(s.size)
-            kb = int(k[first])
-            v = lo[s] + step[s] * j
-            ok = (tab.v[v, :kb] <= st.owed[s, :kb]).all(axis=1)
-            s, v = s[ok], v[ok]
-            rest = st.rest[s] - tab.rowsum[v]
-            odd = st.odd[s] | (v & 1 == 1)
-            parts = np.column_stack((st.parts[s], v))
-            done = rest == 0
-            if depth >= self.min_t:
-                hit = done & odd if self.one_odd else done
-                self._record(st.n[s[hit]], parts[hit])
-            go = ~done
-            if go.any():
-                s, v = s[go], v[go]
-                owed = st.owed[s, :kb] - tab.v[v, :kb]
-                nxt = _States(st.n[s], parts[go], owed, rest[go], st.log_owed[s] - tab.logdf[v], odd[go])
-                self._level(nxt, slots - 1)
-
-    def _last_two(self, st, lo, step, count, tol, live):
-        import numpy as np
-        tab = self.tab
-        logdf = tab.logdf
-        width = st.owed.shape[1]
-        depth = self.t_max - 1  # parts once a is chosen
-        for _, s, j in self._batches(live, count, lambda i: max(1, _CELL_CAP // _LOOKUP_CELLS)):
-            self._charge(s.size)
-            a = lo[s] + step[s] * j
-            left = st.log_owed[s] - logdf[a]
-            t = tol[s]
-            # a as the last part
-            if depth >= self.min_t:
-                last = np.abs(left) <= t
-                if self.one_odd:
-                    last &= st.odd[s] | (a & 1 == 1)
-                self._settle(st, s[last], a[last], None, width)
-            # b <= a as the last part
-            b_lo = np.maximum(np.searchsorted(logdf, left - t), 3)
-            b_hi = np.minimum(np.searchsorted(logdf, left + t, side="right") - 1, a)
-            m = np.maximum(b_hi - b_lo + 1, 0)
-            if not m.any():
-                continue
-            i = np.repeat(np.arange(s.size), m)
-            b = b_lo[i] + np.arange(i.size) - np.repeat(np.cumsum(m) - m, m)
-            s, a = s[i], a[i]
-            # b is odd exactly when the odd part is still free
-            odd_b = ~(st.odd[s] | (a & 1 == 1)) if self.one_odd else np.zeros(b.size, dtype=bool)
-            keep = (b & 1 == 1) == odd_b
-            self._settle(st, s[keep], a[keep], b[keep], width)
-
-    def _settle(self, st, s, a, b, width):
-        """Record the nominated endings whose integer owed vector reaches zero."""
-        import numpy as np
-        if not s.size:
-            return
-        tab = self.tab
-        rest = st.owed[s].astype(np.int32) - tab.v[a, :width]
-        ends = a[:, None]
-        if b is not None:
-            rest -= tab.v[b, :width]
-            ends = np.column_stack((a, b))
-        ok = ~rest.any(axis=1)
-        self._record(st.n[s[ok]], np.column_stack((st.parts[s[ok]], ends[ok])))
+    def _node(self, M, S, parts, log_owed, odd_free):
+        spf, tol = self.spf, self.tol
+        q = _top_owed(M, S, spf)
+        nxt = q + 1
+        while spf[nxt] != nxt:
+            nxt += 1
+        last = len(parts) + 1 == self.t_max
+        odds = range(max(q, 3), nxt, 2) if odd_free else ()
+        for window in (odds, range(max(2 * q, 4), min(2 * nxt, self.n), 2)):
+            for v in window:
+                log_v = log_double_factorial(v)
+                if log_v > log_owed + tol:
+                    break  # log v!! grows with v
+                if last and log_v < log_owed - tol:
+                    continue
+                self.budget.spend(1)
+                state = _divide(M, S, v, spf)
+                if state is None:
+                    continue
+                free = odd_free and not v & 1
+                if state[0] <= 1 and not state[1]:
+                    if len(parts) + 1 >= self.min_t and not free:
+                        self.found.add(tuple(sorted(parts + (v,), reverse=True)))
+                elif not last:
+                    self._node(*state, parts + (v,), log_owed - log_v, free)
 
 
 def search(
@@ -578,10 +440,9 @@ def search(
 
     mode "r0" finds all-even-part solutions (t >= 2); mode "r1" finds
     solutions with exactly one odd part (t >= 3, forced by parity).
-    The node budget caps the candidates visited: rows compared plus
-    last-part lookups, charged in n order.  Results are classified and
-    sorted by (n, parts).  threads is accepted for compatibility and
-    ignored: the search runs in this process.
+    The node budget caps the candidates that pass the log cut, charged in
+    n order.  Results are classified and sorted by (n, parts).  threads is
+    accepted for compatibility and ignored: the search runs in this process.
     """
     if mode not in ("r0", "r1"):
         raise ValueError(f"mode must be 'r0' or 'r1', got {mode!r}")
@@ -592,36 +453,13 @@ def search(
         raise ValueError(f"mode {mode} needs t_max >= {min_t}, got {t_max}")
     if node_budget < 1:
         raise ValueError("node budget must be positive")
-    if n_max < 4:
-        return []
-    import numpy as np
-    tab = _valuation_table(n_max, table)
     budget = _NodeBudget(node_budget)
-
-    def run(ns):
-        frontier = _Frontier(tab, t_max, mode == "r1", budget.limit - budget.used)
-        try:
-            found = frontier.run(ns)
-        except _ChunkOverflow:
-            if ns.size == 1:
-                budget.spend(frontier.spent)  # past the limit: raises, naming the last n done
-            raise
-        budget.spend(frontier.spent)
-        budget.done = int(ns[-1])
-        return found
-
-    ns = np.arange(4, n_max + 1, 2)
-    # a chunk's root owed vectors fill at most one batch
-    per_chunk = max(1, _CELL_CAP // int(tab.count[n_max]))
     hits = []
-    for chunk in np.split(ns, range(per_chunk, ns.size, per_chunk)):
-        try:
-            hits += run(chunk)
-        except _ChunkOverflow:
-            # redo the chunk one n at a time, so that the budget names the last n searched
-            for i in range(chunk.size):
-                hits += run(chunk[i : i + 1])
-    return [classify(EquationInstance(n, parts), table) for n, parts in sorted(hits)]
+    for n in range(4, n_max + 1, 2):
+        found = _Cover(n, t_max, mode == "r1", table.spf, budget).run()
+        hits += [(n, parts) for parts in sorted(found)]
+        budget.done = n
+    return [classify(EquationInstance(n, parts), table) for n, parts in hits]
 
 
 def odd_gap_obstruction(n: int, l: int, table: PrimeTable) -> int | None:

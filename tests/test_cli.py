@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -296,7 +297,7 @@ def test_node_budget_exit_code(tmp_path, capsys):
         capsys,
     )
     assert code == 3
-    assert "node budget of 50 candidate rows; the last fully searched n is 16" in err
+    assert "node budget of 50 candidates; the last fully searched n is 20" in err
 
 
 @pytest.mark.parametrize(
@@ -341,12 +342,14 @@ def test_verify_lemmas_honour_node_budget(tmp_path, capsys):
         assert out == ""
 
 
-def test_oversized_search_table_exits_3(tmp_path, capsys):
-    code, out, err = run_inproc(
-        ["search", "--mode", "r0", "--n-max", "1000000", "--t-max", "3"], tmp_path, capsys
-    )
+def test_search_to_a_million_exits_3_at_its_budget(tmp_path, capsys):
+    # the search sizes no table, so only the node budget bounds a search to 10^6
+    argv = ["search", "--mode", "r0", "--n-max", "1000000", "--t-max", "3"]
+    start = time.perf_counter()
+    code, out, err = run_inproc(argv + ["--node-budget", "1000"], tmp_path, capsys)
+    assert time.perf_counter() - start < 30  # sieving 10^6 included
     assert code == 3
-    assert "valuation table" in err
+    assert "node budget of 1000 candidates; the last fully searched n is 654" in err
     assert out == ""
 
 
@@ -480,7 +483,11 @@ POINT_QUERIES = [
     ["gap-witness", "--n", "20", "--l", "5"],
     ["ratio", "erdos-graham", "--n", "4374"],
     ["ratio", "erdos-block", "--x", "24", "--k", "5"],
+    ["verify", "dusart", "--y", "5000"],
+    ["search", "--mode", "r1", "--n-max", "800", "--t-max", "3"],
 ]
+# records each point query writes: one, but the search's eight solutions
+POINT_RECORDS = {"search": 8}
 POINT_LIMIT = ["--sieve-limit", "20000"]
 
 
@@ -495,7 +502,7 @@ def warm_cache(tmp_path_factory):
 def test_point_queries_never_import_numpy(argv, warm_cache, tmp_path):
     res = run_reporting_numpy(argv + POINT_LIMIT, warm_cache, tmp_path / "unused")
     assert res.returncode == 0, res.stderr
-    assert len(parse_jsonl(res.stdout)) == 1
+    assert len(parse_jsonl(res.stdout)) == POINT_RECORDS.get(argv[0], 1)
     assert res.stderr == "False\n"
 
 

@@ -20,7 +20,7 @@ from dflab import (
     valuation,
 )
 from dflab import core
-from dflab.core import double_factorial_valuations, factorial_valuations
+from dflab.core import factorial_valuation
 
 from oracles import df_direct, primes_upto, trial_factor, trial_is_prime
 
@@ -112,22 +112,22 @@ def test_valuation(table_small):
 
 
 def test_factorial_valuation_examples():
-    primes = np.array([2, 3, 5, 7])
-    assert factorial_valuations(10, primes).tolist() == [8, 4, 2, 1]  # 10! = 2^8 3^4 5^2 7
-    assert factorial_valuations(0, primes).tolist() == [0, 0, 0, 0]
-    assert factorial_valuations(16, primes)[0] == 15
+    primes = (2, 3, 5, 7)
+    assert [factorial_valuation(10, p) for p in primes] == [8, 4, 2, 1]  # 10! = 2^8 3^4 5^2 7
+    assert [factorial_valuation(0, p) for p in primes] == [0, 0, 0, 0]
+    assert factorial_valuation(16, 2) == 15
     with pytest.raises(ValueError):
-        factorial_valuations(-1, primes)
+        factorial_valuation(-1, 2)
 
 
 def test_factorial_valuation_matches_summed_valuations():
-    primes = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
-    running = [0] * primes.size
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    running = [0] * len(primes)
     for n in range(1, 10_001):
-        running = [acc + valuation(n, int(p)) for acc, p in zip(running, primes)]
+        running = [acc + valuation(n, p) for acc, p in zip(running, primes)]
         if n % 997 == 0 or n < 40:
-            assert factorial_valuations(n, primes).tolist() == running
-    assert factorial_valuations(10_000, primes).tolist() == running
+            assert [factorial_valuation(n, p) for p in primes] == running
+    assert [factorial_valuation(10_000, p) for p in primes] == running
 
 
 def test_double_factorial_examples():
@@ -233,29 +233,46 @@ def test_prime_scan_chunks_agree(monkeypatch):
             assert got.dtype == np.int64 and got.tolist() == primes_upto(limit), (chunk, limit)
 
 
+def df_exponents(m, table):
+    """m!! as a prime -> exponent dict: the spf-walk factorizations of its terms, summed."""
+    out = {}
+    for term in range(m, 1, -2):
+        for p, e in factorize(term, table).items():
+            out[p] = out.get(p, 0) + e
+    return out
+
+
+def df_valuation(m, p):
+    """nu_p(m!!) from Legendre sums: (2l)!! = 2^l l! and (2l-1)!! = (2l)! / (2^l l!)."""
+    half = (m + 1) // 2
+    if m % 2 == 0:
+        return factorial_valuation(half, p) + (half if p == 2 else 0)
+    return factorial_valuation(m + 1, p) - factorial_valuation(half, p) - (half if p == 2 else 0)
+
+
 def test_valuation_vectors_match_scalars(table_small):
-    primes = table_small.primes_leq(200)
+    primes = table_small.primes_leq(200).tolist()
     for m in (0, 1, 7, 10, 16, 100, 199):
         truth = trial_factor(math.factorial(m))
-        assert factorial_valuations(m, primes).tolist() == [truth.get(int(p), 0) for p in primes]
+        assert [factorial_valuation(m, p) for p in primes] == [truth.get(p, 0) for p in primes]
     for m in range(0, 50):
         truth = trial_factor(df_direct(m))
-        assert double_factorial_valuations(m, primes).tolist() == [
-            truth.get(int(p), 0) for p in primes
-        ]
+        assert df_exponents(m, table_small) == truth
+        assert [df_valuation(m, p) for p in primes] == [truth.get(p, 0) for p in primes]
 
 
 def test_double_factorial_expvec_examples(table_small):
-    primes = table_small.primes_leq(10)
-    assert double_factorial_valuations(10, primes).tolist() == [8, 1, 1, 0]  # 2^8 3 5
-    assert double_factorial_valuations(9, primes).tolist() == [0, 3, 1, 1]  # 3^3 5 7
-    assert double_factorial_valuations(1, primes).tolist() == [0, 0, 0, 0]
-    with pytest.raises(ValueError):
-        double_factorial_valuations(-1, primes)
+    assert df_exponents(10, table_small) == {2: 8, 3: 1, 5: 1}
+    assert df_exponents(9, table_small) == {3: 3, 5: 1, 7: 1}
+    assert df_exponents(1, table_small) == {}
+    assert [df_valuation(10, p) for p in (2, 3, 5, 7)] == [8, 1, 1, 0]
+    assert [df_valuation(9, p) for p in (2, 3, 5, 7)] == [0, 3, 1, 1]
+    assert [df_valuation(1, p) for p in (2, 3, 5, 7)] == [0, 0, 0, 0]
 
 
 def test_double_factorial_expvec_reconstructs(table_small):
-    primes = table_small.primes_leq(60)
+    primes = table_small.primes_leq(60).tolist()
     for m in range(0, 61):
-        vec = double_factorial_valuations(m, primes)
-        assert math.prod(int(p) ** int(e) for p, e in zip(primes, vec)) == df_direct(m)
+        fac = df_exponents(m, table_small)
+        assert math.prod(p**e for p, e in fac.items()) == df_direct(m)
+        assert math.prod(p ** df_valuation(m, p) for p in primes) == df_direct(m)

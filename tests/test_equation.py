@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
 
@@ -28,7 +29,6 @@ from oracles import (
     enumerate_r0_solutions,
     enumerate_r1_solutions,
     gap2_family,
-    trial_factor,
     trial_is_prime,
 )
 
@@ -307,62 +307,88 @@ def test_search_is_gap2_family_plus_pinned_sporadics(table_small, mode, n_max, t
     assert got - family == sporadic
 
 
-# (mode, n_max, t_max) the frontier must answer alike under every batch
-# shape and log tolerance
-FRONTIER_CASES = [("r1", 150, 3), ("r1", 100, 4), ("r1", 50, 5), ("r0", 300, 4), ("r0", 100, 2)]
+# (mode, n_max, t_max) the search must answer alike under every log tolerance
+SEARCH_CASES = [("r1", 150, 3), ("r1", 100, 4), ("r1", 50, 5), ("r0", 300, 4), ("r0", 100, 2)]
 
 
-def _frontier_lists(table):
+def _search_lists(table):
     return [
         [(r.instance.n, r.instance.a) for r in search(n_max, t_max, mode, table)]
-        for mode, n_max, t_max in FRONTIER_CASES
+        for mode, n_max, t_max in SEARCH_CASES
     ]
 
 
 @pytest.fixture(scope="module")
-def frontier_lists(table_small):
-    return _frontier_lists(table_small)
+def search_lists(table_small):
+    return _search_lists(table_small)
 
 
-def test_frontier_cases_match_enumeration_oracles(frontier_lists):
-    for (mode, n_max, t_max), got in zip(FRONTIER_CASES, frontier_lists):
+def test_frontier_cases_match_enumeration_oracles(search_lists):
+    for (mode, n_max, t_max), got in zip(SEARCH_CASES, search_lists):
         if n_max > 60:
             continue
         oracle = enumerate_r1_solutions if mode == "r1" else enumerate_r0_solutions
         assert set(got) == {(n, parts) for n, parts, *_ in oracle(n_max, t_max)}
 
 
-@pytest.mark.parametrize("cap", [1, 7, 100])
-def test_frontier_batches_do_not_change_the_search(table_small, frontier_lists, monkeypatch, cap):
-    # cap 1 and 7 make one-row batches and one-n chunks; cap 100 mixes
-    # several n per chunk with batches of a few rows
-    monkeypatch.setattr(equation, "_CELL_CAP", cap)
-    assert _frontier_lists(table_small) == frontier_lists
-    for mode, t_max in (("r0", 4), ("r1", 4)):
-        oracle = enumerate_r1_solutions if mode == "r1" else enumerate_r0_solutions
-        got = {(r.instance.n, r.instance.a) for r in search(60, t_max, mode, table_small)}
-        assert got == {(n, parts) for n, parts, *_ in oracle(60, t_max)}
-    # the budget counts the same candidates, and redoes an overflowing chunk n by n
-    search(100, 3, "r1", table_small, node_budget=2860)
+def _count_divides(monkeypatch):
+    """Count _divide's calls from now on, by what they left owed: None, 1 or more."""
+    counts = Counter()
+    divide = equation._divide
+
+    def spy(M, S, v, spf):
+        state = divide(M, S, v, spf)
+        if state is None:
+            counts["rejected"] += 1
+        else:
+            counts["paid" if state[0] <= 1 and not state[1] else "divided"] += 1
+        return state
+
+    monkeypatch.setattr(equation, "_divide", spy)
+    return counts
+
+
+def test_search_state_is_what_is_still_owed(table_small, monkeypatch):
+    # at every node M! * S (S may hold negative exponents) is n!! / prod parts!!
+    # exactly, and the float log owed is within the prune tolerance of its log
+    node = equation._Cover._node
+    nodes = Counter()
+
+    def spy(self, M, S, parts, log_owed, odd_free):
+        owed, rem = divmod(df_direct(self.n), math.prod(map(df_direct, parts)))
+        assert rem == 0, (self.n, parts)
+        num = math.factorial(M) * math.prod(p**e for p, e in S.items() if e > 0)
+        den = math.prod(p**-e for p, e in S.items() if e < 0)
+        assert num == owed * den, (self.n, parts)
+        assert abs(log_owed - math.log(owed)) <= self.tol, (self.n, parts)
+        assert odd_free == (self.one_odd and not any(v % 2 for v in parts))
+        nodes[len(parts)] += 1
+        node(self, M, S, parts, log_owed, odd_free)
+
+    monkeypatch.setattr(equation._Cover, "_node", spy)
+    for mode, t_max in (("r1", 4), ("r0", 4)):
+        search(200, t_max, mode, table_small)
+    assert min(nodes[depth] for depth in range(4)) > 0
+    # one budget unit per candidate past the log cut, each divided once
+    counts = _count_divides(monkeypatch)
+    search(100, 3, "r1", table_small, node_budget=575)
+    assert sum(counts.values()) == 575
     with pytest.raises(ResourceLimitError, match="the last fully searched n is 98$"):
-        search(100, 3, "r1", table_small, node_budget=2859)
+        search(100, 3, "r1", table_small, node_budget=574)
 
 
-def test_wide_log_window_leaves_the_decision_to_integers(table_small, frontier_lists, monkeypatch):
-    # at 1e-3 the log window around each last part spans several rows, so
-    # it nominates endings that only the integer owed vector rejects
+def test_wide_log_window_leaves_the_decision_to_integers(table_small, search_lists, monkeypatch):
+    # at 1e-3 the log windows admit parts whose v!! is not what is owed (850
+    # rejections here against 845), so more candidates reach the integer
+    # check; it turns every extra one down and the lists stay the same
+    narrow = _count_divides(monkeypatch)
+    assert _search_lists(table_small) == search_lists
+    monkeypatch.undo()
     monkeypatch.setattr(equation, "_LOG_RTOL", 1e-3)
-    nominated = []
-    settle = equation._Frontier._settle
-
-    def spy(self, st, s, a, b, width):
-        before = len(self.found)
-        settle(self, st, s, a, b, width)
-        nominated.append((s.size, len(self.found) - before))
-
-    monkeypatch.setattr(equation._Frontier, "_settle", spy)
-    assert _frontier_lists(table_small) == frontier_lists
-    assert sum(kept for _, kept in nominated) < sum(size for size, _ in nominated)
+    wide = _count_divides(monkeypatch)
+    assert _search_lists(table_small) == search_lists
+    assert wide["paid"] == narrow["paid"]
+    assert wide["rejected"] > narrow["rejected"]
     got = {(r.instance.n, r.instance.a) for r in search(60, 4, "r1", table_small)}
     assert got == enumerate_r1_solutions(60, 4)
 
@@ -387,43 +413,30 @@ def test_search_matches_oracles_on_random_sizes(table_small, sizes):
         assert got == enumerate_r1_solutions(n_max, t_max)
 
 
-def test_valuation_table_matches_bigint_factorizations(table_small):
-    tab = equation._valuation_table(300, table_small)
-    assert tab.primes == [p for p in range(2, 301) if trial_is_prime(p)]
-    for m in range(301):
-        fac = trial_factor(df_direct(m))
-        assert tab.v[m].tolist() == [fac.get(p, 0) for p in tab.primes]
-        assert tab.rowsum[m] == sum(fac.values())
-        assert tab.count[m] == sum(1 for p in tab.primes if p <= m)
+def test_search_to_a_million_stops_at_its_budget(table_big):
+    # no table to size: a search to n = 10^6 runs until its node budget ends it
+    with pytest.raises(
+        ResourceLimitError, match="node budget of 1000 candidates; the last fully searched n is 654$"
+    ):
+        search(10**6, 3, "r0", table_big, node_budget=1000)
 
 
-def test_logdf_error_is_far_below_the_prune_tolerance(table_small):
-    tab = equation._valuation_table(2000, table_small)
-    for m in range(2001):
-        err = abs(tab.logdf[m] - math.log(df_direct(m)))
-        assert 100 * err <= equation._LOG_RTOL * (1 + tab.logdf[m]), m
-
-
-def test_search_refuses_oversized_table_before_allocating(table_big):
-    # (10^6 + 1) * pi(10^6) * 4 bytes is about 314 GB
-    with pytest.raises(ResourceLimitError, match="valuation table"):
-        search(10**6, 3, "r0", table_big)
-
-
-def test_search_refuses_n_past_the_uint16_table(table_big):
-    # the table fits the byte cap at n_max = 65536, but its exponents would not fit uint16
-    with pytest.raises(ResourceLimitError, match="below 65536, got 65536"):
-        search(65536, 2, "r0", table_big)
+def test_search_runs_past_65536(table_big):
+    # the only search past n = 65536 in the suite: r0 t <= 2 is the gap-2 family
+    got = {(r.instance.n, r.instance.a) for r in search(70_000, 2, "r0", table_big)}
+    assert got == gap2_family(70_000, 2) == {
+        (8, (6, 4)), (48, (46, 6)), (384, (382, 8)), (3840, (3838, 10)), (46080, (46078, 12))
+    }
 
 
 def test_node_budget_counts_candidate_rows(table_small):
-    # r1 n <= 100 t <= 3 compares first-part rows and looks up second-part
-    # pairs, 2,860 candidates in all
-    search(100, 3, "r1", table_small, node_budget=2860)
+    # r1 n <= 100 t <= 3 passes 575 candidates through the log cut, over all
+    # levels, in n order
+    search(100, 3, "r1", table_small, node_budget=575)
     with pytest.raises(
-        ResourceLimitError, match="node budget of 2859 .*; the last fully searched n is 98$"
+        ResourceLimitError, match="node budget of 574 .*; the last fully searched n is 98$"
     ):
-        search(100, 3, "r1", table_small, node_budget=2859)
+        search(100, 3, "r1", table_small, node_budget=574)
 
 
 def test_search_validation(table_small):
@@ -436,7 +449,7 @@ def test_search_validation(table_small):
 
 
 def test_search_node_budget(table_small):
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="the last fully searched n is 20$"):
         search(400, 3, "r1", table_small, node_budget=50)
     # spent before the first n finishes
     with pytest.raises(ResourceLimitError, match="no n finished"):
