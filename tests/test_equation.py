@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
@@ -29,6 +30,7 @@ from oracles import (
     enumerate_r0_solutions,
     enumerate_r1_solutions,
     gap2_family,
+    trial_factor,
     trial_is_prime,
 )
 
@@ -331,6 +333,31 @@ def test_frontier_cases_match_enumeration_oracles(search_lists):
         assert set(got) == {(n, parts) for n, parts, *_ in oracle(n_max, t_max)}
 
 
+
+@pytest.mark.parametrize("cap", [1, 7, 100])
+def test_frontier_batches_do_not_change_the_search(table_small, search_lists, cap):
+    # each n is searched on its own and charged in n order, so a budget of
+    # cap candidates either fits the whole run or cuts it after a whole n: a
+    # run that stops at that n fits the same budget and returns exactly the
+    # full run's prefix, and a run one n further does not fit
+    cut = 0
+    for (mode, n_max, t_max), got in zip(SEARCH_CASES, search_lists):
+        try:
+            whole = search(n_max, t_max, mode, table_small, node_budget=cap)
+        except ResourceLimitError as err:
+            done = int(re.search(r"the last fully searched n is (\d+)$", str(err)).group(1))
+        else:
+            # r0 n <= 100 t <= 2 spends 74 candidates in all
+            assert (mode, n_max, t_max, cap) == ("r0", 100, 2, 100)
+            assert [(r.instance.n, r.instance.a) for r in whole] == got
+            continue
+        cut += 1
+        prefix = search(done, t_max, mode, table_small, node_budget=cap)
+        assert [(r.instance.n, r.instance.a) for r in prefix] == [x for x in got if x[0] <= done]
+        with pytest.raises(ResourceLimitError, match=f"the last fully searched n is {done}$"):
+            search(done + 2, t_max, mode, table_small, node_budget=cap)
+    assert cut >= 4
+
 def _count_divides(monkeypatch):
     """Count _divide's calls from now on, by what they left owed: None, 1 or more."""
     counts = Counter()
@@ -412,6 +439,33 @@ def test_search_matches_oracles_on_random_sizes(table_small, sizes):
         got = {(r.instance.n, r.instance.a) for r in recs}
         assert got == enumerate_r1_solutions(n_max, t_max)
 
+
+
+def test_valuation_table_matches_bigint_factorizations(table_small):
+    # the search keeps valuations as M! * S, not in a table: the root state of
+    # each n, and what _divide leaves of it for every part v < n, must expand
+    # to the bigint factorization of n!! / v!!, and _divide must refuse
+    # exactly the v whose v!! does not divide n!!
+    spf = table_small.spf
+    primes = [p for p in range(2, 301) if trial_is_prime(p)]
+    fac = [trial_factor(df_direct(m)) for m in range(301)]
+
+    def expand(M, S):
+        exps = {p: equation.factorial_valuation(M, p) + S.get(p, 0) for p in primes}
+        return {p: e for p, e in exps.items() if e}
+
+    for n in range(4, 301, 2):
+        M, S = n // 2, {2: n // 2}
+        assert expand(M, S) == fac[n]
+        assert equation._top_owed(M, S, spf) == max(fac[n])
+        for v in range(1, n):
+            owed = {p: fac[n].get(p, 0) - fac[v].get(p, 0) for p in primes}
+            state = equation._divide(M, S, v, spf)
+            if min(owed.values()) < 0:
+                assert state is None, (n, v)
+            else:
+                assert state is not None, (n, v)
+                assert expand(*state) == {p: e for p, e in owed.items() if e}, (n, v)
 
 def test_search_to_a_million_stops_at_its_budget(table_big):
     # no table to size: a search to n = 10^6 runs until its node budget ends it
