@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "core": (
-        "BlockReport PrimeTable SieveRangeError analyze_block double_factorial factorize"
-        " largest_prime_factor log_double_factorial lpf_array mertens_log_sum radical"
-        " radical_array sieve_primes theta valuation"
+        "BlockReport PrimeTable SieveRangeError analyze_block block_lpf_max double_factorial"
+        " factorize largest_prime_factor log_double_factorial lpf_array mertens_log_sum"
+        " radical radical_array sieve_primes theta valuation"
     ),
     "equation": (
         "EquationInstance NotASolutionError OddDecomposition ResourceLimitError SolutionRecord"

@@ -25,8 +25,8 @@ from .core import (
     PrimeTable,
     SieveRangeError,
     analyze_block,
+    block_lpf_max,
     largest_prime_factor,
-    lpf_array,
     _walk_spf,
 )
 from .equation import (
@@ -322,9 +322,11 @@ def theorem24_scan(k_range, x_max: int, table: PrimeTable):
     """Scan P(block) > LPF_BLOCK_COEFF * k over 4k < x <= x_max, k in k_range.
 
     Returns (exceptions, result): exceptions are all pairs at or under the
-    bound; the check passes iff every one is an exceptional pair.  The
-    scan is one-directional: exceptional pairs that happen to satisfy the
-    bound anyway are reported in details, never treated as errors.
+    bound, k-major and x ascending; the check passes iff every one is an
+    exceptional pair.  The scan is one-directional: exceptional pairs that
+    happen to satisfy the bound anyway are reported in details, never
+    treated as errors.  Block maxima come chunk by chunk from
+    block_lpf_max, so memory does not grow with x_max.
     """
     import numpy as np
     ks = sorted({int(k) for k in k_range})
@@ -337,48 +339,46 @@ def theorem24_scan(k_range, x_max: int, table: PrimeTable):
             f"x_max + max(k) - 1 = {x_max + ks[-1] - 1} exceeds sieve limit {table.limit}"
         )
     ks = [k for k in ks if 4 * k < x_max]
-    lpf = lpf_array(x_max + ks[-1] - 1, table)
-    exceptions = []
-    min_slack = math.inf
-    member_verdicts = []
-    pairs_scanned = 0
-    # running[i] = P((x0+i)(x0+i+1)...(x0+i+k-1)) for the current k: one
-    # np.maximum per block length, best_k = max(best_{k-1}, lpf[x+k-1])
-    x0 = 4 * ks[0] + 1
-    running = lpf[x0 : x_max + 1].copy()
-    for k in range(2, ks[-1] + 1):
-        np.maximum(running, lpf[x0 + k - 1 : x_max + k], out=running)
-        if k not in ks:
+    members = {
+        k: sorted(x for (x, kk) in EXCEPTIONAL_PAIRS if kk == k and 4 * k < x <= x_max)
+        for k in ks
+    }
+    found = {k: [] for k in ks}
+    verdicts = {k: [] for k in ks}
+    # least P(block) over the non-member blocks of each k, an integer, so
+    # the margin is float(least) - thresh, as rounding is monotone
+    least = {}
+    for start, k, best in block_lpf_max(4 * ks[0] + 1, x_max, ks[-1], table):
+        if k not in members:
             continue
-        lo = 4 * k + 1
-        count = x_max - lo + 1
-        best = running[lo - x0 :]
+        lo = max(4 * k + 1, start)
+        best = best[lo - start :]
+        if not best.size:
+            continue
         thresh = LPF_BLOCK_COEFF * k
-        slack = best - thresh
-        pairs_scanned += count
-        for i in np.flatnonzero(slack <= 0):
-            exceptions.append((lo + int(i), k))
-        member_xs = sorted(x for (x, kk) in EXCEPTIONAL_PAIRS if kk == k and lo <= x <= x_max)
-        for x in member_xs:
-            p_val = int(best[x - lo])
-            member_verdicts.append(
-                {"x": x, "k": k, "lpf": p_val, "satisfies_bound": p_val > thresh}
+        found[k] += (lo + np.flatnonzero(best <= thresh)).tolist()
+        inside = [x - lo for x in members[k] if lo <= x < lo + best.size]
+        for i in inside:
+            p_val = int(best[i])
+            verdicts[k].append(
+                {"x": lo + i, "k": k, "lpf": p_val, "satisfies_bound": p_val > thresh}
             )
-        nonmember = np.ones(count, dtype=bool)
-        for x in member_xs:
-            nonmember[x - lo] = False
-        if nonmember.any():
-            min_slack = min(min_slack, float(slack[nonmember].min()))
+        rest = np.delete(best, inside) if inside else best
+        if rest.size:
+            least[k] = min(least.get(k, math.inf), int(rest.min()))
+    exceptions = [(x, k) for k in ks for x in found[k]]
     counterexamples = [pair for pair in exceptions if pair not in EXCEPTIONAL_PAIRS]
     result = BoundCheckResult(
         name="block_lpf_linear_lower",
         domain_checked=f"k in {ks}, 4k < x <= {x_max}",
         counterexamples=counterexamples,
-        margin=min_slack,
+        margin=min(
+            (float(least[k]) - LPF_BLOCK_COEFF * k for k in ks if k in least), default=math.inf
+        ),
         details={
-            "pairs_scanned": pairs_scanned,
+            "pairs_scanned": sum(x_max - 4 * k for k in ks),
             "exceptions": [list(p) for p in exceptions],
-            "exceptional_member_verdicts": member_verdicts,
+            "exceptional_member_verdicts": [d for k in ks for d in verdicts[k]],
         },
     )
     return exceptions, result

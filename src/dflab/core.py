@@ -9,10 +9,10 @@ the scalar Legendre sum factorial_valuation for nu_p(m!).  The ascending
 prime list is found on first access to PrimeTable.primes.  Only the
 functions that vectorize import numpy, each when it runs, and read the
 table through a zero-copy np.frombuffer view: sieve_primes, the prime
-list, the prime log sums, lpf_array and radical_array.  Integer
-arithmetic is exact everywhere; floats appear only in the log-space
-helpers.  A PrimeTable never changes after construction, so one instance
-can be shared freely.
+list, the prime log sums, lpf_array, block_lpf_max and radical_array.
+Integer arithmetic is exact everywhere; floats appear only in the
+log-space helpers.  A PrimeTable never changes after construction, so
+one instance can be shared freely.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "theta",
     "mertens_log_sum",
     "lpf_array",
+    "block_lpf_max",
     "radical_array",
 ]
 
@@ -365,18 +366,22 @@ def mertens_log_sum(nu, table: PrimeTable) -> float:
 
 # Entries lpf_array factors per pass, so its temporaries do not grow with hi
 _LPF_CHUNK = 1 << 16
+# Block starts block_lpf_max covers per pass, so no array spans its range
+_BLOCK_CHUNK = 1 << 16
 
 
-def lpf_array(hi: int, table: PrimeTable) -> np.ndarray:
-    """Array a with a[i] = P(i) for 0 <= i <= hi (a[0] = a[1] = 1)."""
+def lpf_array(hi: int, table: PrimeTable, lo: int = 0) -> np.ndarray:
+    """Array a with a[i] = P(lo + i) for lo <= lo + i <= hi (P(0) = P(1) = 1)."""
     if hi > table.limit:
         raise SieveRangeError(f"{hi} exceeds sieve limit {table.limit}")
+    if not 0 <= lo <= hi + 1:
+        raise ValueError(f"need 0 <= lo <= hi + 1, got lo={lo}, hi={hi}")
     import numpy as np
-    res = np.ones(hi + 1, dtype=np.int64)
+    res = np.ones(hi - lo + 1, dtype=np.int64)
     spf = np.frombuffer(table.spf, dtype=np.uint32)
-    for start in range(2, hi + 1, _LPF_CHUNK):
+    for start in range(max(lo, 2), hi + 1, _LPF_CHUNK):
         rem = np.arange(start, min(start + _LPF_CHUNK, hi + 1), dtype=np.int64)
-        out = res[start : start + rem.size]
+        out = res[start - lo : start - lo + rem.size]
         idx = np.arange(rem.size)
         while idx.size:
             # smallest prime factors come in ascending order, so the last is P(i)
@@ -385,6 +390,30 @@ def lpf_array(hi: int, table: PrimeTable) -> np.ndarray:
             rem[idx] //= p
             idx = idx[rem[idx] > 1]
     return res
+
+
+def block_lpf_max(x0: int, x_max: int, k_max: int, table: PrimeTable):
+    """Yield (start, k, best), best[i] = P((start+i)(start+i+1)...(start+i+k-1)).
+
+    The block starts x0..x_max are taken in chunks of _BLOCK_CHUNK, and
+    each chunk yields k = 1..k_max in ascending order.  A chunk factors its
+    window with lpf_array once, with k_max - 1 entries of overlap, and
+    grows best in place by one np.maximum per k, so memory is bounded by
+    the chunk, not the range.  best is overwritten after the next yield.
+    """
+    if k_max < 1:
+        raise ValueError(f"block length must be >= 1, got {k_max}")
+    if x_max + k_max - 1 > table.limit:
+        raise SieveRangeError(f"block end {x_max + k_max - 1} exceeds sieve limit {table.limit}")
+    import numpy as np
+    for start in range(x0, x_max + 1, _BLOCK_CHUNK):
+        size = min(_BLOCK_CHUNK, x_max + 1 - start)
+        lpf = lpf_array(start + size + k_max - 2, table, start)
+        best = lpf[:size].copy()
+        yield start, 1, best
+        for k in range(2, k_max + 1):
+            np.maximum(best, lpf[k - 1 : k - 1 + size], out=best)
+            yield start, k, best
 
 
 def radical_array(hi: int, table: PrimeTable) -> np.ndarray:

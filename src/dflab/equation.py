@@ -356,6 +356,30 @@ def _divide(M: int, S: dict, v: int, spf):
     return new_m, S
 
 
+def _rebase(M: int, S: dict, evens, spf) -> dict:
+    """{v: (k, S_k)}, k! * S_k = M! * S, for each v = 2k < 2M of the even range evens.
+
+    _divide(k, S_k, v, spf) walks no block, where _divide(M, S, v, spf)
+    walks (k+1)...M.  S_k is S times that block, which grows by one integer
+    as k falls, so one walk down from the top of the window factors each
+    integer once.
+    """
+    based = {}
+    run = dict(S)
+    m = M
+    for v in reversed(range(evens.start, min(evens.stop, 2 * M), 2)):
+        k = v >> 1
+        while m > k:
+            x = m
+            while x > 1:
+                p = spf[x]
+                x //= p
+                run[p] = run.get(p, 0) + 1
+            m -= 1
+        based[v] = (k, dict(run))
+    return based
+
+
 def _top_owed(M: int, S: dict, spf) -> int:
     """Largest prime owed in M! * S (an integer), or 0 when it is 1."""
     q = max((p for p, e in S.items() if e > 0 and p > M), default=0)
@@ -380,8 +404,10 @@ class _Cover:
     Floats only prune: a part needs log v!! <= log owed + tol, and the
     last slot log v!! = log owed within tol.  Integers decide: a hit needs
     _divide to leave M <= 1 and an empty S.  (M stays above 1 only at the
-    root and after an odd part taken there, and neither owes 1.)  Every
-    candidate past the log cut is charged to the budget.
+    root and after an odd part taken there, and neither owes 1.)  There
+    each even part v < 2M is divided out of the owed value as _rebase
+    rewrites it for v, so each integer of their blocks is factored once.
+    Every candidate past the log cut is charged to the budget.
     """
 
     def __init__(self, n, t_max, one_odd, spf, budget):
@@ -408,7 +434,9 @@ class _Cover:
             nxt += 1
         last = len(parts) + 1 == self.t_max
         odds = range(max(q, 3), nxt, 2) if odd_free else ()
-        for window in (odds, range(max(2 * q, 4), min(2 * nxt, self.n), 2)):
+        evens = range(max(2 * q, 4), min(2 * nxt, self.n), 2)
+        based = _rebase(M, S, evens, spf) if M > 2 else {}
+        for window in (odds, evens):
             for v in window:
                 log_v = log_double_factorial(v)
                 if log_v > log_owed + tol:
@@ -416,7 +444,7 @@ class _Cover:
                 if last and log_v < log_owed - tol:
                     continue
                 self.budget.spend(1)
-                state = _divide(M, S, v, spf)
+                state = _divide(*based.get(v, (M, S)), v, spf)
                 if state is None:
                     continue
                 free = odd_free and not v & 1

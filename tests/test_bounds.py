@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +31,7 @@ from dflab import (
     verify_mertens_bound,
     verify_theta_bound,
 )
-from dflab import bounds
+from dflab import bounds, core
 from dflab.bounds import EXCEPTIONAL_PAIRS, EXCEPTIONAL_PAIRS_ORDERED, BoundCheckResult
 
 from oracles import block_lpf_violators, dusart_failures, trial_is_prime
@@ -220,6 +221,41 @@ def test_theorem24_domain_names_only_scanned_k(table_small):
     assert res.details["pairs_scanned"] == sum(50 - 4 * k for k in range(2, 13))
     _, res = theorem24_scan(range(2, 8), 5000, table_small)
     assert res.domain_checked == "k in [2, 3, 4, 5, 6, 7], 4k < x <= 5000"
+
+
+def _thm24_record(ks, x_max, table):
+    exceptions, res = theorem24_scan(ks, x_max, table)
+    details = res.details
+    return (
+        exceptions,
+        res.counterexamples,
+        res.margin,
+        details["pairs_scanned"],
+        details["exceptional_member_verdicts"],
+    )
+
+
+def test_theorem24_scan_chunks_agree(table_small, monkeypatch):
+    cases = [(range(2, 8), 5000), ([3, 5, 9], 3000), (range(2, 21), 50)]
+    monkeypatch.setattr(core, "_BLOCK_CHUNK", 10_000)  # one chunk covers each case
+    whole = [_thm24_record(ks, x_max, table_small) for ks, x_max in cases]
+    assert whole[0][0][:3] == [(9, 2), (14, 2), (15, 2)]  # k-major, x ascending
+    for chunk in (1, 3, 7, 1000):
+        monkeypatch.setattr(core, "_BLOCK_CHUNK", chunk)
+        for (ks, x_max), want in zip(cases, whole):
+            assert _thm24_record(ks, x_max, table_small) == want, (chunk, x_max)
+
+
+def test_theorem24_scan_memory_is_bounded_by_the_chunk(table_big):
+    # numpy reports its buffers to tracemalloc; an int64 array over the
+    # scanned range alone would take 7.6 MiB here
+    tracemalloc.start()
+    try:
+        theorem24_scan(range(2, 21), 999_980, table_big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_erdos_ratio(table_small):

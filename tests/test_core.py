@@ -7,6 +7,7 @@ import pytest
 from dflab import (
     SieveRangeError,
     analyze_block,
+    block_lpf_max,
     double_factorial,
     factorize,
     largest_prime_factor,
@@ -223,6 +224,35 @@ def test_lpf_array_chunks_agree(table_small, monkeypatch):
         for hi, want in whole.items():
             got = lpf_array(hi, table_small)
             assert got.dtype == want.dtype and np.array_equal(got, want), (chunk, hi)
+            for lo in sorted({1, hi // 2 + 1, hi, hi + 1}):
+                got = lpf_array(hi, table_small, lo)
+                assert got.dtype == want.dtype, (chunk, hi, lo)
+                assert np.array_equal(got, want[lo:]), (chunk, hi, lo)
+
+
+def test_lpf_array_rejects_bad_start(table_small):
+    with pytest.raises(ValueError):
+        lpf_array(10, table_small, -1)
+    with pytest.raises(ValueError):
+        lpf_array(10, table_small, 12)
+    with pytest.raises(SieveRangeError):
+        lpf_array(10_001, table_small, 10_000)
+
+
+def test_block_lpf_max_is_the_window_maximum(table_small, monkeypatch):
+    lpf = lpf_array(3_000, table_small)
+    for chunk in (1, 3, 7, 1000, 1 << 16):
+        monkeypatch.setattr(core, "_BLOCK_CHUNK", chunk)
+        for x0, x_max, k_max in ((0, 40, 5), (17, 2_990, 9), (2_000, 2_000, 3)):
+            seen = {}
+            for start, k, best in block_lpf_max(x0, x_max, k_max, table_small):
+                want = [max(lpf[x : x + k]) for x in range(start, start + best.size)]
+                assert best.tolist() == want, (chunk, start, k)
+                seen.setdefault(k, []).extend(range(start, start + best.size))
+            assert sorted(seen) == list(range(1, k_max + 1))
+            assert all(xs == list(range(x0, x_max + 1)) for xs in seen.values())
+    with pytest.raises(SieveRangeError):
+        next(block_lpf_max(2, 10_000, 2, table_small))
 
 
 def test_prime_scan_chunks_agree(monkeypatch):

@@ -440,6 +440,14 @@ def test_search_matches_oracles_on_random_sizes(table_small, sizes):
         assert got == enumerate_r1_solutions(n_max, t_max)
 
 
+_PRIMES_TO_300 = [p for p in range(2, 301) if trial_is_prime(p)]
+
+
+def _expand_owed(M, S):
+    """Nonzero exponents of M! * S over the primes up to 300."""
+    exps = {p: equation.factorial_valuation(M, p) + S.get(p, 0) for p in _PRIMES_TO_300}
+    return {p: e for p, e in exps.items() if e}
+
 
 def test_valuation_table_matches_bigint_factorizations(table_small):
     # the search keeps valuations as M! * S, not in a table: the root state of
@@ -447,25 +455,41 @@ def test_valuation_table_matches_bigint_factorizations(table_small):
     # to the bigint factorization of n!! / v!!, and _divide must refuse
     # exactly the v whose v!! does not divide n!!
     spf = table_small.spf
-    primes = [p for p in range(2, 301) if trial_is_prime(p)]
     fac = [trial_factor(df_direct(m)) for m in range(301)]
-
-    def expand(M, S):
-        exps = {p: equation.factorial_valuation(M, p) + S.get(p, 0) for p in primes}
-        return {p: e for p, e in exps.items() if e}
-
     for n in range(4, 301, 2):
         M, S = n // 2, {2: n // 2}
-        assert expand(M, S) == fac[n]
+        assert _expand_owed(M, S) == fac[n]
         assert equation._top_owed(M, S, spf) == max(fac[n])
         for v in range(1, n):
-            owed = {p: fac[n].get(p, 0) - fac[v].get(p, 0) for p in primes}
+            owed = {p: fac[n].get(p, 0) - fac[v].get(p, 0) for p in _PRIMES_TO_300}
             state = equation._divide(M, S, v, spf)
             if min(owed.values()) < 0:
                 assert state is None, (n, v)
             else:
                 assert state is not None, (n, v)
-                assert expand(*state) == {p: e for p, e in owed.items() if e}, (n, v)
+                assert _expand_owed(*state) == {p: e for p, e in owed.items() if e}, (n, v)
+
+
+def test_rebased_states_divide_like_the_original(table_small):
+    # _rebase rewrites M! * S as k! * S_k for each even v = 2k < 2M; the owed
+    # value must not change, and dividing v out of either form must agree,
+    # also from states with negative exponents (after an odd part)
+    spf = table_small.spf
+    rebased = 0
+    for n in range(8, 301, 2):
+        root = (n // 2, {2: n // 2})
+        odds = range(max(3, n // 2 - 9), n // 2 + 3, 2)
+        states = [root] + [equation._divide(*root, a, spf) for a in odds]
+        for M, S in (state for state in states if state and state[0] > 2):
+            evens = range(max(4, 2 * M - 30), 2 * M + 6, 2)
+            based = equation._rebase(M, S, evens, spf)
+            assert sorted(based) == [v for v in evens if v < 2 * M]
+            for v, (k, S_k) in based.items():
+                assert k == v // 2 and _expand_owed(k, S_k) == _expand_owed(M, S), (n, M, v)
+                assert equation._divide(k, S_k, v, spf) == equation._divide(M, S, v, spf)
+                rebased += 1
+    assert rebased > 5_000
+
 
 def test_search_to_a_million_stops_at_its_budget(table_big):
     # no table to size: a search to n = 10^6 runs until its node budget ends it
