@@ -20,7 +20,7 @@ _HOMES = {
     "core": (
         "BlockReport PrimeTable SieveRangeError analyze_block block_lpf_max double_factorial"
         " factorize largest_prime_factor log_double_factorial lpf_array mertens_log_sum"
-        " radical radical_array sieve_primes theta valuation"
+        " radical sieve_primes theta valuation"
     ),
     "equation": (
         "EquationInstance NotASolutionError OddDecomposition ResourceLimitError SolutionRecord"

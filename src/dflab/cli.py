@@ -285,25 +285,15 @@ def load_or_build_sieve(config: CommandConfig) -> PrimeTable:
 
 
 def _jsonable(obj):
+    """A payload as JSON values: payloads hold only plain Python values, and
+    a non-finite float becomes its repr ("inf")."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if type(obj).__module__ == "numpy":  # recognised without importing numpy
-        import numbers
-
-        if isinstance(obj, numbers.Real):  # numpy integers and floats
-            return obj.item()
-    if isinstance(obj, Path):
-        return str(obj)
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj)
-    import dataclasses  # already loaded by the library module that made obj
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
-    return repr(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
 
 
 def _record(kind: str, result, lift: str | None = None, **derived) -> OutputRecord:

@@ -9,7 +9,7 @@ the scalar Legendre sum factorial_valuation for nu_p(m!).  The ascending
 prime list is found on first access to PrimeTable.primes.  Only the
 functions that vectorize import numpy, each when it runs, and read the
 table through a zero-copy np.frombuffer view: sieve_primes, the prime
-list, the prime log sums, lpf_array, block_lpf_max and radical_array.
+list, the prime log sums, lpf_array and block_lpf_max.
 Integer arithmetic is exact everywhere; floats appear only in the
 log-space helpers.  A PrimeTable never changes after construction, so
 one instance can be shared freely.
@@ -40,7 +40,6 @@ __all__ = [
     "mertens_log_sum",
     "lpf_array",
     "block_lpf_max",
-    "radical_array",
 ]
 
 _UINT32_MAX = 2**32 - 1
@@ -414,25 +413,3 @@ def block_lpf_max(x0: int, x_max: int, k_max: int, table: PrimeTable):
         for k in range(2, k_max + 1):
             np.maximum(best, lpf[k - 1 : k - 1 + size], out=best)
             yield start, k, best
-
-
-def radical_array(hi: int, table: PrimeTable) -> np.ndarray:
-    """Array a with a[i] = N(i) for 0 <= i <= hi (a[0] = a[1] = 1)."""
-    if hi > table.limit:
-        raise SieveRangeError(f"{hi} exceeds sieve limit {table.limit}")
-    import numpy as np
-    rad = np.ones(hi + 1, dtype=np.int64)
-    rem = np.arange(hi + 1, dtype=np.int64)
-    rem[:2] = 1
-    last = np.zeros(hi + 1, dtype=np.int64)
-    spf = np.frombuffer(table.spf, dtype=np.uint32)
-    idx = np.flatnonzero(rem > 1)
-    while idx.size:
-        p = spf[rem[idx]].astype(np.int64)
-        fresh = p != last[idx]
-        tgt = idx[fresh]
-        rad[tgt] *= p[fresh]
-        last[idx] = p
-        rem[idx] //= p
-        idx = idx[rem[idx] > 1]
-    return rad

@@ -314,79 +314,74 @@ class _NodeBudget:
 
 
 def _divide(M: int, S: dict, v: int, spf):
-    """(M', S') with M'! * S' = M! * S / v!!, or None when v!! does not divide M! * S.
+    """(M', S', top) with M'! * S' = M! * S / v!!, or None when v!! does not divide M! * S.
 
-    S maps primes to exponents, negative where M! covers them.  Even v = 2k:
-    v!! = 2^k k!, so M! / v!! = 2^-k M!/k!, and M' = 0.  Odd v = 2j+1:
-    v!! = v! / (2^j j!), so M! / v!! = 2^j a! b!/v! with a = min(j, M),
-    b = max(j, M), and M' = a.  What is left, M!/k! or b!/v!, is the
-    product of one block of consecutive integers, or its inverse, and S
-    takes its spf-walk factorization.
+    S maps primes to exponents, negative where M! covers them; top is the
+    largest prime above M' still owed, or 0.  _divide only divides, so it
+    needs M <= k for even v = 2k and M <= v for odd v (_rebase gets there).
+    Even v: v!! = 2^k k!, so M! / v!! = 2^-k M!/k!, and M' = 0.  Odd
+    v = 2j+1: v!! = v! / (2^j j!), so M! / v!! = 2^j a! b!/v! with
+    a = min(j, M), b = max(j, M), and M' = a.  S is divided by the block
+    k!/M! or v!/b! of consecutive integers, factored by spf walks.
     """
     S = dict(S)
     half = v >> 1
     if v & 1:
         S[2] = S.get(2, 0) + half
-        new_m, top, bot = min(half, M), v, max(half, M)
+        new_m, hi, lo = min(half, M), v, max(half, M)
     else:
         S[2] = S.get(2, 0) - half
-        new_m, top, bot = 0, half, M
-    if top < bot:
-        for m in range(top + 1, bot + 1):
-            while m > 1:
-                p = spf[m]
-                m //= p
-                S[p] = S.get(p, 0) + 1
-    else:
-        # exponents only fall from here on, so with M' = 0 the first one
-        # below zero rejects v; walking down meets large primes first
-        for m in range(top, bot, -1):
-            while m > 1:
-                p = spf[m]
-                m //= p
-                e = S.get(p, 0) - 1
-                if e < 0 and not new_m:
-                    return None
-                S[p] = e
+        new_m, hi, lo = 0, half, M
+    # exponents only fall from here on, so with M' = 0 the first one below
+    # zero rejects v; walking down meets large primes first
+    for m in range(hi, lo, -1):
+        while m > 1:
+            p = spf[m]
+            m //= p
+            e = S.get(p, 0) - 1
+            if e < 0 and not new_m:
+                return None
+            S[p] = e
+    top = 0
     for p, e in list(S.items()):
         if not e:
             del S[p]
         elif e < 0 and factorial_valuation(new_m, p) + e < 0:
             return None
-    return new_m, S
+        elif e > 0 and p > top and p > new_m:
+            top = p
+    return new_m, S, top
 
 
-def _rebase(M: int, S: dict, evens, spf) -> dict:
-    """{v: (k, S_k)}, k! * S_k = M! * S, for each v = 2k < 2M of the even range evens.
+def _rebase(M: int, S: dict, bases: range, spf) -> dict:
+    """{m: S_m}, m! * S_m = M! * S, for each m < M of the range bases.
 
-    _divide(k, S_k, v, spf) walks no block, where _divide(M, S, v, spf)
-    walks (k+1)...M.  S_k is S times that block, which grows by one integer
-    as k falls, so one walk down from the top of the window factors each
-    integer once.
+    S_m is S times the block (m+1)...M, which grows by one integer as m
+    falls, so one walk down from M factors each integer once.  An odd part
+    v < M divides from base v, an even part 2k < 2M from base k.
     """
     based = {}
     run = dict(S)
-    m = M
-    for v in reversed(range(evens.start, min(evens.stop, 2 * M), 2)):
-        k = v >> 1
-        while m > k:
-            x = m
-            while x > 1:
-                p = spf[x]
-                x //= p
+    x = M
+    for m in reversed(range(bases.start, min(bases.stop, M))):
+        while x > m:
+            y = x
+            while y > 1:
+                p = spf[y]
+                y //= p
                 run[p] = run.get(p, 0) + 1
-            m -= 1
-        based[v] = (k, dict(run))
+            x -= 1
+        based[m] = dict(run)
     return based
 
 
-def _top_owed(M: int, S: dict, spf) -> int:
-    """Largest prime owed in M! * S (an integer), or 0 when it is 1."""
-    q = max((p for p, e in S.items() if e > 0 and p > M), default=0)
-    for m in range(M, q, -1):
+def _top_owed(M: int, S: dict, top: int, spf) -> int:
+    """Largest prime owed in M! * S (an integer), or 0 when it is 1, given
+    top, the largest owed above M or 0: only primes in (top, M] are read."""
+    for m in range(M, top, -1):
         if spf[m] == m and factorial_valuation(M, m) + S.get(m, 0) > 0:
             return m
-    return q
+    return top
 
 
 class _Cover:
@@ -405,9 +400,10 @@ class _Cover:
     last slot log v!! = log owed within tol.  Integers decide: a hit needs
     _divide to leave M <= 1 and an empty S.  (M stays above 1 only at the
     root and after an odd part taken there, and neither owes 1.)  There
-    each even part v < 2M is divided out of the owed value as _rebase
-    rewrites it for v, so each integer of their blocks is factored once.
-    Every candidate past the log cut is charged to the budget.
+    one _rebase walk serves both windows: an odd part v < M is divided
+    from base v and an even part 2k < 2M from base k, so each integer of
+    their blocks is factored once.  Every candidate past the log cut is
+    charged to the budget.
     """
 
     def __init__(self, n, t_max, one_odd, spf, budget):
@@ -423,19 +419,20 @@ class _Cover:
 
     def run(self):
         half = self.n // 2
-        self._node(half, {2: half}, (), self.log_n, self.one_odd)
+        # 2 <= n/2, so nothing above M is owed
+        self._node(half, {2: half}, 0, (), self.log_n, self.one_odd)
         return self.found
 
-    def _node(self, M, S, parts, log_owed, odd_free):
+    def _node(self, M, S, top, parts, log_owed, odd_free):
         spf, tol = self.spf, self.tol
-        q = _top_owed(M, S, spf)
+        q = _top_owed(M, S, top, spf)
         nxt = q + 1
         while spf[nxt] != nxt:
             nxt += 1
         last = len(parts) + 1 == self.t_max
         odds = range(max(q, 3), nxt, 2) if odd_free else ()
         evens = range(max(2 * q, 4), min(2 * nxt, self.n), 2)
-        based = _rebase(M, S, evens, spf) if M > 2 else {}
+        based = _rebase(M, S, range(max(q, 2), nxt), spf) if M > q else {}
         for window in (odds, evens):
             for v in window:
                 log_v = log_double_factorial(v)
@@ -444,7 +441,8 @@ class _Cover:
                 if last and log_v < log_owed - tol:
                     continue
                 self.budget.spend(1)
-                state = _divide(*based.get(v, (M, S)), v, spf)
+                m = v if v & 1 else v >> 1
+                state = _divide(m, based[m], v, spf) if m < M else _divide(M, S, v, spf)
                 if state is None:
                     continue
                 free = odd_free and not v & 1

@@ -15,7 +15,6 @@ from dflab import (
     lpf_array,
     mertens_log_sum,
     radical,
-    radical_array,
     sieve_primes,
     theta,
     valuation,
@@ -93,15 +92,14 @@ def test_radical_examples():
         radical(0)
 
 
-def test_radical_lpf_divisibility_sweep(table_big):
+def test_lpf_divisibility_sweep(table_big):
     hi = 100_000
-    rad = radical_array(hi, table_big)
     lpf = lpf_array(hi, table_big)
     ns = np.arange(hi + 1)
-    assert (ns[2:] % rad[2:] == 0).all()
-    assert (rad[2:] % lpf[2:] == 0).all()
-    # radicals are squarefree: the radical of a radical is itself
-    assert (rad[rad] == rad).all()
+    assert (ns[2:] % lpf[2:] == 0).all()
+    # lpf[n] is prime, and no prime above it divides n / lpf[n]
+    assert (lpf[lpf[2:]] == lpf[2:]).all()
+    assert (lpf[ns[2:] // lpf[2:]] <= lpf[2:]).all()
 
 
 def test_valuation(table_small):
@@ -210,10 +208,8 @@ def test_mertens_log_sum_values(table_small):
 
 def test_array_helpers_match_pointwise(table_small):
     lpf = lpf_array(3000, table_small)
-    rad = radical_array(3000, table_small)
     for n in range(2, 3001):
         assert int(lpf[n]) == largest_prime_factor(n, table_small)
-        assert int(rad[n]) == radical(n, table_small)
 
 
 def test_lpf_array_chunks_agree(table_small, monkeypatch):

@@ -381,16 +381,17 @@ def test_search_state_is_what_is_still_owed(table_small, monkeypatch):
     node = equation._Cover._node
     nodes = Counter()
 
-    def spy(self, M, S, parts, log_owed, odd_free):
+    def spy(self, M, S, top, parts, log_owed, odd_free):
         owed, rem = divmod(df_direct(self.n), math.prod(map(df_direct, parts)))
         assert rem == 0, (self.n, parts)
         num = math.factorial(M) * math.prod(p**e for p, e in S.items() if e > 0)
         den = math.prod(p**-e for p, e in S.items() if e < 0)
         assert num == owed * den, (self.n, parts)
+        assert top == max((p for p, e in S.items() if e > 0 and p > M), default=0)
         assert abs(log_owed - math.log(owed)) <= self.tol, (self.n, parts)
         assert odd_free == (self.one_odd and not any(v % 2 for v in parts))
         nodes[len(parts)] += 1
-        node(self, M, S, parts, log_owed, odd_free)
+        node(self, M, S, top, parts, log_owed, odd_free)
 
     monkeypatch.setattr(equation._Cover, "_node", spy)
     for mode, t_max in (("r1", 4), ("r0", 4)):
@@ -449,46 +450,67 @@ def _expand_owed(M, S):
     return {p: e for p, e in exps.items() if e}
 
 
+def _check_divided(state, owed, spf, key):
+    """state is what _divide left of a value with exponents owed, None exactly
+    when one is negative, and its third field is the largest owed prime above
+    its M"""
+    if min(owed.values(), default=0) < 0:
+        assert state is None, key
+        return
+    assert state is not None, key
+    M, S, top = state
+    owed = {p: e for p, e in owed.items() if e}
+    assert _expand_owed(M, S) == owed, key
+    assert top == max((p for p in owed if p > M), default=0), key
+    if owed:
+        assert equation._top_owed(M, S, top, spf) == max(owed), key
+
+
 def test_valuation_table_matches_bigint_factorizations(table_small):
     # the search keeps valuations as M! * S, not in a table: the root state of
-    # each n, and what _divide leaves of it for every part v < n, must expand
-    # to the bigint factorization of n!! / v!!, and _divide must refuse
-    # exactly the v whose v!! does not divide n!!
+    # each n, and what _divide leaves of it for every part v < n, divided
+    # from v's _rebase base, must expand to the bigint factorization of
+    # n!! / v!!, and _divide must refuse exactly the v whose v!! does not
+    # divide n!!
     spf = table_small.spf
     fac = [trial_factor(df_direct(m)) for m in range(301)]
     for n in range(4, 301, 2):
         M, S = n // 2, {2: n // 2}
         assert _expand_owed(M, S) == fac[n]
-        assert equation._top_owed(M, S, spf) == max(fac[n])
+        assert equation._top_owed(M, S, 0, spf) == max(fac[n])
+        based = equation._rebase(M, S, range(1, n), spf)
         for v in range(1, n):
+            m = v if v % 2 else v // 2
+            state = equation._divide(*((m, based[m]) if m < M else (M, S)), v, spf)
             owed = {p: fac[n].get(p, 0) - fac[v].get(p, 0) for p in _PRIMES_TO_300}
-            state = equation._divide(M, S, v, spf)
-            if min(owed.values()) < 0:
-                assert state is None, (n, v)
-            else:
-                assert state is not None, (n, v)
-                assert _expand_owed(*state) == {p: e for p, e in owed.items() if e}, (n, v)
+            _check_divided(state, owed, spf, (n, v))
 
 
 def test_rebased_states_divide_like_the_original(table_small):
-    # _rebase rewrites M! * S as k! * S_k for each even v = 2k < 2M; the owed
-    # value must not change, and dividing v out of either form must agree,
-    # also from states with negative exponents (after an odd part)
+    # _rebase rewrites M! * S as m! * S_m for each base m < M; the owed value
+    # must not change, and dividing the odd part m or the even part 2m out of
+    # base m must leave the bigint quotient, also from states with negative
+    # exponents (after an odd part)
     spf = table_small.spf
-    rebased = 0
+    fac = [trial_factor(df_direct(m)) for m in range(301)]
+    divided = Counter()
     for n in range(8, 301, 2):
         root = (n // 2, {2: n // 2})
-        odds = range(max(3, n // 2 - 9), n // 2 + 3, 2)
+        odds = range(n // 2 | 1, min(n, n // 2 + 20), 2)
         states = [root] + [equation._divide(*root, a, spf) for a in odds]
-        for M, S in (state for state in states if state and state[0] > 2):
-            evens = range(max(4, 2 * M - 30), 2 * M + 6, 2)
-            based = equation._rebase(M, S, evens, spf)
-            assert sorted(based) == [v for v in evens if v < 2 * M]
-            for v, (k, S_k) in based.items():
-                assert k == v // 2 and _expand_owed(k, S_k) == _expand_owed(M, S), (n, M, v)
-                assert equation._divide(k, S_k, v, spf) == equation._divide(M, S, v, spf)
-                rebased += 1
-    assert rebased > 5_000
+        for M, S, *_ in (state for state in states if state and state[0] > 2):
+            bases = range(max(1, M - 15), M + 3)
+            based = equation._rebase(M, S, bases, spf)
+            assert sorted(based) == [m for m in bases if m < M]
+            owed = _expand_owed(M, S)
+            for m, S_m in based.items():
+                assert _expand_owed(m, S_m) == owed, (n, M, m)
+                for v in (m, 2 * m) if m % 2 else (2 * m,):
+                    quotient = {p: owed.get(p, 0) - fac[v].get(p, 0) for p in _PRIMES_TO_300}
+                    _check_divided(equation._divide(m, S_m, v, spf), quotient, spf, (n, M, v))
+                    divided[v % 2, min(quotient.values()) >= 0] += 1
+    # odd and even parts, each both divided and refused
+    assert len(divided) == 4 and min(divided.values()) > 100, divided
 
 
 def test_search_to_a_million_stops_at_its_budget(table_big):
