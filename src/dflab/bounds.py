@@ -10,16 +10,20 @@ Verdicts that rest on double-precision comparisons are reliable down to
 FLOAT_TOLERANCE; every margin at desk scale sits orders of magnitude
 above it.
 
-The scans import numpy inside the functions that vectorize; the point
-checks (erdos_ratio, erdos_graham_ratio, dusart_check, the single-block
-checks) read the sieve entry by entry and need none.
+The scans that vectorize (theta, mertens, thm24, the val2 factorial
+check) import numpy when they run, and dusart_sweep for the prime list.
+The geometry scan and the point checks (erdos_ratio, erdos_graham_ratio,
+dusart_check, the single-block checks) read the sieve entry by entry and
+need none.  Only sandwich_check imports the equation module.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 from .core import (
     PrimeTable,
@@ -28,12 +32,6 @@ from .core import (
     block_lpf_max,
     largest_prime_factor,
     _walk_spf,
-)
-from .equation import (
-    EquationInstance,
-    NotASolutionError,
-    check_identity,
-    odd_decomposition,
 )
 from .formulas import THETA_COEFF, THM12II_OFFSET, VAL2_SLOPE, thm12ii_bound
 
@@ -45,7 +43,6 @@ __all__ = [
     "VAL2_OFFSET",
     "THM12II_OFFSET",
     "DUSART_MIN_Y",
-    "DUSART_SCREEN_RTOL",
     "FLOAT_TOLERANCE",
     "EXCEPTIONAL_PAIRS_ORDERED",
     "EXCEPTIONAL_PAIRS",
@@ -80,19 +77,8 @@ ERDOS_BLOCK_COEFF = 2.0 / 7.0
 VAL2_OFFSET = 7.0
 # Below this y the short prime-gap interval statement is not asserted.
 DUSART_MIN_Y = 3275
-# dusart_sweep screens y in numpy and lets dusart_check's scalar math formula
-# decide every y whose screened margin lies within DUSART_SCREEN_RTOL * y of
-# a decision.  numpy's vectorized log need not match math.log bit for bit
-# (79 of 1.43 M sampled y <= 10^7 differ on an AVX-512 host), and each
-# cutoff y / (1 + c) takes a few roundings more.  With log off by at most
-# 4 ulp the cutoffs stay within 20 ulp, about 4.4e-15 * y, of the scalar
-# ones (2.4e-16 * y is the largest gap measured on that sample), and the
-# margins witness - cutoff inherit that error plus one rounding: the
-# tolerance is more than 10^4 times the worst case.
-DUSART_SCREEN_RTOL = 1e-9
-# y values per dusart_sweep chunk, so its memory does not grow with y_max
-_DUSART_CHUNK = 1 << 16
-# m values per valuation2_factorial_lower_check pass, for the same reason
+# m values per valuation2_factorial_lower_check pass, so memory does not
+# grow with m_max
 _VAL2_CHUNK = 1 << 16
 # Double-precision comparisons are trusted down to this slack.
 FLOAT_TOLERANCE = 1e-9
@@ -187,27 +173,30 @@ def check_composite_block_geometry(x: int, k: int, table: PrimeTable) -> bool:
 def composite_block_geometry_scan(k_max: int, table: PrimeTable) -> BoundCheckResult:
     """check_composite_block_geometry over every block 2 <= x < k <= k_max.
 
-    A block [x, x+k-1] is all composite iff pi(x+k-1) - pi(x-1) = 0, so one
-    prime-count array over [0, 2*k_max - 2] decides every block exactly.
-    Counterexamples are ordered by k, then x.
+    A block [x, x+k-1] is all composite iff it ends before the first prime
+    >= x, so one walk down spf over [2, 2*k_max - 2], tracking that prime,
+    decides every block exactly.  Counterexamples are ordered by k, then x.
     """
-    import numpy as np
     if k_max < 3:
         raise ValueError(f"empty scan: no block with 2 <= x < k <= {k_max}")
     hi = 2 * k_max - 2
     if hi > table.limit:
         raise SieveRangeError(f"block end {hi} exceeds sieve limit {table.limit}")
-    pi = np.searchsorted(table.primes, np.arange(hi + 1), side="right")
-    ks, xs = np.nonzero(np.tri(k_max + 1, k=-1, dtype=bool))  # x < k, ordered by k then x
-    keep = xs >= 2
-    ks, xs = ks[keep], xs[keep]
-    composite = pi[xs + ks - 1] == pi[xs - 1]
+    spf = table.spf
+    nxt = hi + 1  # no prime found yet: every block ends before it
+    bad = []
+    for x in range(hi, 1, -1):
+        if spf[x] == x:
+            nxt = x
+        if x < k_max:
+            bad += [(x, k) for k in range(x + 1, min(k_max, nxt - x) + 1)]
+    bad.sort(key=lambda block: (block[1], block[0]))
     return BoundCheckResult(
         name="all_composite_block_geometry",
         domain_checked=f"2 <= x < k <= {k_max}",
-        counterexamples=[(int(x), int(k)) for x, k in zip(xs[composite], ks[composite])],
+        counterexamples=bad,
         margin=math.inf,
-        details={"blocks_checked": int(ks.size)},
+        details={"blocks_checked": (k_max - 1) * (k_max - 2) // 2},
     )
 
 
@@ -232,6 +221,7 @@ def sandwich_check(instance: EquationInstance, table: PrimeTable) -> BoundCheckR
     block); inequalities whose hypotheses fail are evaluated and reported
     but cannot fail the check.  Logs of factorials are exact factor sums.
     """
+    from .equation import NotASolutionError, check_identity, odd_decomposition
     if not check_identity(instance, table):
         raise NotASolutionError(f"(n={instance.n}, a={instance.a}) does not satisfy the identity")
     r = instance.r
@@ -564,10 +554,14 @@ def smallest_two_radicals(x: int, k: int, table: PrimeTable) -> SmallestRadicals
     return SmallestRadicals(j1, j2, bound, holds, rads)
 
 
-def _dusart_cutoffs(y: int) -> tuple:
-    """Lower ends (used, literal) of the two prime-gap intervals below y."""
-    log_sq = math.log(y) ** 2
-    return y / (1 + 1 / (2 * log_sq)), y / (1 + 2 * log_sq)
+def _dusart_lo_used(y: int) -> float:
+    """Lower end of the prime-gap interval the downstream estimates use."""
+    return y / (1 + 1 / (2 * math.log(y) ** 2))
+
+
+def _dusart_lo_literal(y: int) -> float:
+    """Lower end of the wider interval of the literal statement."""
+    return y / (1 + 2 * math.log(y) ** 2)
 
 
 def dusart_check(y: int, table: PrimeTable) -> BoundCheckResult:
@@ -581,7 +575,7 @@ def dusart_check(y: int, table: PrimeTable) -> BoundCheckResult:
         raise ValueError(f"the interval statement needs y >= {DUSART_MIN_Y}, got {y}")
     if y > table.limit:
         raise SieveRangeError(f"y={y} exceeds sieve limit {table.limit}")
-    lo_used, lo_literal = _dusart_cutoffs(y)
+    lo_used, lo_literal = _dusart_lo_used(y), _dusart_lo_literal(y)
     spf = table.spf
     # the largest prime below y, walking down the spf table
     witness = next(v for v in range(y - 1, 1, -1) if spf[v] == v)
@@ -599,49 +593,42 @@ def dusart_check(y: int, table: PrimeTable) -> BoundCheckResult:
     )
 
 
-def _dusart_screen(ys: np.ndarray, witness: np.ndarray) -> tuple:
-    """numpy estimates of witness - cutoff for both intervals; they only screen."""
-    import numpy as np
-    log_sq = np.log(ys) ** 2
-    return witness - ys / (1 + 1 / (2 * log_sq)), witness - ys / (1 + 2 * log_sq)
-
-
 def dusart_sweep(y_max: int, table: PrimeTable) -> BoundCheckResult:
     """dusart_check at every DUSART_MIN_Y <= y <= y_max, folded into one result.
 
-    Chunk by chunk, one searchsorted finds the witness prime of every y
-    exactly, and numpy screens both margins.  Every y whose screened margin
-    for either interval lies within DUSART_SCREEN_RTOL * y of 0, or that
-    could hold the least margin so far, is re-evaluated with dusart_check's
-    scalar formula, and only those values decide.  Counterexamples, literal-form failures and the
-    margin therefore equal those of a per-y dusart_check fold bit for bit.
+    The sweep goes one run (p, p'] between consecutive primes at a time:
+    every y of a run has witness p.  Both cutoffs, as evaluated, rise
+    strictly with y: each step is at least 0.0016 at every y <= 10^7 (about
+    0.0014 at the largest sieve MAX_TABLE_BYTES allows), against rounding
+    of a few ulp of y.  The literal cutoff also lies below the used one.
+    So a run's margin is least at its top, and its failing y for either
+    interval form a final stretch: dusart_check's formula at the top decides
+    the run, and a failing top is walked down while it fails.
+    Counterexamples, literal-form failures and the margin equal those of a
+    per-y fold bit for bit.
     """
-    import numpy as np
     if y_max < DUSART_MIN_Y:
         raise ValueError(f"the interval statement needs y >= {DUSART_MIN_Y}, got y_max={y_max}")
     if y_max > table.limit:
         raise SieveRangeError(f"y_max={y_max} exceeds sieve limit {table.limit}")
-    primes = table.primes
+    primes = memoryview(table.primes)
+    first = bisect_left(primes, DUSART_MIN_Y) - 1  # the witness of DUSART_MIN_Y
+    last = bisect_left(primes, y_max)  # primes[first:last] are the witnesses
     worst = math.inf
     bad = []
     literal_fail = 0
-    for start in range(DUSART_MIN_Y, y_max + 1, _DUSART_CHUNK):
-        ys = np.arange(start, min(start + _DUSART_CHUNK, y_max + 1), dtype=np.int64)
-        witness = primes[np.searchsorted(primes, ys, side="left") - 1]
-        used, literal = _dusart_screen(ys, witness)
-        tol = DUSART_SCREEN_RTOL * ys
-        # a y can hold the least exact margin only if its lower estimate
-        # reaches the least upper estimate of the chunk and the running minimum
-        least = min(float((used + tol).min()), worst)
-        recheck = (used <= tol) | (literal <= tol) | (used - tol <= least)
-        for i in np.flatnonzero(recheck):
-            y, w = int(ys[i]), int(witness[i])
-            lo_used, lo_literal = _dusart_cutoffs(y)
-            worst = min(worst, w - lo_used)
-            if not w > lo_used:
-                bad.append((y, w))
-            if not w > lo_literal:
-                literal_fail += 1
+    for w, top in zip(primes[first:last], chain(primes[first + 1 : last], (y_max,))):
+        margin = w - _dusart_lo_used(top)
+        if margin < worst:
+            worst = margin
+        if margin <= 0:
+            y = top
+            stretch = []
+            while y >= max(w + 1, DUSART_MIN_Y) and not w > _dusart_lo_used(y):
+                stretch.append((y, w))
+                literal_fail += not w > _dusart_lo_literal(y)
+                y -= 1
+            bad += reversed(stretch)
     return BoundCheckResult(
         name="short_prime_gap_interval_sweep",
         domain_checked=f"{DUSART_MIN_Y} <= y <= {y_max}",

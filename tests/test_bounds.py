@@ -116,14 +116,27 @@ def test_geometry_scan_equals_per_block_checks(table_small):
 
 def test_geometry_scan_reports_every_prime_free_block(table_small):
     # By Bertrand no block 2 <= x < k is free of primes, so the real scan
-    # always passes.  Against a thinned prime list it must report exactly
-    # the blocks that list leaves prime-free.
-    kept = [int(p) for p in table_small.primes if p not in (3, 5, 7, 11, 13, 23)]
-    thinned = SimpleNamespace(limit=table_small.limit, primes=np.array(kept, dtype=np.int64))
-    kept_set = set(kept)
+    # always passes.  Against a thinned spf table it must report exactly
+    # the blocks that table leaves prime-free.
+    dropped = (3, 5, 7, 11, 13, 23)
+    spf = [0 if v in dropped else s for v, s in enumerate(table_small.spf)]
+    thinned = SimpleNamespace(limit=table_small.limit, spf=spf)
+    kept_set = {v for v in range(2, 100) if spf[v] == v}
     want = [(x, k) for k in range(2, 41) for x in range(2, k) if not kept_set & set(range(x, x + k))]
     assert len(want) == 36
     assert composite_block_geometry_scan(40, thinned).counterexamples == want
+
+
+def test_geometry_scan_memory_does_not_grow_with_k_squared(table_small):
+    # (k_max + 1)^2 arrays over every block took a traced 175.8 MiB here
+    tracemalloc.start()
+    try:
+        res = composite_block_geometry_scan(3000, table_small)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed and res.details == {"blocks_checked": 2999 * 2998 // 2}
+    assert peak < 2**20
 
 
 def test_sandwich_even_case_values(table_small):
@@ -461,51 +474,35 @@ def test_dusart_sweep_equals_per_y_fold(table_big, dusart_fold_1e6):
     _assert_same_sweep(dusart_sweep(10**6, table_big), dusart_fold_1e6)
 
 
-def test_dusart_sweep_rechecking_every_y(table_big, dusart_fold_1e6, monkeypatch):
-    monkeypatch.setattr(bounds, "DUSART_SCREEN_RTOL", math.inf)
-    _assert_same_sweep(dusart_sweep(10**6, table_big), dusart_fold_1e6)
+def test_dusart_sweep_equals_fold_at_every_end_near_the_gap(table_big):
+    # sweep ends on, inside and around the run 3271 -> 3299 of the four failing y
+    for y_max in range(3275, 3320):
+        _assert_same_sweep(dusart_sweep(y_max, table_big), _dusart_fold(y_max, table_big))
 
 
-def test_dusart_sweep_small_odd_chunks(table_big, dusart_fold_1e6, monkeypatch):
-    monkeypatch.setattr(bounds, "_DUSART_CHUNK", 1001)
-    _assert_same_sweep(dusart_sweep(10**6, table_big), dusart_fold_1e6)
-    # chunk edges on and around the four failing y, at every end point nearby
-    for chunk in (1, 3, 5, 7):
-        monkeypatch.setattr(bounds, "_DUSART_CHUNK", chunk)
-        for y_max in range(3275, 3320):
-            _assert_same_sweep(dusart_sweep(y_max, table_big), _dusart_fold(y_max, table_big))
+def test_dusart_cutoffs_rise_strictly_above_each_other():
+    # the sweep decides each run between primes at its top; that is exact
+    # only while both evaluated cutoffs rise strictly and literal < used
+    ys = list(range(bounds.DUSART_MIN_Y, 2 * 10**5 + 1))
+    rng = random.Random(61)
+    for y in ys + [rng.randint(2 * 10**5, 10**7) for _ in range(20_000)]:
+        used, literal = bounds._dusart_lo_used(y), bounds._dusart_lo_literal(y)
+        assert literal < used, y
+        assert bounds._dusart_lo_used(y + 1) > used, y
+        assert bounds._dusart_lo_literal(y + 1) > literal, y
 
 
-def test_dusart_sweep_survives_a_screen_off_by_its_tolerance(table_big, dusart_fold_1e6, monkeypatch):
-    # Floats only screen: with the screen wrong by 0.9 of the tolerance in
-    # either direction (a tolerance widened so that the skew flips screened
-    # verdicts near y = 3296), the scalar formula still decides everything.
-    rtol = 1e-3
-    screen = bounds._dusart_screen
-
-    def skewed(ys, witness):
-        used, literal = screen(ys, witness)
-        skew = np.where(ys % 2 == 0, 0.9, -0.9) * rtol * ys
-        return used + skew, literal - skew
-
-    monkeypatch.setattr(bounds, "DUSART_SCREEN_RTOL", rtol)
-    monkeypatch.setattr(bounds, "_dusart_screen", skewed)
-    _assert_same_sweep(dusart_sweep(10**6, table_big), dusart_fold_1e6)
-
-
-def test_dusart_screen_tolerance_exceeds_rounding(table_big):
-    # the cutoffs stay within 20 ulp of the scalar ones; the tolerance is
-    # more than 10^4 times that, and no sampled y comes near it
-    assert bounds.DUSART_SCREEN_RTOL > 1e4 * 20 * 2.0**-53
-    rng = random.Random(59)
-    ys = np.array(sorted(rng.sample(range(3275, 10**6 + 1), 20_000)), dtype=np.int64)
-    primes = table_big.primes
-    witness = primes[np.searchsorted(primes, ys, side="left") - 1]
-    used, literal = bounds._dusart_screen(ys, witness)
-    for y, w, u, lit in zip(ys.tolist(), witness.tolist(), used, literal):
-        lo_used, lo_literal = bounds._dusart_cutoffs(y)
-        assert abs(u - (w - lo_used)) <= 20 * 2.0**-53 * y
-        assert abs(lit - (w - lo_literal)) <= 20 * 2.0**-53 * y
+def test_dusart_sweep_keeps_no_array_over_its_range(table_big):
+    # beyond the table's own prime list, found once, the sweep walks runs;
+    # numpy arrays over y in chunks of 2^16 took a traced 4.6 MiB here
+    table_big.primes
+    tracemalloc.start()
+    try:
+        dusart_sweep(10**6, table_big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_dusart_sweep_failures_match_oracle(table_big, dusart_fold_1e6):

@@ -440,11 +440,11 @@ def test_cache_env_var_override(tmp_path):
     assert (env_cache / "sieve.dfl").exists()
 
 
-def run_reporting_numpy(argv, cache, env_dir):
-    """Run argv through cli.run in a fresh interpreter that prints on stderr whether numpy loaded."""
+def run_reporting_import(argv, cache, env_dir, module="numpy"):
+    """Run argv through cli.run in a fresh interpreter that prints on stderr whether module loaded."""
     script = (
         "import sys; from dflab.cli import run; code = run(sys.argv[1:]); "
-        "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+        f"print({module!r} in sys.modules, file=sys.stderr); sys.exit(code)"
     )
     return subprocess.run(
         [sys.executable, "-c", script, *argv, "--cache-dir", str(cache)],
@@ -465,7 +465,7 @@ def run_reporting_numpy(argv, cache, env_dir):
 def test_closed_form_commands_read_no_sieve(tmp_path, argv):
     # a 10^7 limit would make any sieve load or build visible: a 40 MB cache
     cache = tmp_path / "cache"
-    res = run_reporting_numpy(argv + ["--sieve-limit", "10000000"], cache, tmp_path / "unused")
+    res = run_reporting_import(argv + ["--sieve-limit", "10000000"], cache, tmp_path / "unused")
     assert res.returncode == 0, res.stderr
     assert len(parse_jsonl(res.stdout)) == 1
     assert res.stderr == "False\n"
@@ -484,10 +484,15 @@ POINT_QUERIES = [
     ["ratio", "erdos-graham", "--n", "4374"],
     ["ratio", "erdos-block", "--x", "24", "--k", "5"],
     ["verify", "dusart", "--y", "5000"],
+    ["verify", "lemma22", "--k-max", "100", "--n-max", "60"],
     ["search", "--mode", "r1", "--n-max", "800", "--t-max", "3"],
 ]
 # records each point query writes: one, but the search's eight solutions
-POINT_RECORDS = {"search": 8}
+# and lemma22's geometry scan plus one sandwich check per r0 solution
+POINT_RECORDS = {
+    "search --mode r1 --n-max 800 --t-max 3": 8,
+    "verify lemma22 --k-max 100 --n-max 60": 3,
+}
 POINT_LIMIT = ["--sieve-limit", "20000"]
 
 
@@ -500,9 +505,21 @@ def warm_cache(tmp_path_factory):
 
 @pytest.mark.parametrize("argv", POINT_QUERIES, ids=" ".join)
 def test_point_queries_never_import_numpy(argv, warm_cache, tmp_path):
-    res = run_reporting_numpy(argv + POINT_LIMIT, warm_cache, tmp_path / "unused")
+    res = run_reporting_import(argv + POINT_LIMIT, warm_cache, tmp_path / "unused")
     assert res.returncode == 0, res.stderr
-    assert len(parse_jsonl(res.stdout)) == POINT_RECORDS.get(argv[0], 1)
+    assert len(parse_jsonl(res.stdout)) == POINT_RECORDS.get(" ".join(argv), 1)
+    assert res.stderr == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ratio", "erdos-graham", "--n", "4374"], ["verify", "dusart", "--y", "5000"]],
+    ids=" ".join,
+)
+def test_bounds_point_queries_leave_the_search_unloaded(argv, warm_cache, tmp_path):
+    res = run_reporting_import(argv + POINT_LIMIT, warm_cache, tmp_path / "unused", "dflab.equation")
+    assert res.returncode == 0, res.stderr
+    assert len(parse_jsonl(res.stdout)) == 1
     assert res.stderr == "False\n"
 
 
@@ -514,7 +531,7 @@ def test_point_query_on_empty_cache_builds_the_same_files(tmp_path):
     }
     cache = tmp_path / "cache"
     argv = ["block", "analyze", "--x", "24", "--k", "5"]
-    res = run_reporting_numpy(argv + POINT_LIMIT, cache, tmp_path / "unused")
+    res = run_reporting_import(argv + POINT_LIMIT, cache, tmp_path / "unused")
     assert res.returncode == 0, res.stderr
     assert res.stderr == "True\n"  # the build sieves with numpy
     golden = Path(__file__).resolve().parent / "golden" / "block-analyze.jsonl"
