@@ -10,11 +10,12 @@ Verdicts that rest on double-precision comparisons are reliable down to
 FLOAT_TOLERANCE; every margin at desk scale sits orders of magnitude
 above it.
 
-The scans that vectorize (theta, mertens, thm24, the val2 factorial
-check) import numpy when they run, and dusart_sweep for the prime list.
-The geometry scan and the point checks (erdos_ratio, erdos_graham_ratio,
-dusart_check, the single-block checks) read the sieve entry by entry and
-need none.  Only sandwich_check imports the equation module.
+The scans that vectorize (theta, mertens, thm24) import numpy when they
+run, and dusart_sweep for the prime list.  The geometry scan and the point
+checks (erdos_ratio, erdos_graham_ratio, dusart_check, the single-block
+checks) read the sieve entry by entry and need none; the val2 sweep and
+factorial check are closed forms and read no sieve.  Only sandwich_check
+imports the equation module.
 """
 
 from __future__ import annotations
@@ -77,9 +78,6 @@ ERDOS_BLOCK_COEFF = 2.0 / 7.0
 VAL2_OFFSET = 7.0
 # Below this y the short prime-gap interval statement is not asserted.
 DUSART_MIN_Y = 3275
-# m values per valuation2_factorial_lower_check pass, so memory does not
-# grow with m_max
-_VAL2_CHUNK = 1 << 16
 # Double-precision comparisons are trusted down to this slack.
 FLOAT_TOLERANCE = 1e-9
 
@@ -113,6 +111,26 @@ class BoundCheckResult:
         return not self.counterexamples
 
 
+def _prime_sum_scan(name: str, nu_max: int, table: PrimeTable, term, rhs) -> BoundCheckResult:
+    """cumsum(term(ps)) < rhs(ps) at every prime nu <= nu_max, ps the primes as float64."""
+    import numpy as np
+    if nu_max > table.limit:
+        raise SieveRangeError(f"nu_max={nu_max} exceeds sieve limit {table.limit}")
+    ps = table.primes_leq(nu_max).astype(np.float64)
+    if ps.size == 0:
+        raise ValueError("nu_max must be at least 2")
+    partial = np.cumsum(term(ps))
+    slack = rhs(ps) - partial
+    bad = np.flatnonzero(slack <= 0)
+    return BoundCheckResult(
+        name=name,
+        domain_checked=f"primes nu <= {nu_max}",
+        counterexamples=[(int(ps[i]), float(partial[i])) for i in bad],
+        margin=float(slack.min()),
+        details={"primes_checked": int(ps.size), "float_tolerance": FLOAT_TOLERANCE},
+    )
+
+
 def verify_theta_bound(nu_max: int, table: PrimeTable) -> BoundCheckResult:
     """theta(nu) < THETA_COEFF * nu at every prime nu <= nu_max.
 
@@ -120,40 +138,16 @@ def verify_theta_bound(nu_max: int, table: PrimeTable) -> BoundCheckResult:
     slack over real nu is attained at a prime.
     """
     import numpy as np
-    if nu_max > table.limit:
-        raise SieveRangeError(f"nu_max={nu_max} exceeds sieve limit {table.limit}")
-    ps = table.primes_leq(nu_max).astype(np.float64)
-    if ps.size == 0:
-        raise ValueError("nu_max must be at least 2")
-    theta_at = np.cumsum(np.log(ps))
-    slack = THETA_COEFF * ps - theta_at
-    bad = np.flatnonzero(slack <= 0)
-    return BoundCheckResult(
-        name="theta_linear_upper",
-        domain_checked=f"primes nu <= {nu_max}",
-        counterexamples=[(int(ps[i]), float(theta_at[i])) for i in bad],
-        margin=float(slack.min()),
-        details={"primes_checked": int(ps.size), "float_tolerance": FLOAT_TOLERANCE},
+    return _prime_sum_scan(
+        "theta_linear_upper", nu_max, table, np.log, lambda ps: THETA_COEFF * ps
     )
 
 
 def verify_mertens_bound(nu_max: int, table: PrimeTable) -> BoundCheckResult:
     """sum_{p <= nu} log(p)/p < log(nu) at every prime nu <= nu_max."""
     import numpy as np
-    if nu_max > table.limit:
-        raise SieveRangeError(f"nu_max={nu_max} exceeds sieve limit {table.limit}")
-    ps = table.primes_leq(nu_max).astype(np.float64)
-    if ps.size == 0:
-        raise ValueError("nu_max must be at least 2")
-    partial = np.cumsum(np.log(ps) / ps)
-    slack = np.log(ps) - partial
-    bad = np.flatnonzero(slack <= 0)
-    return BoundCheckResult(
-        name="mertens_log_sum_upper",
-        domain_checked=f"primes nu <= {nu_max}",
-        counterexamples=[(int(ps[i]), float(partial[i])) for i in bad],
-        margin=float(slack.min()),
-        details={"primes_checked": int(ps.size), "float_tolerance": FLOAT_TOLERANCE},
+    return _prime_sum_scan(
+        "mertens_log_sum_upper", nu_max, table, lambda ps: np.log(ps) / ps, np.log
     )
 
 
@@ -444,23 +438,29 @@ def valuation2_block_sweep(x_max: int, k_max: int, samples: int, seed: int) -> B
 def valuation2_factorial_lower_check(m_max: int) -> BoundCheckResult:
     """nu_2(m!) > VAL2_SLOPE * m - VAL2_OFFSET for 1 <= m <= m_max.
 
-    The valuation is the vectorized floor sum  sum_i (m >> i).
+    By Legendre nu_2(m!) = m - s_2(m), and s_2(m) <= log2(m) + 1, so the
+    slack at m is at least low(m) = (1 - VAL2_SLOPE) * m + VAL2_OFFSET -
+    log2(m) - 1.  low falls up to the knee 1 / ((1 - VAL2_SLOPE) ln 2),
+    about 144, and rises after it, so below the knee it is at most every
+    slack so far.  Once low(m) clears max(margin, 0) by FLOAT_TOLERANCE, far
+    above the rounding of either side, m is past the knee and every later
+    slack is larger.  The walk stops there (m = 387 with the paper's
+    constants): no later m can fail or lower the margin, so the result
+    equals the fold over every m <= m_max.
     """
-    import numpy as np
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     counterexamples = []
     margin = math.inf
-    for start in range(1, m_max + 1, _VAL2_CHUNK):
-        ms = np.arange(start, min(start + _VAL2_CHUNK, m_max + 1), dtype=np.int64)
-        v2 = np.zeros_like(ms)
-        shifted = ms >> 1
-        while shifted.any():
-            v2 += shifted
-            shifted >>= 1
-        slack = v2 - (VAL2_SLOPE * ms - VAL2_OFFSET)
-        margin = min(margin, float(slack.min()))
-        counterexamples += [(int(ms[i]), int(v2[i])) for i in np.flatnonzero(slack <= 0)]
+    for m in range(1, m_max + 1):
+        v2 = m - m.bit_count()
+        slack = v2 - (VAL2_SLOPE * m - VAL2_OFFSET)
+        margin = min(margin, slack)
+        if slack <= 0:
+            counterexamples.append((m, v2))
+        low = (1 - VAL2_SLOPE) * m + VAL2_OFFSET - math.log2(m) - 1
+        if low > max(margin, 0) + FLOAT_TOLERANCE:
+            break
     return BoundCheckResult(
         name="factorial_power_of_two_lower",
         domain_checked=f"1 <= m <= {m_max}",

@@ -10,9 +10,9 @@ The leaf commands are declared once, in COMMANDS: the words that name
 each, its flags, its handler, and whether it reads the sieve.  A command
 builds the parser of its own leaf only (every leaf when argv names none,
 as for --help).  A command that reads no sieve (bound thm12ii, bound
-ineq3, verify known-factorials) evaluates a closed form: it loads no cache
-and builds none.  Every other command imports only the library modules it
-calls, when it runs.
+ineq3, verify known-factorials, verify val2) evaluates a closed form: it
+loads no cache and builds none.  Every other command imports only the
+library modules it calls, when it runs.
 
 A loaded table is one read-only memoryview of native uint32 entries over
 the checked cache bytes, with no copy on a little-endian host.  The point
@@ -122,12 +122,11 @@ class CommandConfig:
 class OutputRecord:
     """One record of a command's output."""
 
-    __slots__ = ("kind", "payload", "schema_version")
+    __slots__ = ("kind", "payload")
 
-    def __init__(self, kind: str, payload: dict, schema_version: int = SCHEMA_VERSION):
+    def __init__(self, kind: str, payload: dict):
         self.kind = kind  # solution | bound_check | triple | scan_summary
         self.payload = payload
-        self.schema_version = schema_version
 
 
 class _CacheInvalid(Exception):
@@ -324,7 +323,7 @@ def _emit_jsonl(records, out):
     for rec in records:
         obj = {
             "kind": rec.kind,
-            "schema_version": rec.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "payload": _jsonable(rec.payload),
         }
         out.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
@@ -336,7 +335,7 @@ def _emit_csv(records, out):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["kind", "schema_version"] + [f"payload.{k}" for k in keys])
     for rec in records:
-        row = [rec.kind, rec.schema_version]
+        row = [rec.kind, SCHEMA_VERSION]
         payload = _jsonable(rec.payload)
         for k in keys:
             if k not in payload:
@@ -492,13 +491,9 @@ def _cmd_verify_thm24(args, config, table):
 
 def _cmd_verify_val2(args, config, table):
     from . import bounds
-    from .core import SieveRangeError
     _require_at_least("--x-max", args.x_max, 2)
     _require_at_least("--k-max", args.k_max, 1)
     _require_at_least("--samples", args.samples, 1)
-    block_end = args.x_max + args.k_max - 1
-    if block_end > table.limit:
-        raise SieveRangeError(f"--x-max + --k-max - 1 = {block_end} exceeds sieve limit {table.limit}")
     return _checks([
         bounds.valuation2_factorial_lower_check(args.m_max),
         bounds.valuation2_block_sweep(args.x_max, args.k_max, args.samples, args.seed),
@@ -604,6 +599,7 @@ COMMANDS = {
     "verify val2": Command(
         _cmd_verify_val2,
         {"--m-max": 10**6, "--x-max": 10**4, "--k-max": 50, "--samples": 10**4, "--seed": 0},
+        reads_table=False,
     ),
     "verify dusart": Command(_cmd_verify_dusart, {("--y", "--y-max"): int}),
     "verify known-factorials": Command(_cmd_verify_known, {}, reads_table=False),

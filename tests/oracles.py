@@ -142,6 +142,23 @@ def dusart_failures(y_max: int, y_min: int = 3275) -> list:
     return bad
 
 
+def val2_factorial_fold(m_max: int, slope: float, offset: float):
+    """The fold of nu_2(m!) > slope * m - offset over m = 1..m_max, one m at a time.
+
+    nu_2(m!) is m minus the binary ones of m.  Yields (counterexamples,
+    margin) after each m, so one pass gives the fold of every prefix.
+    """
+    bad = ()
+    margin = math.inf
+    for m in range(1, m_max + 1):
+        v2 = m - bin(m).count("1")
+        slack = v2 - (slope * m - offset)
+        margin = min(margin, slack)
+        if slack <= 0:
+            bad += ((m, v2),)
+        yield bad, margin
+
+
 def gap2_family(n_max: int, t_max: int) -> set:
     """Gap-2 family members (n, parts) with n <= n_max and at most t_max parts.
 

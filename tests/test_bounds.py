@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -34,7 +35,7 @@ from dflab import (
 from dflab import bounds, core
 from dflab.bounds import EXCEPTIONAL_PAIRS, EXCEPTIONAL_PAIRS_ORDERED, BoundCheckResult
 
-from oracles import block_lpf_violators, dusart_failures, trial_is_prime
+from oracles import block_lpf_violators, dusart_failures, trial_is_prime, val2_factorial_fold
 
 # Exceptions the k in [2,7], x <= 5000 scan actually finds.  (15, 2) is a
 # true violator -- P(15*16) = P(240) = 5 <= 8.84 -- that the catalogued
@@ -327,20 +328,31 @@ def test_valuation2_factorial_lower():
     assert valuation2_factorial_lower_check(1).passed
 
 
-def test_valuation2_factorial_lower_chunks_agree(monkeypatch):
-    # offset 3 makes the bound fail at some m, so counterexamples span chunks
-    default = bounds._VAL2_CHUNK
-    for offset in (bounds.VAL2_OFFSET, 3):
+def test_valuation2_factorial_lower_matches_the_fold(monkeypatch):
+    # offsets 3 and 1 make the bound fail at 113 and 388 m, some of them past
+    # where the walk stops at offset 7, so an early stop loses counterexamples
+    checked = set(range(1, 3001)) | {10**4, 10**6}
+    for offset in (bounds.VAL2_OFFSET, 3, 1):
         monkeypatch.setattr(bounds, "VAL2_OFFSET", offset)
-        monkeypatch.setattr(bounds, "_VAL2_CHUNK", default)
-        whole = valuation2_factorial_lower_check(5000)
-        for chunk in (1, 7, 1000):
-            monkeypatch.setattr(bounds, "_VAL2_CHUNK", chunk)
-            got = valuation2_factorial_lower_check(5000)
-            assert got == whole and got.margin.hex() == whole.margin.hex(), (offset, chunk)
-        assert [m for m, _ in whole.counterexamples] == [
-            m for m in range(1, 5001) if m - bin(m).count("1") <= bounds.VAL2_SLOPE * m - offset
+        fold = val2_factorial_fold(10**6, bounds.VAL2_SLOPE, offset)
+        for m_max, (bad, margin) in enumerate(fold, 1):
+            if m_max in checked:
+                got = valuation2_factorial_lower_check(m_max)
+                assert (got.counterexamples, got.margin.hex()) == (list(bad), margin.hex()), (offset, m_max)
+        assert [m for m, _ in got.counterexamples] == [
+            m for m in range(1, 3001) if m - bin(m).count("1") <= bounds.VAL2_SLOPE * m - offset
         ]
+    assert len(got.counterexamples) == 388
+
+
+def test_valuation2_factorial_lower_stops_past_the_knee():
+    t0 = time.perf_counter()
+    res = valuation2_factorial_lower_check(10**18)
+    assert time.perf_counter() - t0 < 0.5
+    assert res.domain_checked == "1 <= m <= 1000000000000000000"
+    assert (res.counterexamples, res.margin.hex()) == (
+        [], valuation2_factorial_lower_check(10**6).margin.hex()
+    )
 
 
 def test_valuation2_factorial_matches_popcount_identity():

@@ -310,12 +310,7 @@ def test_node_budget_exit_code(tmp_path, capsys):
         pytest.param(["verify", "val2", "--k-max", "0"], "--k-max must be >= 1, got 0", id="val2-k"),
         pytest.param(["verify", "val2", "--samples", "0"], "--samples must be >= 1, got 0", id="val2-n"),
         pytest.param(["verify", "lemma22", "--k-max", "2"], "--k-max must be >= 3", id="lemma22"),
-        # beyond the sieve: refused before the sweep, whatever the seed draws
-        pytest.param(
-            ["verify", "val2", "--x-max", "5000", "--samples", "20"],
-            "--x-max + --k-max - 1 = 5049 exceeds sieve limit 5000",
-            id="val2-limit",
-        ),
+        # beyond the sieve: refused before the sweep
         pytest.param(
             ["verify", "dusart", "--y-max", "6000"],
             "--y-max=6000 exceeds sieve limit 5000",
@@ -328,6 +323,15 @@ def test_verify_sweep_domain_is_checked_first(tmp_path, capsys, argv, message):
     assert code == 2
     assert message in err
     assert out == ""
+
+
+def test_verify_val2_reads_no_sieve_whatever_its_limit(tmp_path, capsys):
+    # its blocks pass --sieve-limit 5000, which a sieve-reading command refuses
+    argv = ["verify", "val2", "--x-max", "5000", "--samples", "20"]
+    code, out, err = run_inproc(argv + ["--sieve-limit", "5000"], tmp_path, capsys)
+    assert (code, err) == (0, "")
+    assert run_inproc(argv + ["--sieve-limit", "20000"], tmp_path, capsys) == (0, out, "")
+    assert len(parse_jsonl(out)) == 2
 
 
 def test_verify_lemmas_honour_node_budget(tmp_path, capsys):
@@ -454,12 +458,17 @@ def run_reporting_import(argv, cache, env_dir, module="numpy"):
     )
 
 
+# records each closed form writes: one, but verify val2 checks two bounds
+CLOSED_FORM_RECORDS = {"verify val2": 2}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["bound", "thm12ii", "--l1", "5"],
         ["bound", "ineq3", "--k", "10", "--a2", "30", "--m", "1000"],
         ["verify", "known-factorials"],
+        ["verify", "val2"],
     ],
 )
 def test_closed_form_commands_read_no_sieve(tmp_path, argv):
@@ -467,7 +476,7 @@ def test_closed_form_commands_read_no_sieve(tmp_path, argv):
     cache = tmp_path / "cache"
     res = run_reporting_import(argv + ["--sieve-limit", "10000000"], cache, tmp_path / "unused")
     assert res.returncode == 0, res.stderr
-    assert len(parse_jsonl(res.stdout)) == 1
+    assert len(parse_jsonl(res.stdout)) == CLOSED_FORM_RECORDS.get(" ".join(argv), 1)
     assert res.stderr == "False\n"
     assert not cache.exists() or not any(cache.iterdir())
 

@@ -13,7 +13,7 @@ from test_golden import CASES, run_case
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 SUBMODULES = ("core", "equation", "bounds", "abc_triples", "formulas")
-CLOSED_FORM_CASES = {"bound-thm12ii", "bound-ineq3", "verify-known-factorials"}
+CLOSED_FORM_CASES = {"bound-thm12ii", "bound-ineq3", "verify-known-factorials", "verify-val2"}
 
 
 def test_public_names_are_the_defining_modules_objects():
