@@ -8,6 +8,7 @@ both n-2 and a1-1 into the part list.  The search below finds everything
 else too, and on n <= 400 it turns up solutions in neither family.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # run from
 from dflab import (
     check_identity,
     classify,
+    double_factorial,
     generate_trivial_even,
     generate_trivial_odd,
     odd_gap_obstruction,
@@ -46,11 +48,18 @@ for rec in search(400, 3, "r0", table):
     print(f"  n={rec.instance.n:<4} parts={list(rec.instance.a)}  {rec.classification}")
 
 print("\n== single-odd-part search (r = 1), n <= 400 ==")
+family, sporadic = [], []
 for rec in search(400, 3, "r1", table):
     dec = rec.decomposition
     dec_s = f"  blocks (x1,l1,x2,l2)=({dec.x1},{dec.l1},{dec.x2},{dec.l2})" if dec else ""
     print(f"  n={rec.instance.n:<4} parts={list(rec.instance.a)}  {rec.classification}{dec_s}")
-print("  six nontrivial hits; each telescopes a tail of n!!, e.g.")
+    # gap-2 family: (n-2)!! times parts whose double factorials multiply to n
+    n, (top, *rest) = rec.instance.n, rec.instance.a
+    in_family = top == n - 2 and math.prod(map(double_factorial, rest)) == n
+    (family if in_family else sporadic).append(n)
+print(f"  {len(family)} gap-2 family members {family}", end="")
+print(f" and {len(sporadic)} sporadic solutions {sporadic};")
+print("  each sporadic one telescopes a tail of n!!, e.g.")
 print("  5!!*4!! = 120 = 12*10, 8!!*5!! = 5760 = 20*18*16, 7!!*4!! = 840 = 30*28.")
 
 print("\n== why a lone odd part near n cannot work ==")

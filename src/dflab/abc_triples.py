@@ -46,6 +46,11 @@ def make_triple(a: int, b: int, table: PrimeTable) -> AbcTriple:
     return _make_triple(a, b, table, lambda n: radical(n, table))
 
 
+def _quality(c: int, rad: int) -> float:
+    """log(c) / log(rad), inf when rad is 1."""
+    return math.log(c) / math.log(rad) if rad > 1 else math.inf
+
+
 def _make_triple(a: int, b: int, table: PrimeTable, rad_of) -> AbcTriple:
     """make_triple with the radical taken from rad_of."""
     if a < 1 or b < 1:
@@ -56,13 +61,12 @@ def _make_triple(a: int, b: int, table: PrimeTable, rad_of) -> AbcTriple:
     if c > table.limit:
         raise SieveRangeError(f"c={c} exceeds sieve limit {table.limit}")
     rad = rad_of(a) * rad_of(b) * rad_of(c)
-    quality = math.log(c) / math.log(rad) if rad > 1 else math.inf
     return AbcTriple(
         a=a,
         b=b,
         c=c,
         rad=rad,
-        quality=quality,
+        quality=_quality(c, rad),
         explicit_ok=c**4 < rad**7,
         explicit_margin=ABC_EXPONENT * math.log(rad) - math.log(c),
     )
@@ -125,15 +129,26 @@ def scan_block_triples(x: int, k: int, table: PrimeTable) -> ProofTripleResult:
     """Best-quality difference triple over all pairs j2 < j1 < k.
 
     Deterministic: ties keep the first pair in (j1, j2) order.  Each
-    distinct radical is computed once per scan.
+    distinct radical is computed once per scan.  Pairs are ranked by the
+    quality _proof_triple would report (the same g, c and rad, the same
+    _quality), and only the first-best pair is built.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    if x < 2:
+        raise ValueError(f"need x >= 2, got {x}")
+    if x + k - 1 > table.limit:
+        # name the first term past the table, as the first such pair would
+        first = max(x + 1, table.limit + 1)
+        raise SieveRangeError(f"x+j1={first} exceeds sieve limit {table.limit}")
     rad_of = functools.cache(lambda n: radical(n, table))
-    best = None
+    best = best_q = None
     for j1 in range(1, k):
         for j2 in range(j1):
-            cand = _proof_triple(x, j1, j2, table, rad_of)
-            if best is None or cand.triple.quality > best.triple.quality:
-                best = cand
-    return best
+            diff = j1 - j2
+            g = math.gcd(diff, x + j2)
+            c = (x + j1) // g
+            q = _quality(c, rad_of(diff // g) * rad_of((x + j2) // g) * rad_of(c))
+            if best is None or q > best_q:
+                best, best_q = (j1, j2), q
+    return _proof_triple(x, *best, table, rad_of)

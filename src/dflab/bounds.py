@@ -11,18 +11,17 @@ FLOAT_TOLERANCE; every margin at desk scale sits orders of magnitude
 above it.
 
 The scans that vectorize (theta, mertens, thm24) import numpy when they
-run, and dusart_sweep for the prime list.  The geometry scan and the point
-checks (erdos_ratio, erdos_graham_ratio, dusart_check, the single-block
-checks) read the sieve entry by entry and need none; the val2 sweep and
-factorial check are closed forms and read no sieve.  Only sandwich_check
-imports the equation module.
+run.  The geometry scan, dusart_sweep and the point checks (erdos_ratio,
+erdos_graham_ratio, dusart_check, the single-block checks) read the sieve
+entry by entry and need none; the val2 sweep and factorial check are
+closed forms and read no sieve.  Only sandwich_check imports the equation
+module.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 
@@ -32,6 +31,7 @@ from .core import (
     analyze_block,
     block_lpf_max,
     largest_prime_factor,
+    _primes_between,
     _walk_spf,
 )
 from .formulas import THETA_COEFF, THM12II_OFFSET, VAL2_SLOPE, thm12ii_bound
@@ -597,27 +597,29 @@ def dusart_sweep(y_max: int, table: PrimeTable) -> BoundCheckResult:
     """dusart_check at every DUSART_MIN_Y <= y <= y_max, folded into one result.
 
     The sweep goes one run (p, p'] between consecutive primes at a time:
-    every y of a run has witness p.  Both cutoffs, as evaluated, rise
-    strictly with y: each step is at least 0.0016 at every y <= 10^7 (about
-    0.0014 at the largest sieve MAX_TABLE_BYTES allows), against rounding
-    of a few ulp of y.  The literal cutoff also lies below the used one.
-    So a run's margin is least at its top, and its failing y for either
-    interval form a final stretch: dusart_check's formula at the top decides
-    the run, and a failing top is walked down while it fails.
-    Counterexamples, literal-form failures and the margin equal those of a
-    per-y fold bit for bit.
+    every y of a run has witness p.  The witnesses stream upward through
+    the spf table from the one of DUSART_MIN_Y, so no prime list is read or
+    kept: each prime p' closes the run (p, p'], and y_max closes the last.
+    Both cutoffs, as evaluated, rise strictly with y: each step is at least
+    0.0016 at every y <= 10^7 (about 0.0014 at the largest sieve
+    MAX_TABLE_BYTES allows), against rounding of a few ulp of y.  The
+    literal cutoff also lies below the used one.  So a run's margin is least
+    at its top, and its failing y for either interval form a final stretch:
+    dusart_check's formula at the top decides the run, and a failing top is
+    walked down while it fails.  Counterexamples, literal-form failures and
+    the margin equal those of a per-y fold bit for bit.
     """
     if y_max < DUSART_MIN_Y:
         raise ValueError(f"the interval statement needs y >= {DUSART_MIN_Y}, got y_max={y_max}")
     if y_max > table.limit:
         raise SieveRangeError(f"y_max={y_max} exceeds sieve limit {table.limit}")
-    primes = memoryview(table.primes)
-    first = bisect_left(primes, DUSART_MIN_Y) - 1  # the witness of DUSART_MIN_Y
-    last = bisect_left(primes, y_max)  # primes[first:last] are the witnesses
+    spf = table.spf
+    # the witness of DUSART_MIN_Y, the largest prime below it
+    w = next(v for v in range(DUSART_MIN_Y - 1, 1, -1) if spf[v] == v)
     worst = math.inf
     bad = []
     literal_fail = 0
-    for w, top in zip(primes[first:last], chain(primes[first + 1 : last], (y_max,))):
+    for top in chain(_primes_between(spf, w + 1, y_max), (y_max,)):
         margin = w - _dusart_lo_used(top)
         if margin < worst:
             worst = margin
@@ -629,6 +631,7 @@ def dusart_sweep(y_max: int, table: PrimeTable) -> BoundCheckResult:
                 literal_fail += not w > _dusart_lo_literal(y)
                 y -= 1
             bad += reversed(stretch)
+        w = top
     return BoundCheckResult(
         name="short_prime_gap_interval_sweep",
         domain_checked=f"{DUSART_MIN_Y} <= y <= {y_max}",

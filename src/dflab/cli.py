@@ -16,10 +16,11 @@ library modules it calls, when it runs.
 
 A loaded table is one read-only memoryview of native uint32 entries over
 the checked cache bytes, with no copy on a little-endian host.  The point
-queries (classify, generate, abc, block analyze, gap-witness, ratio,
-verify dusart --y), search and verify lemma22 read it entry by entry, so
-neither they nor the closed forms import numpy.  numpy is imported by the
-other verify commands and by a sieve build on a missing or damaged cache.
+queries (classify, generate, abc, block analyze, gap-witness, ratio),
+search and the verify commands dusart, lemma22 and lemma23 read it entry
+by entry, so neither they nor the closed forms import numpy.  numpy is
+imported only by verify lemma21, verify thm24 and a sieve build on a
+missing or damaged cache.
 
 The sieve is cached on disk in two files.  sieve.dfl holds a 32-byte
 header (magic "DFL1", uint32 version 1, uint64 limit, uint32 CRC-32 of the

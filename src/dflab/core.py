@@ -18,7 +18,9 @@ one instance can be shared freely.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain, compress
 
 __all__ = [
     "SieveRangeError",
@@ -147,6 +149,24 @@ def sieve_primes(limit: int) -> PrimeTable:
             view = spf[p * p :: p]
             np.minimum(view, np.uint32(p), out=view)
     return PrimeTable(limit, spf)
+
+
+def _primes_between(spf, lo: int, hi: int):
+    """Iterator over the primes m with lo <= m < hi, ascending, read off spf.
+
+    Below 2^16 m is prime iff spf[m] == m.  Every composite below 2^32 has
+    its smallest prime factor below 2^16, so from 2^16 on an odd m is prime
+    iff the high uint16 of its entry is nonzero: itertools.compress picks
+    the odd entries of that stretch off their high halves, with no Python
+    step per entry.  Entries are native uint32, so sys.byteorder says which
+    half is high.
+    """
+    mid = min(max(lo, 1 << 16), hi)
+    odd = mid | 1
+    high = 2 * odd + (sys.byteorder == "little")
+    halves = spf.cast("B").cast("H")[high : 2 * hi : 4]
+    small = (m for m in range(max(lo, 2), mid) if spf[m] == m)
+    return chain(small, compress(range(odd, hi, 2), halves))
 
 
 def _walk_spf(n: int, spf) -> dict:

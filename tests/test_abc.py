@@ -107,6 +107,20 @@ def test_scan_block_triples(table_small):
     assert res.triple.quality == pytest.approx(1.5679, abs=1e-3)
 
 
+def test_scan_block_triples_errors(table_small):
+    # the k check comes first, then x, then the first term past the table
+    with pytest.raises(ValueError, match=r"^k must be >= 2, got 1$"):
+        scan_block_triples(1, 1, table_small)
+    for x in (-3, 0, 1):
+        with pytest.raises(ValueError, match=rf"^need x >= 2, got {x}$"):
+            scan_block_triples(x, 5, table_small)
+    for x, k in [(10_000, 2), (12_345, 3), (9_990, 12), (9_990, 40)]:
+        first = max(x + 1, 10_001)
+        with pytest.raises(SieveRangeError, match=rf"^x\+j1={first} exceeds sieve limit 10000$"):
+            scan_block_triples(x, k, table_small)
+    assert scan_block_triples(9_990, 11, table_small).x == 9_990  # ends at the limit
+
+
 def test_scan_block_triples_is_argmax(table_small):
     rng = random.Random(37)
     for _ in range(40):

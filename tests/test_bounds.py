@@ -454,27 +454,31 @@ def test_dusart_sweep(table_big):
         assert res.details["literal_form_ok"]
 
 
-def _dusart_fold(y_max, table):
-    """The dusart sweep as a fold of per-y dusart_check results."""
+def _dusart_folds(ends, table):
+    """The dusart sweep to each y_max in ends, as folds of per-y dusart_check results."""
+    ends = set(ends)
     worst, bad, literal_fail = math.inf, [], 0
-    for y in range(3275, y_max + 1):
+    folds = {}
+    for y in range(3275, max(ends) + 1):
         res = dusart_check(y, table)
         if res.margin < worst:
             worst = res.margin
         bad.extend(res.counterexamples)
         literal_fail += not res.details["literal_form_ok"]
-    return BoundCheckResult(
-        name="short_prime_gap_interval_sweep",
-        domain_checked=f"3275 <= y <= {y_max}",
-        counterexamples=bad,
-        margin=worst,
-        details={"literal_form_failures": literal_fail},
-    )
+        if y in ends:
+            folds[y] = BoundCheckResult(
+                name="short_prime_gap_interval_sweep",
+                domain_checked=f"3275 <= y <= {y}",
+                counterexamples=list(bad),
+                margin=worst,
+                details={"literal_form_failures": literal_fail},
+            )
+    return folds
 
 
 @pytest.fixture(scope="module")
 def dusart_fold_1e6(table_big):
-    return _dusart_fold(10**6, table_big)
+    return _dusart_folds([10**6], table_big)[10**6]
 
 
 def _assert_same_sweep(res, fold):
@@ -488,8 +492,18 @@ def test_dusart_sweep_equals_per_y_fold(table_big, dusart_fold_1e6):
 
 def test_dusart_sweep_equals_fold_at_every_end_near_the_gap(table_big):
     # sweep ends on, inside and around the run 3271 -> 3299 of the four failing y
-    for y_max in range(3275, 3320):
-        _assert_same_sweep(dusart_sweep(y_max, table_big), _dusart_fold(y_max, table_big))
+    for y_max, fold in _dusart_folds(range(3275, 3320), table_big).items():
+        _assert_same_sweep(dusart_sweep(y_max, table_big), fold)
+
+
+def test_dusart_sweep_equals_fold_at_ends_around_2_16(table_big):
+    # the prime stream switches from spf[m] == m to the entries' high halves
+    # at 2^16; 65537 is the first prime above it
+    ends = range(65535, 65540)
+    assert next(m for m in range(2**16, 2**17) if trial_is_prime(m)) == 65537
+    assert 65537 in ends
+    for y_max, fold in _dusart_folds(ends, table_big).items():
+        _assert_same_sweep(dusart_sweep(y_max, table_big), fold)
 
 
 def test_dusart_cutoffs_rise_strictly_above_each_other():
@@ -505,16 +519,18 @@ def test_dusart_cutoffs_rise_strictly_above_each_other():
 
 
 def test_dusart_sweep_keeps_no_array_over_its_range(table_big):
-    # beyond the table's own prime list, found once, the sweep walks runs;
-    # numpy arrays over y in chunks of 2^16 took a traced 4.6 MiB here
-    table_big.primes
+    # the sweep streams its witnesses off the spf table and reads no prime
+    # list; numpy arrays over y in chunks of 2^16 took a traced 4.6 MiB here.
+    # A fresh table over the same entries has found no prime list yet.
+    table = core.PrimeTable(table_big.limit, table_big.spf)
     tracemalloc.start()
     try:
-        dusart_sweep(10**6, table_big)
+        dusart_sweep(10**6, table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+    assert table._primes is None
 
 
 def test_dusart_sweep_failures_match_oracle(table_big, dusart_fold_1e6):

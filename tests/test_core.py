@@ -259,6 +259,16 @@ def test_prime_scan_chunks_agree(monkeypatch):
             assert got.dtype == np.int64 and got.tolist() == primes_upto(limit), (chunk, limit)
 
 
+def test_primes_between_reads_the_primes_off_spf(table_big):
+    # below 2^16 spf[m] == m decides; above it the odd entries' high halves
+    spf = table_big.spf
+    assert list(core._primes_between(spf, 0, 10**6 + 1)) == table_big.primes.tolist()
+    for lo, hi in [(0, 3), (3272, 3272), (65_519, 65_540), (65_536, 65_537), (65_537, 65_538),
+                   (65_538, 65_540), (65_540, 65_536), (131_000, 131_200), (999_900, 10**6 + 1)]:
+        got = list(core._primes_between(spf, lo, hi))
+        assert got == [m for m in range(lo, hi) if trial_is_prime(m)], (lo, hi)
+
+
 def df_exponents(m, table):
     """m!! as a prime -> exponent dict: the spf-walk factorizations of its terms, summed."""
     out = {}
