@@ -16,12 +16,18 @@ Everything here reads the sieve entry by entry, in plain Python with no
 array library.  The search keeps what is still owed as a sparse
 prime -> exponent dict times one factorial and branches only on the part
 that covers the largest owed prime, so it needs no table beyond the sieve
-and has no cap on n.
+and has no cap on n.  It skips the divide of a candidate whose child could
+charge nothing: a second-to-last part that leaves no last part of matching
+magnitude, and a root even part that leaves a prime too large for any next
+part within what is owed.  Both compare the floats the child would, so the
+charges, the budget messages and the solutions stay the same.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (
@@ -400,20 +406,40 @@ class _Cover:
     last slot log v!! = log owed within tol.  Integers decide: a hit needs
     _divide to leave M <= 1 and an empty S.  (M stays above 1 only at the
     root and after an odd part taken there, and neither owes 1.)  There
-    one _rebase walk serves both windows: an odd part v < M is divided
-    from base v and an even part 2k < 2M from base k, so each integer of
-    their blocks is factored once.  Every candidate past the log cut is
-    charged to the budget.
+    one _rebase walk, taken when the first candidate needs it, serves both
+    windows: an odd part v < M is divided from base v and an even part
+    2k < 2M from base k, so each integer of their blocks is factored once.
+    Every candidate past the log cut is charged to the budget.
+
+    Two prunes skip the divide of a charged candidate v, and so its child,
+    when that child would charge nothing and find nothing.  They are exact
+    because they compare the child's own floats: rest = log owed - log v!!
+    against its cut rest + tol and, in the last slot, rest - tol.  The
+    charges, the budget messages and the hits stay the same.
+    - Second to last, the child is the last slot.  It charges only a w
+      with rest - tol <= log w!! <= rest + tol: an even w in [4, n) or,
+      while the odd part stays free, an odd w >= 3.  When a bisection of
+      the logs finds no such w, v is skipped, unless v itself may end a
+      solution.
+    - At the root an even v = 2k leaves 2^(N-k) times the block
+      (k+1)...N, N = n/2.  The child must cover the block's largest prime
+      P with an odd part >= max(P, 3), while the odd part is free, or an
+      even one >= 2P.  When the log of the smaller exceeds rest + tol, the
+      child breaks on its first candidate, and v is skipped.  Every block
+      holds N, so P is at least N's largest prime, and the window's
+      smallest v leaves the largest rest: when N's prime already fails
+      there, the whole even window is charged at once and skipped.
     """
 
-    def __init__(self, n, t_max, one_odd, spf, budget):
+    def __init__(self, n, t_max, one_odd, spf, budget, logs):
         self.n = n
         self.t_max = t_max
         self.one_odd = one_odd
         self.min_t = 3 if one_odd else 2
         self.spf = spf
         self.budget = budget
-        self.log_n = log_double_factorial(n)
+        self.logs = logs  # (even, odd): log (2i)!! and log (2i+1)!!, i <= n/2
+        self.log_n = logs[0][n >> 1]
         self.tol = _LOG_RTOL * (1.0 + self.log_n)
         self.found = set()
 
@@ -423,34 +449,75 @@ class _Cover:
         self._node(half, {2: half}, 0, (), self.log_n, self.one_odd)
         return self.found
 
+    def _cover_log(self, p, odd_free):
+        """log w!! of the smallest part w that can hold the prime p."""
+        even_logs, odd_logs = self.logs
+        if odd_free:
+            return min(odd_logs[max(p, 3) >> 1], even_logs[p])
+        return even_logs[p]
+
+    def _last_fits(self, rest, odd_free):
+        """Whether some last part w < n has log w!! = rest within tol."""
+        lo, hi, half = rest - self.tol, rest + self.tol, self.n >> 1
+        even_logs, odd_logs = self.logs
+        i = bisect_left(even_logs, lo, 2, half)
+        if i < half and even_logs[i] <= hi:
+            return True
+        i = bisect_left(odd_logs, lo, 1, half) if odd_free else half
+        return i < half and odd_logs[i] <= hi
+
     def _node(self, M, S, top, parts, log_owed, odd_free):
         spf, tol = self.spf, self.tol
         q = _top_owed(M, S, top, spf)
         nxt = q + 1
         while spf[nxt] != nxt:
             nxt += 1
-        last = len(parts) + 1 == self.t_max
+        depth = len(parts) + 1
+        last = depth == self.t_max
+        next_last = depth + 1 == self.t_max
+        can_end = depth >= self.min_t
+        root = not parts
+        even_logs, odd_logs = self.logs
         odds = range(max(q, 3), nxt, 2) if odd_free else ()
         evens = range(max(2 * q, 4), min(2 * nxt, self.n), 2)
-        based = _rebase(M, S, range(max(q, 2), nxt), spf) if M > q else {}
-        for window in (odds, evens):
+        if root and evens:
+            # every even part leaves a block holding N = M, so N's largest prime
+            # big is owed after any of them
+            y = M
+            while y > 1:
+                big = spf[y]
+                y //= big
+            if self._cover_log(big, odd_free) > log_owed - even_logs[evens.start >> 1] + tol:
+                self.budget.spend(len(evens))
+                evens = ()
+        based = None  # _rebase's walk, taken when a candidate first needs it
+        spend, fits = self.budget.spend, self._last_fits
+        cut, floor = log_owed + tol, log_owed - tol
+        for window, logs, free in ((odds, odd_logs, False), (evens, even_logs, odd_free)):
             for v in window:
-                log_v = log_double_factorial(v)
-                if log_v > log_owed + tol:
+                log_v = logs[v >> 1]
+                if log_v > cut:
                     break  # log v!! grows with v
-                if last and log_v < log_owed - tol:
+                if last and log_v < floor:
                     continue
-                self.budget.spend(1)
+                spend(1)
+                rest = log_owed - log_v
+                if next_last and not (can_end and log_v >= floor) and not fits(rest, free):
+                    continue
                 m = v if v & 1 else v >> 1
+                if m < M and based is None:
+                    based = _rebase(M, S, range(max(q, 2), nxt), spf)
+                # at the root based[k] holds 2 and the primes of (k+1)...N
+                if root and not v & 1 and self._cover_log(max(based[m]), free) > rest + tol:
+                    continue
                 state = _divide(m, based[m], v, spf) if m < M else _divide(M, S, v, spf)
                 if state is None:
                     continue
-                free = odd_free and not v & 1
                 if state[0] <= 1 and not state[1]:
-                    if len(parts) + 1 >= self.min_t and not free:
+                    if can_end and not free:
                         self.found.add(tuple(sorted(parts + (v,), reverse=True)))
                 elif not last:
-                    self._node(*state, parts + (v,), log_owed - log_v, free)
+                    self._node(*state, parts + (v,), rest, free)
 
 
 def search(
@@ -480,9 +547,13 @@ def search(
     if node_budget < 1:
         raise ValueError("node budget must be positive")
     budget = _NodeBudget(node_budget)
+    # log m!! by parity, grown with n: logs[0][i] = log (2i)!!, logs[1][i] = log (2i+1)!!
+    logs = (array("d", [0.0, log_double_factorial(2)]), array("d", [0.0]))
     hits = []
     for n in range(4, n_max + 1, 2):
-        found = _Cover(n, t_max, mode == "r1", table.spf, budget).run()
+        logs[0].append(log_double_factorial(n))
+        logs[1].append(log_double_factorial(n - 1))
+        found = _Cover(n, t_max, mode == "r1", table.spf, budget, logs).run()
         hits += [(n, parts) for parts in sorted(found)]
         budget.done = n
     return [classify(EquationInstance(n, parts), table) for n, parts in hits]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import re
@@ -375,6 +377,22 @@ def _count_divides(monkeypatch):
     return counts
 
 
+def _count_charges(monkeypatch):
+    """List (n, candidates charged so far) each time a search from now on finishes an n."""
+    marks = []
+
+    class Spy(equation._NodeBudget):
+        __slots__ = ()
+
+        def __setattr__(self, name, value):
+            object.__setattr__(self, name, value)
+            if name == "done" and value is not None:
+                marks.append((value, self.used))
+
+    monkeypatch.setattr(equation, "_NodeBudget", Spy)
+    return marks
+
+
 def test_search_state_is_what_is_still_owed(table_small, monkeypatch):
     # at every node M! * S (S may hold negative exponents) is n!! / prod parts!!
     # exactly, and the float log owed is within the prune tolerance of its log
@@ -397,17 +415,44 @@ def test_search_state_is_what_is_still_owed(table_small, monkeypatch):
     for mode, t_max in (("r1", 4), ("r0", 4)):
         search(200, t_max, mode, table_small)
     assert min(nodes[depth] for depth in range(4)) > 0
-    # one budget unit per candidate past the log cut, each divided once
+    # one budget unit per candidate past the log cut; the prunes divide only
+    # the candidates whose child can still charge or find something
+    marks = _count_charges(monkeypatch)
     counts = _count_divides(monkeypatch)
     search(100, 3, "r1", table_small, node_budget=575)
-    assert sum(counts.values()) == 575
+    assert marks[-1] == (100, 575)
+    assert sum(counts.values()) == 152
     with pytest.raises(ResourceLimitError, match="the last fully searched n is 98$"):
         search(100, 3, "r1", table_small, node_budget=574)
 
 
+# (solutions, charged in all, SHA-256 of the JSON list of (n, charged so
+# far) per n), captured from the search before it pruned divides by magnitude
+CHARGE_PINS = {
+    ("r1", 800, 3): (8, 10965, "870b173f3097a7f47127241d55621dbd1b3dca54d6a53aa747492f9496f26f92"),
+    ("r1", 500, 4): (12, 8922, "d664b165cfeda2d73aef6d43fee59134d28ea48f72e26d0193a044ec527e74fc"),
+    ("r0", 2000, 4): (6, 3583, "51539f3f97671153ec591b842368f027adc4db9be6a51b0eeacd0b1cf5bf9593"),
+    ("r1", 300, 5): (13, 4705, "246acb4668a09eabf781f3dca7df748c33c05ec43f190f826ad414064ee49606"),
+    ("r0", 2000, 6): (6, 3584, "4ccd1d896dc8bcc89ac9c1150a48967e958ed0aa09899ced01c85890b10ca6f9"),
+}
+
+
+@pytest.mark.parametrize("case", CHARGE_PINS)
+def test_divide_prunes_keep_every_charge(table_small, monkeypatch, case):
+    # a prune may skip a divide only when the child would charge nothing and
+    # the part itself cannot end a solution, so every n charges what it did
+    # before: an over-eager prune fails here even when it loses no solution
+    mode, n_max, t_max = case
+    marks = _count_charges(monkeypatch)
+    solutions, total, digest = CHARGE_PINS[case]
+    assert len(search(n_max, t_max, mode, table_small)) == solutions
+    assert marks[-1] == (n_max, total)
+    assert hashlib.sha256(json.dumps(marks).encode()).hexdigest() == digest
+
+
 def test_wide_log_window_leaves_the_decision_to_integers(table_small, search_lists, monkeypatch):
-    # at 1e-3 the log windows admit parts whose v!! is not what is owed (850
-    # rejections here against 845), so more candidates reach the integer
+    # at 1e-3 the log windows admit parts whose v!! is not what is owed (336
+    # rejections here against 285), so more candidates reach the integer
     # check; it turns every extra one down and the lists stay the same
     narrow = _count_divides(monkeypatch)
     assert _search_lists(table_small) == search_lists
