@@ -12,7 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # run from a checkout
 
-from dflab import dusart_check, sieve_primes, theorem24_scan, theta, verify_mertens_bound, verify_theta_bound
+from dflab import dusart_check, sieve_primes, theorem24_scan, theta, verify_lemma21
 from dflab.bounds import EXCEPTIONAL_PAIRS
 
 table = sieve_primes(100_000)
@@ -20,10 +20,9 @@ table = sieve_primes(100_000)
 print("== Chebyshev theta and the log-sum of primes ==")
 for nu in (10, 100, 1000, 100_000):
     print(f"  theta({nu}) = {theta(nu, table):.5f}   (linear cap {1.00008 * nu:.3f})")
-res = verify_theta_bound(100_000, table)
-print(f"  theta(nu) < 1.00008*nu on primes <= 1e5: {res.passed}, min slack {res.margin:.4f}")
-res = verify_mertens_bound(100_000, table)
-print(f"  sum log(p)/p < log(nu) on primes <= 1e5: {res.passed}, min slack {res.margin:.4f}")
+theta_res, mertens_res = verify_lemma21(100_000, table)
+print(f"  theta(nu) < 1.00008*nu on primes <= 1e5: {theta_res.passed}, min slack {theta_res.margin:.4f}")
+print(f"  sum log(p)/p < log(nu) on primes <= 1e5: {mertens_res.passed}, min slack {mertens_res.margin:.4f}")
 
 print("\n== largest prime factor of k consecutive integers ==")
 exceptions, res = theorem24_scan(range(2, 8), 5000, table)

@@ -20,7 +20,7 @@ _HOMES = {
     "core": (
         "BlockReport PrimeTable SieveRangeError analyze_block block_lpf_max double_factorial"
         " factorize largest_prime_factor log_double_factorial lpf_array mertens_log_sum"
-        " radical sieve_primes theta valuation"
+        " radical sieve_primes theta"
     ),
     "equation": (
         "EquationInstance NotASolutionError OddDecomposition ResourceLimitError SolutionRecord"
@@ -32,8 +32,7 @@ _HOMES = {
         " check_composite_block_geometry composite_block_geometry_scan dusart_check dusart_sweep"
         " erdos_graham_ratio erdos_ratio radical_product_bound_check sandwich_check"
         " smallest_two_radicals theorem24_scan valuation2_block_bound_check"
-        " valuation2_block_sweep valuation2_factorial_lower_check verify_mertens_bound"
-        " verify_theta_bound"
+        " valuation2_block_sweep valuation2_factorial_lower_check verify_lemma21"
     ),
     "abc_triples": "AbcTriple ProofTripleResult make_triple proof_triple scan_block_triples",
     "formulas": "inequality3_rhs thm12ii_bound verify_known_factorial_solutions",

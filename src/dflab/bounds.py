@@ -10,12 +10,12 @@ Verdicts that rest on double-precision comparisons are reliable down to
 FLOAT_TOLERANCE; every margin at desk scale sits orders of magnitude
 above it.
 
-The scans that vectorize (theta, mertens, thm24) import numpy when they
-run.  The geometry scan, dusart_sweep and the point checks (erdos_ratio,
-erdos_graham_ratio, dusart_check, the single-block checks) read the sieve
-entry by entry and need none; the val2 sweep and factorial check are
-closed forms and read no sieve.  Only sandwich_check imports the equation
-module.
+Only theorem24_scan vectorizes; it imports numpy when it runs.
+verify_lemma21 and dusart_sweep stream their primes off the sieve, and the
+geometry scan and the point checks (erdos_ratio, erdos_graham_ratio,
+dusart_check, the single-block checks) read it entry by entry, so none of
+them needs numpy; the val2 sweep and factorial check are closed forms and
+read no sieve.  Only sandwich_check imports the equation module.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ __all__ = [
     "EXCEPTIONAL_PAIRS",
     "HypothesisViolationError",
     "BoundCheckResult",
-    "verify_theta_bound",
-    "verify_mertens_bound",
+    "verify_lemma21",
     "check_composite_block_geometry",
     "composite_block_geometry_scan",
     "sandwich_check",
@@ -111,43 +110,52 @@ class BoundCheckResult:
         return not self.counterexamples
 
 
-def _prime_sum_scan(name: str, nu_max: int, table: PrimeTable, term, rhs) -> BoundCheckResult:
-    """cumsum(term(ps)) < rhs(ps) at every prime nu <= nu_max, ps the primes as float64."""
-    import numpy as np
+def verify_lemma21(nu_max: int, table: PrimeTable) -> tuple:
+    """Lemma 2.1's prime sums at every prime nu <= nu_max: theta(nu) < THETA_COEFF * nu
+    and sum_{p <= nu} log(p)/p < log(nu).
+
+    Returns the two BoundCheckResults, theta's first.  Each sum only jumps
+    at primes and each right side grows, so the minimum slack over real nu
+    is attained at a prime.  One pass over the primes takes one log each
+    and adds both running sums in prime order.
+    """
     if nu_max > table.limit:
         raise SieveRangeError(f"nu_max={nu_max} exceeds sieve limit {table.limit}")
-    ps = table.primes_leq(nu_max).astype(np.float64)
-    if ps.size == 0:
+    if nu_max < 2:
         raise ValueError("nu_max must be at least 2")
-    partial = np.cumsum(term(ps))
-    slack = rhs(ps) - partial
-    bad = np.flatnonzero(slack <= 0)
-    return BoundCheckResult(
-        name=name,
-        domain_checked=f"primes nu <= {nu_max}",
-        counterexamples=[(int(ps[i]), float(partial[i])) for i in bad],
-        margin=float(slack.min()),
-        details={"primes_checked": int(ps.size), "float_tolerance": FLOAT_TOLERANCE},
-    )
+    coeff = THETA_COEFF
+    theta = mertens = 0.0
+    theta_margin = mertens_margin = math.inf
+    theta_bad, mertens_bad = [], []
+    count = 0
+    for p in _primes_between(table.spf, 2, nu_max + 1):
+        log_p = math.log(p)
+        theta += log_p
+        mertens += log_p / p
+        slack = coeff * p - theta
+        if slack < theta_margin:
+            theta_margin = slack
+        if slack <= 0:
+            theta_bad.append((p, theta))
+        slack = log_p - mertens
+        if slack < mertens_margin:
+            mertens_margin = slack
+        if slack <= 0:
+            mertens_bad.append((p, mertens))
+        count += 1
 
+    def result(name, bad, margin):
+        return BoundCheckResult(
+            name=name,
+            domain_checked=f"primes nu <= {nu_max}",
+            counterexamples=bad,
+            margin=margin,
+            details={"primes_checked": count, "float_tolerance": FLOAT_TOLERANCE},
+        )
 
-def verify_theta_bound(nu_max: int, table: PrimeTable) -> BoundCheckResult:
-    """theta(nu) < THETA_COEFF * nu at every prime nu <= nu_max.
-
-    theta only jumps at primes and the linear side grows, so the minimum
-    slack over real nu is attained at a prime.
-    """
-    import numpy as np
-    return _prime_sum_scan(
-        "theta_linear_upper", nu_max, table, np.log, lambda ps: THETA_COEFF * ps
-    )
-
-
-def verify_mertens_bound(nu_max: int, table: PrimeTable) -> BoundCheckResult:
-    """sum_{p <= nu} log(p)/p < log(nu) at every prime nu <= nu_max."""
-    import numpy as np
-    return _prime_sum_scan(
-        "mertens_log_sum_upper", nu_max, table, lambda ps: np.log(ps) / ps, np.log
+    return (
+        result("theta_linear_upper", theta_bad, theta_margin),
+        result("mertens_log_sum_upper", mertens_bad, mertens_margin),
     )
 
 

@@ -17,10 +17,10 @@ library modules it calls, when it runs.
 A loaded table is one read-only memoryview of native uint32 entries over
 the checked cache bytes, with no copy on a little-endian host.  The point
 queries (classify, generate, abc, block analyze, gap-witness, ratio),
-search and the verify commands dusart, lemma22 and lemma23 read it entry
-by entry, so neither they nor the closed forms import numpy.  numpy is
-imported only by verify lemma21, verify thm24 and a sieve build on a
-missing or damaged cache.
+search and the verify commands dusart, lemma21, lemma22 and lemma23 read
+it entry by entry or stream its primes, so neither they nor the closed
+forms import numpy.  numpy is imported only by verify thm24 and a sieve
+build on a missing or damaged cache.
 
 The sieve is cached on disk in two files.  sieve.dfl holds a 32-byte
 header (magic "DFL1", uint32 version 1, uint64 limit, uint32 CRC-32 of the
@@ -459,10 +459,7 @@ def _require_at_least(flag, value, least):
 
 def _cmd_verify_lemma21(args, config, table):
     from . import bounds
-    return _checks([
-        bounds.verify_theta_bound(args.nu_max, table),
-        bounds.verify_mertens_bound(args.nu_max, table),
-    ])
+    return _checks(bounds.verify_lemma21(args.nu_max, table))
 
 
 def _cmd_verify_lemma22(args, config, table):

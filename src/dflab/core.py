@@ -5,11 +5,12 @@ uint32 memoryview (4 bytes per integer), which makes factorization of any
 n <= limit a walk of O(log n) lookups that need no numpy; factorize
 returns the prime -> exponent dict, primes ascending.  Exponents have
 this one form: spf-walk dicts for products of table-sized integers, and
-the scalar Legendre sum factorial_valuation for nu_p(m!).  The ascending
-prime list is found on first access to PrimeTable.primes.  Only the
-functions that vectorize import numpy, each when it runs, and read the
-table through a zero-copy np.frombuffer view: sieve_primes, the prime
-list, the prime log sums, lpf_array and block_lpf_max.
+the scalar Legendre sum factorial_valuation for nu_p(m!).  Every prime
+fact is read off the same table: a prime test is spf[m] == m, and the
+primes of a range stream from _primes_between, with no prime list kept.
+Only the functions that vectorize import numpy, each when it runs, and
+read the table through a zero-copy np.frombuffer view: sieve_primes,
+lpf_array and block_lpf_max.
 Integer arithmetic is exact everywhere; floats appear only in the
 log-space helpers.  A PrimeTable never changes after construction, so
 one instance can be shared freely.
@@ -32,7 +33,6 @@ __all__ = [
     "factorize",
     "largest_prime_factor",
     "radical",
-    "valuation",
     "factorial_valuation",
     "double_factorial",
     "log_double_factorial",
@@ -48,15 +48,14 @@ _UINT32_MAX = 2**32 - 1
 # sieve_primes and search refuse (ResourceLimitError) a table larger than this
 MAX_TABLE_BYTES = 2**30
 # Bytes per entry the memory guard charges a sieve: 4 for the uint32 spf
-# table, 1 for the int64 prime list (fewer than one prime in eight entries
-# above 10^4), and headroom.  The prime scan works in chunks and writing the
-# cache streams the table without a copy, so building or loading a table
-# touches about 5 bytes per entry.  A loaded table is a view of the chunks
-# read, not a copy; a cache read whole because its checksum sidecar is
-# missing stays held whole behind the view of its prefix.
+# table and the rest headroom.  Writing the cache streams the table without
+# a copy, so building or loading a table touches about 4 bytes per entry.
+# A loaded table is a view of the chunks read, not a copy; a cache read
+# whole because its checksum sidecar is missing stays held whole behind the
+# view of its prefix.  The charge sets the largest limit the memory cap
+# allows (exit 3 above it), so it stays fixed while the table's own cost
+# falls.
 _SIEVE_BYTES_PER_ENTRY = 14
-# Entries PrimeTable scans for primes per pass, so no index spans the table
-_PRIME_SCAN_CHUNK = 1 << 16
 
 
 class SieveRangeError(ValueError):
@@ -73,11 +72,10 @@ class PrimeTable:
     ``spf[i]`` is the least prime dividing i (``spf[0] == spf[1] == 0``).
     For composite c the entry is a prime <= sqrt(c); for prime p it is p
     itself.  spf is a read-only memoryview of native uint32 entries (format
-    "I"), taken without a copy from the buffer given; ``primes`` is found on
-    first access.
+    "I"), taken without a copy from the buffer given.
     """
 
-    __slots__ = ("limit", "spf", "_primes")
+    __slots__ = ("limit", "spf")
 
     def __init__(self, limit: int, spf):
         if limit < 2:
@@ -89,21 +87,6 @@ class PrimeTable:
             raise ValueError("spf array does not match the stated limit")
         self.limit = int(limit)
         self.spf = spf.toreadonly()
-        self._primes = None
-
-    @property
-    def primes(self) -> np.ndarray:
-        """Ascending int64 array of the primes <= limit, scanned from spf on first access."""
-        if self._primes is None:
-            import numpy as np
-            spf = np.frombuffer(self.spf, dtype=np.uint32)
-            chunks = []
-            for start in range(2, self.limit + 1, _PRIME_SCAN_CHUNK):
-                stop = min(start + _PRIME_SCAN_CHUNK, self.limit + 1)
-                idx = np.arange(start, stop, dtype=np.uint32)
-                chunks.append(np.flatnonzero(spf[start:stop] == idx) + start)
-            self._primes = np.concatenate(chunks)
-        return self._primes
 
     def is_prime(self, n: int) -> bool:
         if n < 2:
@@ -112,17 +95,8 @@ class PrimeTable:
             raise SieveRangeError(f"{n} exceeds sieve limit {self.limit}")
         return self.spf[n] == n
 
-    def prime_count(self) -> int:
-        return int(self.primes.size)
-
-    def primes_leq(self, bound) -> np.ndarray:
-        """View of all primes <= bound (bound may be real)."""
-        import numpy as np
-        cut = np.searchsorted(self.primes, math.floor(bound), side="right")
-        return self.primes[:cut]
-
     def __repr__(self):
-        return f"PrimeTable(limit={self.limit}, primes={self.prime_count()})"
+        return f"PrimeTable(limit={self.limit})"
 
 
 def check_sieve_memory(limit: int):
@@ -182,46 +156,6 @@ def _walk_spf(n: int, spf) -> dict:
     return out
 
 
-def _trial_factor(n: int) -> dict:
-    """Prime -> exponent map by trial division (no table needed)."""
-    out = {}
-    for p in (2, 3):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            out[p] = e
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e:
-                out[p] = e
-        d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return dict(sorted(out.items()))
-
-
-def _is_prime_trial(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
-
-
 def factorize(n: int, table: PrimeTable) -> dict:
     """Prime -> exponent map of 1 <= n <= table.limit, primes ascending; {} for 1."""
     if n < 1:
@@ -231,48 +165,14 @@ def factorize(n: int, table: PrimeTable) -> dict:
     return _walk_spf(n, table.spf)
 
 
-def largest_prime_factor(n: int, table: PrimeTable | None = None) -> int:
-    """P(n): greatest prime dividing n, with P(1) = 1."""
-    if n < 1:
-        raise ValueError(f"largest_prime_factor needs n >= 1, got {n}")
-    if n == 1:
-        return 1
-    if table is not None and n <= table.limit:
-        return max(_walk_spf(n, table.spf))
-    return max(_trial_factor(n))
+def largest_prime_factor(n: int, table: PrimeTable) -> int:
+    """P(n): greatest prime dividing 1 <= n <= table.limit, with P(1) = 1."""
+    return max(factorize(n, table), default=1)
 
 
-def radical(n: int, table: PrimeTable | None = None) -> int:
-    """N(n): product of the distinct primes dividing n; N(1) = 1."""
-    if n < 1:
-        raise ValueError(f"radical needs n >= 1, got {n}")
-    if n == 1:
-        return 1
-    if table is not None and n <= table.limit:
-        fac = _walk_spf(n, table.spf)
-    else:
-        fac = _trial_factor(n)
-    out = 1
-    for p in fac:
-        out *= p
-    return out
-
-
-def valuation(n: int, p: int, table: PrimeTable | None = None) -> int:
-    """Largest e with p**e | n, for prime p and n >= 1."""
-    if n < 1:
-        raise ValueError(f"valuation needs n >= 1, got {n}")
-    if table is not None and p <= table.limit:
-        p_ok = table.is_prime(p)
-    else:
-        p_ok = _is_prime_trial(p)
-    if not p_ok:
-        raise ValueError(f"{p} is not prime")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
+def radical(n: int, table: PrimeTable) -> int:
+    """N(n): product of the distinct primes dividing 1 <= n <= table.limit; N(1) = 1."""
+    return math.prod(factorize(n, table))
 
 
 def factorial_valuation(m: int, p: int) -> int:
@@ -361,26 +261,23 @@ def analyze_block(x: int, k: int, table: PrimeTable) -> BlockReport:
     return BlockReport(x, k, lpf, val2, all_composite, tuple(rads))
 
 
-def theta(nu, table: PrimeTable) -> float:
-    """Chebyshev theta: sum of log p over primes p <= nu (natural log)."""
+def _primes_upto(nu, table: PrimeTable, name: str):
+    """The primes p <= nu off table, after checking 1 < nu <= table.limit."""
     if not nu > 1:
-        raise ValueError(f"theta needs nu > 1, got {nu}")
+        raise ValueError(f"{name} needs nu > 1, got {nu}")
     if nu > table.limit:
         raise SieveRangeError(f"nu={nu} exceeds sieve limit {table.limit}")
-    import numpy as np
-    ps = table.primes_leq(nu).astype(np.float64)
-    return float(np.log(ps).sum())
+    return _primes_between(table.spf, 2, math.floor(nu) + 1)
+
+
+def theta(nu, table: PrimeTable) -> float:
+    """Chebyshev theta: sum of log p over primes p <= nu (natural log)."""
+    return sum(map(math.log, _primes_upto(nu, table, "theta")))
 
 
 def mertens_log_sum(nu, table: PrimeTable) -> float:
     """sum of log(p)/p over primes p <= nu."""
-    if not nu > 1:
-        raise ValueError(f"mertens_log_sum needs nu > 1, got {nu}")
-    if nu > table.limit:
-        raise SieveRangeError(f"nu={nu} exceeds sieve limit {table.limit}")
-    import numpy as np
-    ps = table.primes_leq(nu).astype(np.float64)
-    return float((np.log(ps) / ps).sum())
+    return sum(math.log(p) / p for p in _primes_upto(nu, table, "mertens_log_sum"))
 
 
 # Entries lpf_array factors per pass, so its temporaries do not grow with hi

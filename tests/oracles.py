@@ -142,6 +142,31 @@ def dusart_failures(y_max: int, y_min: int = 3275) -> list:
     return bad
 
 
+def prime_sum_fold(nu_max: int, coeff: float) -> list:
+    """Lemma 2.1's two folds over the primes nu <= nu_max, one prime at a time.
+
+    theta(nu) < coeff * nu and sum_{p <= nu} log(p)/p < log(nu): for each,
+    (counterexamples, margin), where a counterexample is (nu, running sum)
+    at a slack <= 0 and the margin is the least slack.  Primes come from
+    spf_direct; each running sum is added in prime order.
+    """
+    spf = spf_direct(nu_max)
+    theta = mertens = 0.0
+    theta_slacks, mertens_slacks, theta_bad, mertens_bad = [], [], [], []
+    for p in range(2, nu_max + 1):
+        if spf[p] != p:
+            continue
+        theta += math.log(p)
+        mertens += math.log(p) / p
+        theta_slacks.append(coeff * p - theta)
+        mertens_slacks.append(math.log(p) - mertens)
+        if theta_slacks[-1] <= 0:
+            theta_bad.append((p, theta))
+        if mertens_slacks[-1] <= 0:
+            mertens_bad.append((p, mertens))
+    return [(theta_bad, min(theta_slacks)), (mertens_bad, min(mertens_slacks))]
+
+
 def val2_factorial_fold(m_max: int, slope: float, offset: float):
     """The fold of nu_2(m!) > slope * m - offset over m = 1..m_max, one m at a time.
 

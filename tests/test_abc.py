@@ -8,7 +8,6 @@ from dflab import (
     inequality3_rhs,
     make_triple,
     proof_triple,
-    radical,
     scan_block_triples,
 )
 
@@ -43,7 +42,7 @@ def test_triple_invariants_random(table_small):
         t = make_triple(a, b, table_small)
         assert t.a + t.b == t.c
         assert math.gcd(t.a, t.b) == math.gcd(t.a, t.c) == math.gcd(t.b, t.c) == 1
-        assert t.rad == radical(t.a) * radical(t.b) * radical(t.c)
+        assert t.rad == math.prod(math.prod(trial_factor(n)) for n in (t.a, t.b, t.c))
         assert t.explicit_ok == (t.c**4 < t.rad**7)
         assert (t.quality > 1) == (t.c > t.rad)
 

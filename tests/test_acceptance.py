@@ -33,8 +33,7 @@ from dflab import (
     valuation2_block_bound_check,
     valuation2_factorial_lower_check,
     verify_known_factorial_solutions,
-    verify_mertens_bound,
-    verify_theta_bound,
+    verify_lemma21,
 )
 from dflab.bounds import EXCEPTIONAL_PAIRS
 
@@ -125,10 +124,9 @@ def test_c05_block_lpf_scan_exceptions_all_catalogued(table_small):
 
 def test_c06_prime_log_sum_bounds(table_big):
     with criterion(6, "theta and log-sum bounds up to 10^6", 30.0):
-        res = verify_theta_bound(10**6, table_big)
-        assert res.passed and res.margin > 0
-        res = verify_mertens_bound(10**6, table_big)
-        assert res.passed and res.margin > 0
+        theta_res, mertens_res = verify_lemma21(10**6, table_big)
+        assert theta_res.passed and theta_res.margin > 0
+        assert mertens_res.passed and mertens_res.margin > 0
 
 
 def test_c07_power_of_two_valuation_bounds(table_big):

@@ -1,10 +1,10 @@
+import bisect
 import math
 import random
 import time
 import tracemalloc
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,7 @@ from dflab import (
     EquationInstance,
     HypothesisViolationError,
     NotASolutionError,
+    SieveRangeError,
     analyze_block,
     check_composite_block_geometry,
     composite_block_geometry_scan,
@@ -29,13 +30,19 @@ from dflab import (
     valuation2_block_bound_check,
     valuation2_block_sweep,
     valuation2_factorial_lower_check,
-    verify_mertens_bound,
-    verify_theta_bound,
+    verify_lemma21,
 )
 from dflab import bounds, core
 from dflab.bounds import EXCEPTIONAL_PAIRS, EXCEPTIONAL_PAIRS_ORDERED, BoundCheckResult
 
-from oracles import block_lpf_violators, dusart_failures, trial_is_prime, val2_factorial_fold
+from oracles import (
+    block_lpf_violators,
+    dusart_failures,
+    prime_sum_fold,
+    spf_direct,
+    trial_is_prime,
+    val2_factorial_fold,
+)
 
 # Exceptions the k in [2,7], x <= 5000 scan actually finds.  (15, 2) is a
 # true violator -- P(15*16) = P(240) = 5 <= 8.84 -- that the catalogued
@@ -60,7 +67,7 @@ def test_exceptional_catalogue_shape():
 
 
 def test_theta_bound_small(table_small):
-    res = verify_theta_bound(10_000, table_small)
+    res, _ = verify_lemma21(10_000, table_small)
     assert res.passed
     assert res.margin > 0
     # slack at nu = 2 is 2 * 1.00008 - log 2
@@ -68,7 +75,7 @@ def test_theta_bound_small(table_small):
 
 
 def test_theta_bound_margin_at_100(table_small):
-    res = verify_theta_bound(100, table_small)
+    res, _ = verify_lemma21(100, table_small)
     assert res.passed
     # minimum slack over the whole scan sits at nu = 3: 3*1.00008 - log 6
     assert res.margin == pytest.approx(3 * 1.00008 - math.log(6), abs=1e-9)
@@ -77,9 +84,38 @@ def test_theta_bound_margin_at_100(table_small):
 
 
 def test_mertens_bound_small(table_small):
-    res = verify_mertens_bound(10_000, table_small)
+    _, res = verify_lemma21(10_000, table_small)
     assert res.passed
     assert res.margin == pytest.approx(math.log(2) / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("coeff", [bounds.THETA_COEFF, 0.95])
+def test_lemma21_matches_the_prime_sum_fold(table_big, monkeypatch, coeff):
+    # at 0.95 theta(nu) < 0.95 nu fails from nu = 283 on, so the
+    # counterexample path runs at every later prime
+    monkeypatch.setattr(bounds, "THETA_COEFF", coeff)
+    for nu_max in (2, 3, 100, 20_000, 10**6):
+        results = verify_lemma21(nu_max, table_big)
+        assert [r.name for r in results] == ["theta_linear_upper", "mertens_log_sum_upper"]
+        for res, (bad, margin) in zip(results, prime_sum_fold(nu_max, coeff)):
+            assert res.counterexamples == bad, nu_max
+            assert res.margin.hex() == margin.hex(), nu_max
+            assert res.domain_checked == f"primes nu <= {nu_max}"
+    theta_res, mertens_res = results
+    assert theta_res.details == {"primes_checked": 78_498, "float_tolerance": 1e-9}
+    assert mertens_res.passed
+    if coeff == 0.95:
+        bad = theta_res.counterexamples
+        assert (len(bad), bad[0][0], bad[-1][0]) == (78_392, 283, 999_983)
+    else:
+        assert theta_res.passed
+
+
+def test_lemma21_rejects_an_empty_or_oversized_range(table_small):
+    with pytest.raises(ValueError):
+        verify_lemma21(1, table_small)
+    with pytest.raises(SieveRangeError):
+        verify_lemma21(10_001, table_small)
 
 
 def test_composite_block_geometry(table_small):
@@ -436,21 +472,18 @@ def test_dusart_sweep(table_big):
     # threshold: the gap 3271 -> 3299 is wider than the interval there
     # (at y = 3296 the cutoff is 3271.07, a hair above the prime 3271).
     # The wide literal-statement interval never fails on this range.
-    ys = np.arange(3275, 100_001, dtype=np.int64)
-    primes = table_big.primes
-    witness = primes[np.searchsorted(primes, ys, side="left") - 1]
-    lo_used = ys / (1 + 1 / (2 * np.log(ys) ** 2))
-    lo_literal = ys / (1 + 2 * np.log(ys) ** 2)
-    assert (witness < ys).all()
-    failures = ys[witness <= lo_used]
-    assert list(failures) == [3296, 3297, 3298, 3299]
-    assert (witness > lo_literal).all()
-    # spot-check the checker against the vectorized oracle
+    assert dusart_failures(100_000) == [3296, 3297, 3298, 3299]
+    spf = spf_direct(100_000)
+    primes = [p for p in range(2, 100_001) if spf[p] == p]
+    ys = range(3275, 100_001)
+    witness = {y: primes[bisect.bisect_left(primes, y) - 1] for y in ys}
+    assert all(witness[y] > y / (1 + 2 * math.log(y) ** 2) for y in ys)
+    # spot-check the checker against the oracle
     rng = random.Random(53)
     for y in [3275, 3296, 31397, 100_000] + [rng.randint(3300, 100_000) for _ in range(25)]:
-        res = dusart_check(int(y), table_big)
+        res = dusart_check(y, table_big)
         assert res.passed == (y not in (3296, 3297, 3298, 3299))
-        assert res.details["witness"] == int(witness[y - 3275])
+        assert res.details["witness"] == witness[y]
         assert res.details["literal_form_ok"]
 
 
@@ -519,18 +552,15 @@ def test_dusart_cutoffs_rise_strictly_above_each_other():
 
 
 def test_dusart_sweep_keeps_no_array_over_its_range(table_big):
-    # the sweep streams its witnesses off the spf table and reads no prime
-    # list; numpy arrays over y in chunks of 2^16 took a traced 4.6 MiB here.
-    # A fresh table over the same entries has found no prime list yet.
-    table = core.PrimeTable(table_big.limit, table_big.spf)
+    # the sweep streams its witnesses off the spf table; numpy arrays over
+    # y in chunks of 2^16 took a traced 4.6 MiB here
     tracemalloc.start()
     try:
-        dusart_sweep(10**6, table)
+        dusart_sweep(10**6, table_big)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**16
-    assert table._primes is None
 
 
 def test_dusart_sweep_failures_match_oracle(table_big, dusart_fold_1e6):

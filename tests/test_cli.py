@@ -494,13 +494,16 @@ POINT_QUERIES = [
     ["ratio", "erdos-block", "--x", "24", "--k", "5"],
     ["verify", "dusart", "--y", "5000"],
     ["verify", "dusart", "--y-max", "20000"],
+    ["verify", "lemma21", "--nu-max", "20000"],
     ["verify", "lemma22", "--k-max", "100", "--n-max", "60"],
     ["search", "--mode", "r1", "--n-max", "800", "--t-max", "3"],
 ]
-# records each point query writes: one, but the search's eight solutions
-# and lemma22's geometry scan plus one sandwich check per r0 solution
+# records each point query writes: one, but the search's eight solutions,
+# lemma21's two prime sums, and lemma22's geometry scan plus one sandwich
+# check per r0 solution
 POINT_RECORDS = {
     "search --mode r1 --n-max 800 --t-max 3": 8,
+    "verify lemma21 --nu-max 20000": 2,
     "verify lemma22 --k-max 100 --n-max 60": 3,
 }
 # exit codes other than 0: the dusart sweep finds y = 3296..3299
@@ -678,10 +681,11 @@ def test_table_is_the_same_from_every_source(tmp_path, monkeypatch):
     (cache / "sieve.crc").unlink()
     tables.append(load_or_build_sieve(config))  # the whole file, checked by its header CRC
     want = spf_direct(5000)
+    primes = [m for m in range(2, 5001) if want[m] == m]
     for table in tables:
         assert table.limit == 5000 and len(table.spf) == 5001
         assert table.spf.tolist() == want
-        assert table.primes.tolist() == [p for p in range(2, 5001) if want[p] == p]
+        assert [m for m in range(5001) if table.is_prime(m)] == primes
         with pytest.raises(TypeError):
             table.spf[7] = 1
 

@@ -17,12 +17,11 @@ from dflab import (
     radical,
     sieve_primes,
     theta,
-    valuation,
 )
 from dflab import core
 from dflab.core import factorial_valuation
 
-from oracles import df_direct, primes_upto, trial_factor, trial_is_prime
+from oracles import df_direct, primes_upto, spf_direct, trial_factor, trial_is_prime
 
 
 def test_sieve_rejects_small_limit():
@@ -32,14 +31,14 @@ def test_sieve_rejects_small_limit():
 
 def test_sieve_smallest_legal_limit():
     t = sieve_primes(2)
-    assert list(t.primes) == [2]
+    assert t.spf.tolist() == spf_direct(2) == [0, 0, 2]
     assert t.is_prime(2)
 
 
 def test_sieve_agrees_with_trial_division():
     t = sieve_primes(2000)
     expected = primes_upto(2000)
-    assert list(t.primes) == expected
+    assert [m for m in range(2001) if t.is_prime(m)] == expected
     for c in range(2, 2001):
         p = int(t.spf[c])
         assert trial_is_prime(p)
@@ -49,7 +48,7 @@ def test_sieve_agrees_with_trial_division():
 
 
 def test_prime_count_at_million(table_big):
-    assert table_big.prime_count() == 78498
+    assert sum(1 for _ in core._primes_between(table_big.spf, 0, 10**6 + 1)) == 78498
 
 
 def test_factorize_examples(table_small):
@@ -75,21 +74,26 @@ def test_factorize_errors(table_small):
 
 
 def test_largest_prime_factor(table_small):
-    assert largest_prime_factor(1) == 1
-    assert largest_prime_factor(90) == 5
-    assert largest_prime_factor(4375) == 7
-    for n in (2, 97, 360, 9973, 4374):
-        assert largest_prime_factor(n) == largest_prime_factor(n, table_small)
+    assert largest_prime_factor(1, table_small) == 1
+    assert largest_prime_factor(90, table_small) == 5
+    assert largest_prime_factor(4375, table_small) == 7
+    for n in (2, 97, 360, 9973, 4374, 10_000):
+        assert largest_prime_factor(n, table_small) == max(trial_factor(n))
     with pytest.raises(ValueError):
-        largest_prime_factor(0)
+        largest_prime_factor(0, table_small)
+    with pytest.raises(SieveRangeError):
+        largest_prime_factor(10_001, table_small)
 
 
-def test_radical_examples():
-    assert radical(1) == 1
-    assert radical(72) == 6
-    assert radical(4374) == 6
+def test_radical_examples(table_small):
+    assert radical(1, table_small) == 1
+    assert radical(72, table_small) == 6
+    assert radical(4374, table_small) == 6
+    assert radical(10_000, table_small) == 10
     with pytest.raises(ValueError):
-        radical(0)
+        radical(0, table_small)
+    with pytest.raises(SieveRangeError):
+        radical(10_001, table_small)
 
 
 def test_lpf_divisibility_sweep(table_big):
@@ -100,14 +104,6 @@ def test_lpf_divisibility_sweep(table_big):
     # lpf[n] is prime, and no prime above it divides n / lpf[n]
     assert (lpf[lpf[2:]] == lpf[2:]).all()
     assert (lpf[ns[2:] // lpf[2:]] <= lpf[2:]).all()
-
-
-def test_valuation(table_small):
-    assert valuation(90, 3) == 2
-    assert valuation(7, 2) == 0
-    assert valuation(4374, 3, table_small) == 7
-    with pytest.raises(ValueError):
-        valuation(10, 4)
 
 
 def test_factorial_valuation_examples():
@@ -123,7 +119,8 @@ def test_factorial_valuation_matches_summed_valuations():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
     running = [0] * len(primes)
     for n in range(1, 10_001):
-        running = [acc + valuation(n, p) for acc, p in zip(running, primes)]
+        fac = trial_factor(n)
+        running = [acc + fac.get(p, 0) for acc, p in zip(running, primes)]
         if n % 997 == 0 or n < 40:
             assert [factorial_valuation(n, p) for p in primes] == running
     assert [factorial_valuation(10_000, p) for p in primes] == running
@@ -251,18 +248,12 @@ def test_block_lpf_max_is_the_window_maximum(table_small, monkeypatch):
         next(block_lpf_max(2, 10_000, 2, table_small))
 
 
-def test_prime_scan_chunks_agree(monkeypatch):
-    for chunk in (1, 3, 7, 1000):
-        monkeypatch.setattr(core, "_PRIME_SCAN_CHUNK", chunk)
-        for limit in (2, 3, 4, 7, 1000, 1001, 9_999):
-            got = sieve_primes(limit).primes
-            assert got.dtype == np.int64 and got.tolist() == primes_upto(limit), (chunk, limit)
-
-
 def test_primes_between_reads_the_primes_off_spf(table_big):
     # below 2^16 spf[m] == m decides; above it the odd entries' high halves
     spf = table_big.spf
-    assert list(core._primes_between(spf, 0, 10**6 + 1)) == table_big.primes.tolist()
+    want = spf_direct(10**6)
+    primes = [m for m in range(2, 10**6 + 1) if want[m] == m]
+    assert list(core._primes_between(spf, 0, 10**6 + 1)) == primes
     for lo, hi in [(0, 3), (3272, 3272), (65_519, 65_540), (65_536, 65_537), (65_537, 65_538),
                    (65_538, 65_540), (65_540, 65_536), (131_000, 131_200), (999_900, 10**6 + 1)]:
         got = list(core._primes_between(spf, lo, hi))
@@ -287,7 +278,7 @@ def df_valuation(m, p):
 
 
 def test_valuation_vectors_match_scalars(table_small):
-    primes = table_small.primes_leq(200).tolist()
+    primes = primes_upto(200)
     for m in (0, 1, 7, 10, 16, 100, 199):
         truth = trial_factor(math.factorial(m))
         assert [factorial_valuation(m, p) for p in primes] == [truth.get(p, 0) for p in primes]
@@ -307,7 +298,7 @@ def test_double_factorial_expvec_examples(table_small):
 
 
 def test_double_factorial_expvec_reconstructs(table_small):
-    primes = table_small.primes_leq(60).tolist()
+    primes = primes_upto(60)
     for m in range(0, 61):
         fac = df_exponents(m, table_small)
         assert math.prod(p**e for p, e in fac.items()) == df_direct(m)
