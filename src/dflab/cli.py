@@ -7,20 +7,20 @@ csv or human on request) and diagnostics to stderr.  Exit codes: 0 ok,
 done, in a deterministic order.
 
 The leaf commands are declared once, in COMMANDS: the words that name
-each, its flags, its handler, and whether it reads the sieve.  A command
-builds the parser of its own leaf only (every leaf when argv names none,
-as for --help).  A command that reads no sieve (bound thm12ii, bound
-ineq3, verify known-factorials, verify val2) evaluates a closed form: it
-loads no cache and builds none.  Every other command imports only the
-library modules it calls, when it runs.
+each, its flags, its handler, and its need: the largest sieve index it
+reads, as a function of its arguments.  A command builds the parser of its
+own leaf only (every leaf when argv names none, as for --help).  A command
+with no need (bound thm12ii, bound ineq3, verify known-factorials, verify
+val2) evaluates a closed form: it loads no cache and builds none.  Every
+other command imports only the library modules it calls, when it runs.
 
-A loaded table is one read-only memoryview of native uint32 entries over
-the checked cache bytes, with no copy on a little-endian host.  The point
-queries (classify, generate, abc, block analyze, gap-witness, ratio),
-search and the verify commands dusart, lemma21, lemma22 and lemma23 read
-it entry by entry or stream its primes, so neither they nor the closed
-forms import numpy.  numpy is imported only by verify thm24 and a sieve
-build on a missing or damaged cache.
+A table is one read-only memoryview of native uint32 entries: over the
+checked cache bytes, with no copy on a little-endian host, or over a
+table sieved in memory.  The point queries (classify, generate, abc,
+block analyze, gap-witness, ratio), search and the verify commands
+dusart, lemma21, lemma22 and lemma23 read it entry by entry or stream its
+primes, and the sieve is built in pure Python, so numpy is imported only
+by verify thm24.
 
 The sieve is cached on disk in two files.  sieve.dfl holds a 32-byte
 header (magic "DFL1", uint32 version 1, uint64 limit, uint32 CRC-32 of the
@@ -33,16 +33,21 @@ bytes) followed by ceil((limit+1) / chunk) uint32 LE chunk CRCs, the last
 chunk being short.  All integers are little-endian.
 
 A command that reads the sieve with --sieve-limit N gets a table whose
-limit is exactly N.  When the sidecar matches sieve.dfl (same limit and
-payload CRC, the chunk size above, an intact chunk table, both file sizes
-as their headers imply), only the chunks covering entries 0..N are read,
-each checked against its CRC.
+limit is exactly its need, capped at N and at least 2.  Every read lies
+within the need, and a need past N leaves the table at N, so a command
+raises or exits exactly where a table of N would.  A need up to
+_IN_MEMORY_MAX is sieved in memory: no cache is read or written.  A
+larger need is read from the cache.  When the sidecar matches sieve.dfl
+(same limit and payload CRC, the chunk size above, an intact chunk table,
+both file sizes as their headers imply), only the chunks covering entries
+0..need are read, each checked against its CRC.
 Otherwise (no sidecar, a stale one, or a cache written before sidecars
 existed) the whole payload is read and checked against the header CRC, and
 the sidecar is written afresh.  A damaged header, payload length or checked
-chunk rebuilds the cache with a warning; a cache smaller than N is rebuilt
-at N.  Both files are written through unique temp files and renamed into
-place, so processes sharing a cache directory never see a partial file.
+chunk rebuilds the cache with a warning; a cache smaller than the need is
+rebuilt at N, so that it keeps the size later commands read.  Both files
+are written through unique temp files and renamed into place, so
+processes sharing a cache directory never see a partial file.
 """
 
 from __future__ import annotations
@@ -80,6 +85,10 @@ _HEADER = struct.Struct("<4sIQI12s")
 _CRC_HEADER = struct.Struct("<4sIQIII4s")
 # entries per sidecar CRC: a load reads and checks whole chunks of 4 MiB
 _CHUNK_ENTRIES = 1 << 20
+# A command whose table need is at most this builds the table in memory,
+# reading and writing no cache: below it the build is faster than a warm
+# cache load (BENCH_20.json)
+_IN_MEMORY_MAX = 1 << 17
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -263,14 +272,20 @@ def _write_cache(path: Path, table: PrimeTable):
     _write_atomic(path.with_name(CRC_FILENAME), _sidecar_blob(table.limit, crc, _chunk_crcs(payload)))
 
 
-def load_or_build_sieve(config: CommandConfig) -> PrimeTable:
-    """The sieve to exactly config.sieve_limit: a checked cache prefix, else built and persisted."""
-    from .core import check_sieve_memory, sieve_primes
+def load_or_build_sieve(config: CommandConfig, need: int | None = None) -> PrimeTable:
+    """The sieve to exactly need (default config.sieve_limit), need <= config.sieve_limit.
+
+    It is a checked prefix of the cache when the cache reaches need.
+    Otherwise the sieve is built to config.sieve_limit and persisted, so
+    the cache keeps the size later commands read.
+    """
+    from .core import PrimeTable, check_sieve_memory, sieve_primes
     check_sieve_memory(config.sieve_limit)
+    need = config.sieve_limit if need is None else need
     path = _cache_path(config)
     if path.exists():
         try:
-            table = _read_cache(path, config.sieve_limit)
+            table = _read_cache(path, need)
             if table is not None:
                 return table
         except (_CacheInvalid, OSError) as exc:
@@ -281,7 +296,7 @@ def load_or_build_sieve(config: CommandConfig) -> PrimeTable:
         _write_cache(path, table)
     except OSError as exc:
         print(f"dflab: cannot persist sieve cache: {exc}", file=sys.stderr)
-    return table
+    return PrimeTable(need, table.spf[: need + 1])
 
 
 def _jsonable(obj):
@@ -575,43 +590,77 @@ def _cmd_gap_witness(args, config, table):
 # ----------------------------------------------------------------------
 # The command table.
 
-Command = collections.namedtuple("Command", "handler flags reads_table", defaults=(True,))
+Command = collections.namedtuple("Command", "handler flags need", defaults=(None,))
+
+
+def _block_end(args) -> int:
+    return args.x + args.k - 1
+
+
+def _search_need(args) -> int:
+    return args.n_max
+
 
 # Leaf commands by the words that name them.  A flag maps to its type when it
 # is required, to its default when it is optional (an int, or (type, default)
 # with the default parsed by the type), or to the tuple of its choices; a
-# tuple of flags is a required choice of exactly one of them.
+# tuple of flags is a required choice of exactly one of them.  need maps the
+# parsed args to the largest table index the command reads; a closed form
+# has none and reads no table.
 COMMANDS = {
-    "search": Command(_cmd_search, {"--mode": ("r0", "r1"), "--n-max": int, "--t-max": int}),
-    "classify": Command(_cmd_classify, {"--n": int, "--a": _parse_int_list}),
+    "search": Command(
+        _cmd_search, {"--mode": ("r0", "r1"), "--n-max": int, "--t-max": int}, _search_need
+    ),
+    # every part must be below n, which is checked before any read
+    "classify": Command(_cmd_classify, {"--n": int, "--a": _parse_int_list}, lambda args: args.n),
+    # n is known only once the generator has run, so the table is the whole limit
     "generate trivial-even": Command(
-        _cmd_generate_even, {"--evens": _parse_int_list, "--max-n": 10**9}
+        _cmd_generate_even,
+        {"--evens": _parse_int_list, "--max-n": 10**9},
+        lambda args: args.sieve_limit,
     ),
     "generate trivial-odd": Command(
-        _cmd_generate_odd, {"--a1": int, "--evens": (_parse_int_list, ""), "--max-n": 10**9}
+        _cmd_generate_odd,
+        {"--a1": int, "--evens": (_parse_int_list, ""), "--max-n": 10**9},
+        lambda args: args.sieve_limit,
     ),
-    "verify lemma21": Command(_cmd_verify_lemma21, {"--nu-max": 10**6}),
-    "verify lemma22": Command(_cmd_verify_lemma22, {"--k-max": 50, "--n-max": 400, "--t-max": 3}),
-    "verify lemma23": Command(_cmd_verify_lemma23, {"--n-max": 400, "--t-max": 3}),
-    "verify thm24": Command(_cmd_verify_thm24, {"--k": (_parse_k_range, "2..7"), "--x-max": 5000}),
+    "verify lemma21": Command(_cmd_verify_lemma21, {"--nu-max": 10**6}, lambda args: args.nu_max),
+    # the geometry scan reads up to 2*k_max - 2; the sandwich checks stay within n
+    "verify lemma22": Command(
+        _cmd_verify_lemma22,
+        {"--k-max": 50, "--n-max": 400, "--t-max": 3},
+        lambda args: max(2 * args.k_max - 2, args.n_max),
+    ),
+    "verify lemma23": Command(_cmd_verify_lemma23, {"--n-max": 400, "--t-max": 3}, _search_need),
+    "verify thm24": Command(
+        _cmd_verify_thm24,
+        {"--k": (_parse_k_range, "2..7"), "--x-max": 5000},
+        lambda args: args.x_max + max(args.k) - 1,
+    ),
     "verify val2": Command(
         _cmd_verify_val2,
         {"--m-max": 10**6, "--x-max": 10**4, "--k-max": 50, "--samples": 10**4, "--seed": 0},
-        reads_table=False,
     ),
-    "verify dusart": Command(_cmd_verify_dusart, {("--y", "--y-max"): int}),
-    "verify known-factorials": Command(_cmd_verify_known, {}, reads_table=False),
-    "bound thm12ii": Command(_cmd_bound_thm12ii, {"--l1": int}, reads_table=False),
-    "bound ineq3": Command(
-        _cmd_bound_ineq3, {"--k": int, "--a2": int, "--m": int}, reads_table=False
+    "verify dusart": Command(
+        _cmd_verify_dusart,
+        {("--y", "--y-max"): int},
+        lambda args: args.y_max if args.y is None else args.y,
     ),
-    "abc triple": Command(_cmd_abc_triple, {"--a": int, "--b": int}),
-    "abc proof-triple": Command(_cmd_abc_proof_triple, {"--x": int, "--j1": int, "--j2": int}),
-    "abc scan": Command(_cmd_abc_scan, {"--x": int, "--k": int}),
-    "block analyze": Command(_cmd_block_analyze, {"--x": int, "--k": int}),
-    "ratio erdos-graham": Command(_cmd_ratio_erdos_graham, {"--n": int}),
-    "ratio erdos-block": Command(_cmd_ratio_erdos_block, {"--x": int, "--k": int}),
-    "gap-witness": Command(_cmd_gap_witness, {"--n": int, "--l": int}),
+    "verify known-factorials": Command(_cmd_verify_known, {}),
+    "bound thm12ii": Command(_cmd_bound_thm12ii, {"--l1": int}),
+    "bound ineq3": Command(_cmd_bound_ineq3, {"--k": int, "--a2": int, "--m": int}),
+    "abc triple": Command(_cmd_abc_triple, {"--a": int, "--b": int}, lambda args: args.a + args.b),
+    # j2 < j1 is checked before any read
+    "abc proof-triple": Command(
+        _cmd_abc_proof_triple, {"--x": int, "--j1": int, "--j2": int}, lambda args: args.x + args.j1
+    ),
+    "abc scan": Command(_cmd_abc_scan, {"--x": int, "--k": int}, _block_end),
+    "block analyze": Command(_cmd_block_analyze, {"--x": int, "--k": int}, _block_end),
+    "ratio erdos-graham": Command(_cmd_ratio_erdos_graham, {"--n": int}, lambda args: args.n + 1),
+    "ratio erdos-block": Command(_cmd_ratio_erdos_block, {"--x": int, "--k": int}, _block_end),
+    "gap-witness": Command(
+        _cmd_gap_witness, {"--n": int, "--l": int}, lambda args: max(args.n, args.n - args.l)
+    ),
 }
 
 _HELP = {
@@ -702,7 +751,17 @@ def run(argv) -> int:
         config = CommandConfig(
             args.sieve_limit, args.cache_dir, args.output_format, args.threads, args.node_budget
         )
-        table = load_or_build_sieve(config) if args.leaf.reads_table else None
+        table = None
+        if args.leaf.need is not None:
+            # a table sized to the need raises exactly where the full one would:
+            # past the limit the need is the limit
+            need = max(2, min(args.leaf.need(args), config.sieve_limit))
+            if need > _IN_MEMORY_MAX:
+                table = load_or_build_sieve(config, need)
+            else:
+                from .core import check_sieve_memory, sieve_primes
+                check_sieve_memory(config.sieve_limit)
+                table = sieve_primes(need)
         records, code = args.leaf.handler(args, config, table)
     except (ValueError, OverflowError) as exc:
         # SieveRangeError, NotASolutionError and HypothesisViolationError are ValueErrors

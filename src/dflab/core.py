@@ -8,9 +8,10 @@ this one form: spf-walk dicts for products of table-sized integers, and
 the scalar Legendre sum factorial_valuation for nu_p(m!).  Every prime
 fact is read off the same table: a prime test is spf[m] == m, and the
 primes of a range stream from _primes_between, with no prime list kept.
-Only the functions that vectorize import numpy, each when it runs, and
-read the table through a zero-copy np.frombuffer view: sieve_primes,
-lpf_array and block_lpf_max.
+sieve_primes builds the table in pure Python, by slice assignment.  Only
+the functions that vectorize import numpy, each when it runs, and read
+the table through a zero-copy np.frombuffer view: lpf_array and
+block_lpf_max.
 Integer arithmetic is exact everywhere; floats appear only in the
 log-space helpers.  A PrimeTable never changes after construction, so
 one instance can be shared freely.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain, compress
 
@@ -48,13 +50,14 @@ _UINT32_MAX = 2**32 - 1
 # sieve_primes and search refuse (ResourceLimitError) a table larger than this
 MAX_TABLE_BYTES = 2**30
 # Bytes per entry the memory guard charges a sieve: 4 for the uint32 spf
-# table and the rest headroom.  Writing the cache streams the table without
-# a copy, so building or loading a table touches about 4 bytes per entry.
+# table and the rest headroom.  Building a table peaks at about 6 bytes per
+# entry (the odd identity is copied in from a half-size array), and writing
+# the cache streams it without a copy; loading one touches about 4.
 # A loaded table is a view of the chunks read, not a copy; a cache read
 # whole because its checksum sidecar is missing stays held whole behind the
 # view of its prefix.  The charge sets the largest limit the memory cap
-# allows (exit 3 above it), so it stays fixed while the table's own cost
-# falls.
+# allows (exit 3 above it), so it stays fixed as the table's own cost
+# changes.
 _SIEVE_BYTES_PER_ENTRY = 14
 
 
@@ -109,19 +112,30 @@ def check_sieve_memory(limit: int):
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Build the smallest-prime-factor table for [2, limit]."""
+    """Build the smallest-prime-factor table for [2, limit], in pure Python.
+
+    Every entry starts as its own index (2 for the evens), then each odd
+    prime p <= sqrt(limit), largest first, overwrites its odd multiples
+    from p*p, so the last write to a composite is its smallest prime
+    factor.  Each write is one slice assignment, with no Python step per
+    entry.
+    """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > _UINT32_MAX:
         raise ValueError("sieve entries are uint32; limit must be < 2**32")
     check_sieve_memory(limit)
-    import numpy as np
-    spf = np.arange(limit + 1, dtype=np.uint32)
-    spf[:2] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            view = spf[p * p :: p]
-            np.minimum(view, np.uint32(p), out=view)
+    root = math.isqrt(limit)
+    odd = bytearray([1]) * (root + 1)  # odd[m] for odd m: m is prime
+    for p in range(3, math.isqrt(root) + 1, 2):
+        if odd[p]:
+            odd[p * p :: 2 * p] = bytes(len(range(p * p, root + 1, 2 * p)))
+    spf = array("I", [0]) * (limit + 1)
+    spf[3::2] = array("I", range(3, limit + 1, 2))
+    spf[2::2] = array("I", [2]) * (limit // 2)
+    for p in range(root - (root % 2 == 0), 2, -2):
+        if odd[p]:
+            spf[p * p :: 2 * p] = array("I", [p]) * len(range(p * p, limit + 1, 2 * p))
     return PrimeTable(limit, spf)
 
 

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from dflab import cli, core
 from dflab.cli import (
@@ -22,7 +23,7 @@ from dflab.cli import (
     load_or_build_sieve,
     run,
 )
-from oracles import spf_direct
+from oracles import df_direct, spf_direct, trial_factor
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -408,16 +409,22 @@ def test_search_determinism_across_threads(tmp_path):
     assert len(parse_jsonl(first.stdout)) == 7
 
 
+# A sieve limit whose table a command with a need above the in-memory bound
+# reads from the cache, and such a need
+CACHED_LIMIT = 2 * cli._IN_MEMORY_MAX
+CACHED_NEED = cli._IN_MEMORY_MAX + 1
+
+
 def test_cache_roundtrip_and_recovery(tmp_path):
     cache = tmp_path / "c1"
-    argv = ["verify", "lemma21", "--nu-max", "900", "--sieve-limit", "1000"]
+    argv = ["verify", "lemma21", "--nu-max", str(CACHED_LIMIT - 100), "--sieve-limit", str(CACHED_LIMIT)]
     res = run_proc(argv, cache)
     assert res.returncode == 0
     cache_file = cache / "sieve.dfl"
     assert cache_file.exists()
     blob = cache_file.read_bytes()
     assert blob[:4] == b"DFL1"
-    assert len(blob) == 32 + 4 * 1001
+    assert len(blob) == 32 + 4 * (CACHED_LIMIT + 1)
 
     # warm run reuses the cache byte for byte
     res = run_proc(argv, cache)
@@ -425,7 +432,8 @@ def test_cache_roundtrip_and_recovery(tmp_path):
     assert cache_file.read_bytes() == blob
 
     # a smaller request still reuses the bigger table
-    res = run_proc(["verify", "lemma21", "--nu-max", "90", "--sieve-limit", "100"], cache)
+    smaller = ["--nu-max", str(CACHED_NEED), "--sieve-limit", str(CACHED_NEED + 100)]
+    res = run_proc(["verify", "lemma21"] + smaller, cache)
     assert res.returncode == 0
     assert cache_file.read_bytes() == blob
 
@@ -439,7 +447,8 @@ def test_cache_roundtrip_and_recovery(tmp_path):
 
 def test_cache_env_var_override(tmp_path):
     env_cache = tmp_path / "from-env"
-    res = run_proc(["block", "analyze", "--x", "9", "--k", "2", "--sieve-limit", "50"], env_cache)
+    argv = ["block", "analyze", "--x", str(CACHED_NEED), "--k", "2", "--sieve-limit", str(CACHED_LIMIT)]
+    res = run_proc(argv, env_cache)
     assert res.returncode == 0
     assert (env_cache / "sieve.dfl").exists()
 
@@ -539,7 +548,7 @@ def test_bounds_point_queries_leave_the_search_unloaded(argv, warm_cache, tmp_pa
 
 
 def test_point_query_on_empty_cache_builds_the_same_files(tmp_path):
-    # SHA-256 of the files the loader wrote before it stopped using numpy
+    # SHA-256 of the files the loader wrote when it sieved with numpy
     parent = {
         "sieve.dfl": "8b19815b496ea65235285d263fc3c71b2f72b7aca9be5fe5da4d9e5575fcefb4",
         "sieve.crc": "033e27600fb8d3e8d0e65c86c17e23bb02102e3b1903e1c44846649c9ee59b95",
@@ -548,9 +557,12 @@ def test_point_query_on_empty_cache_builds_the_same_files(tmp_path):
     argv = ["block", "analyze", "--x", "24", "--k", "5"]
     res = run_reporting_import(argv + POINT_LIMIT, cache, tmp_path / "unused")
     assert res.returncode == 0, res.stderr
-    assert res.stderr == "True\n"  # the build sieves with numpy
+    assert res.stderr == "False\n"  # a need of 28 is sieved in memory, in pure Python
     golden = Path(__file__).resolve().parent / "golden" / "block-analyze.jsonl"
     assert res.stdout == golden.read_text()
+    assert not cache.exists()
+    # the pure-Python sieve writes the numpy sieve's bytes
+    load_or_build_sieve(CommandConfig(sieve_limit=20000, cache_dir=cache))
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in cache.iterdir()}
     assert got == parent
     blob = (cache / "sieve.dfl").read_bytes()
@@ -589,7 +601,7 @@ def test_sieve_memory_guard_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def _block_analyze_proc(cache, limit):
-    argv = ["block", "analyze", "--x", "9", "--k", "2", "--sieve-limit", str(limit)]
+    argv = ["block", "analyze", "--x", str(CACHED_NEED), "--k", "2", "--sieve-limit", str(limit)]
     return subprocess.Popen(
         [sys.executable, "-m", "dflab"] + argv,
         stdout=subprocess.PIPE,
@@ -601,14 +613,17 @@ def _block_analyze_proc(cache, limit):
 
 def test_concurrent_builds_share_one_cache_dir(tmp_path):
     cache = tmp_path / "shared"
-    procs = [_block_analyze_proc(cache, limit) for limit in (5000, 20000)]
+    small = CACHED_NEED + 1000
+    procs = [_block_analyze_proc(cache, limit) for limit in (small, CACHED_LIMIT)]
     results = [(p.communicate(timeout=120), p.returncode) for p in procs]
+    terms = [trial_factor(CACHED_NEED), trial_factor(CACHED_NEED + 1)]
     for (out, err), code in results:
         assert code == 0, err
         payload = parse_jsonl(out)[0]["payload"]
-        assert payload["lpf"] == 5 and payload["term_radicals"] == [3, 10]
+        assert payload["lpf"] == max(max(f) for f in terms)
+        assert payload["term_radicals"] == [math.prod(f) for f in terms]
     assert results[0][0][0] == results[1][0][0]
-    third = _block_analyze_proc(cache, 5000)
+    third = _block_analyze_proc(cache, small)
     out, err = third.communicate(timeout=120)
     assert third.returncode == 0 and out == results[0][0][0]
     assert "rebuilding" not in err
@@ -753,3 +768,217 @@ def test_damaged_cache_is_rebuilt_or_never_read(pristine_cache, need, target, tr
             assert rebuilt == (expect_rebuild and attempt == 0), err.getvalue()
         if not expect_rebuild:
             assert Path(d, "sieve.crc").read_bytes() == pristine_cache["sieve.crc"]
+
+
+def _captured_run(argv) -> tuple:
+    """(exit code, stdout, stderr) of cli.run(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Every table-reading leaf with a need of the whole --sieve-limit: the
+# reference each sized table must agree with
+_FULL_TABLE = {
+    path: command._replace(need=lambda args: args.sieve_limit) if command.need else command
+    for path, command in cli.COMMANDS.items()
+}
+
+
+def run_on_full_table(argv) -> tuple:
+    """_captured_run with the handler given a table of exactly --sieve-limit, built in memory."""
+    with mock.patch.object(cli, "COMMANDS", _FULL_TABLE), mock.patch.object(cli, "_IN_MEMORY_MAX", math.inf):
+        return _captured_run(argv)
+
+
+def _upto(limit, lo=0):
+    """Integers from lo to just past limit, so that some reads fall off the table."""
+    return st.integers(lo, max(lo, limit + 2))
+
+
+def _csv_ints(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _limited(cap, argv_of):
+    """Draw a --sieve-limit up to cap, then argv_of(draw, limit): (limit, argv)."""
+    def draw(d):
+        limit = d(st.integers(2, cap), label="limit")
+        return limit, argv_of(d, limit)
+    return draw
+
+
+def _generated(family, parts):
+    """Draw the generator's arguments, then a --sieve-limit around the n they make."""
+    def draw(d):
+        args = d(parts)
+        n = math.prod(df_direct(e) for e in args[-1]) * (math.factorial(args[0]) if args[0] else 1)
+        near = st.integers(min(max(2, n - 2), 50000), min(n + 2, 50000))
+        limit = d(near | st.integers(2, 50000), label="limit")
+        head = ["--a1", args[0]] if args[0] else []
+        return limit, ["generate", family, *head, "--evens", _csv_ints(args[-1])]
+    return draw
+
+
+# Per table-reading leaf: its argv and a --sieve-limit, drawn so that reads
+# land near the limit and sometimes past it.  Limits stay small where the
+# command's cost grows fast.
+NEED_ARGV = {
+    "search": _limited(300, lambda d, n: [
+        "search", "--mode", d(st.sampled_from(["r0", "r1"])),
+        "--n-max", d(_upto(n)), "--t-max", d(st.integers(2, 3)),
+    ]),
+    "classify": _limited(2000, lambda d, n: d(st.one_of(
+        st.sampled_from([
+            ["classify", "--n", "720", "--a", "5,718,6"],
+            ["classify", "--n", "144", "--a", "142,6,3"],
+            ["classify", "--n", "48", "--a", "46,6,4"],
+        ]),
+        st.builds(
+            lambda n, a: ["classify", "--n", str(n), "--a", _csv_ints(a)],
+            _upto(n), st.lists(_upto(n), min_size=2, max_size=4),
+        ),
+    ))),
+    "generate trivial-even": _generated(
+        "trivial-even", st.tuples(st.just(0), st.lists(st.sampled_from([4, 6, 8, 10]), min_size=1, max_size=3))
+    ),
+    "generate trivial-odd": _generated(
+        "trivial-odd", st.tuples(st.sampled_from([5, 7]), st.lists(st.sampled_from([4, 6]), max_size=2))
+    ),
+    "verify lemma21": _limited(6000, lambda d, n: ["verify", "lemma21", "--nu-max", str(d(_upto(n)))]),
+    "verify lemma22": _limited(300, lambda d, n: [
+        "verify", "lemma22", "--k-max", str(d(_upto(n // 2 + 1))),
+        "--n-max", str(d(_upto(min(n, 200)))), "--t-max", "3",
+    ]),
+    "verify lemma23": _limited(300, lambda d, n: [
+        "verify", "lemma23", "--n-max", str(d(_upto(n))), "--t-max", str(d(st.integers(2, 3))),
+    ]),
+    "verify thm24": _limited(6000, lambda d, n: [
+        "verify", "thm24", "--k", "{}..{}".format(*d(st.tuples(st.integers(1, 6), st.integers(2, 20)))),
+        "--x-max", str(d(_upto(n))),
+    ]),
+    "verify dusart": _limited(6000, lambda d, n: [
+        "verify", "dusart", d(st.sampled_from(["--y", "--y-max"])), str(d(_upto(n, 3270))),
+    ]),
+    "abc triple": _limited(5000, lambda d, n: [
+        "abc", "triple", "--a", str(a := d(_upto(n))), "--b", str(d(_upto(n - a))),
+    ]),
+    "abc proof-triple": _limited(5000, lambda d, n: [
+        "abc", "proof-triple", "--x", str(d(_upto(n))),
+        "--j1", str(j1 := d(st.integers(0, 12))), "--j2", str(d(st.integers(0, j1))),
+    ]),
+    "abc scan": _limited(5000, lambda d, n: [
+        "abc", "scan", "--x", str(d(_upto(n))), "--k", str(d(st.integers(0, 25))),
+    ]),
+    "block analyze": _limited(5000, lambda d, n: [
+        "block", "analyze", "--x", str(d(_upto(n))), "--k", str(d(st.integers(0, 25))),
+    ]),
+    "ratio erdos-graham": _limited(5000, lambda d, n: ["ratio", "erdos-graham", "--n", str(d(_upto(n)))]),
+    "ratio erdos-block": _limited(5000, lambda d, n: [
+        "ratio", "erdos-block", "--x", str(d(_upto(n))), "--k", str(d(st.integers(0, 25))),
+    ]),
+    "gap-witness": _limited(5000, lambda d, n: [
+        "gap-witness", "--n", str(m := 2 * d(_upto(n // 2))), "--l", str(2 * d(st.integers(-5, m // 2)) + 1),
+    ]),
+}
+
+
+@pytest.fixture(scope="module")
+def untouched_cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("untouched")
+
+
+@pytest.mark.parametrize("path", sorted(path for path, c in cli.COMMANDS.items() if c.need))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_need_sized_table_matches_the_full_table(path, untouched_cache, data):
+    limit, argv = NEED_ARGV[path](data.draw)
+    argv = [str(v) for v in argv]
+    argv += ["--sieve-limit", str(limit), "--cache-dir", str(untouched_cache)]
+    got = _captured_run(argv)
+    assert got == run_on_full_table(argv)
+    event(f"exit {got[0]}")
+    assert not any(untouched_cache.iterdir())  # every need here is sieved in memory
+
+
+WARM_LIMIT = CACHED_LIMIT + 1000
+# One argv per table-reading leaf with a need above the in-memory bound, and
+# some past --sieve-limit (exit 2), each read off a warm cache of WARM_LIMIT
+CACHED_ARGV = [
+    ["search", "--mode", "r0", "--n-max", str(WARM_LIMIT - 1), "--t-max", "3", "--node-budget", "1000"],
+    ["classify", "--n", "184320", "--a", "10,6,184318"],
+    ["generate", "trivial-even", "--evens", "10,6"],
+    ["generate", "trivial-odd", "--a1", "7", "--evens", "6"],
+    ["verify", "lemma21", "--nu-max", str(WARM_LIMIT)],
+    ["verify", "lemma22", "--k-max", str(CACHED_NEED // 2 + 2), "--n-max", "100"],
+    ["verify", "lemma23", "--n-max", str(CACHED_NEED), "--node-budget", "1000"],
+    ["verify", "thm24", "--k", "2..5", "--x-max", str(WARM_LIMIT - 4)],
+    ["verify", "dusart", "--y", str(WARM_LIMIT)],
+    ["verify", "dusart", "--y-max", str(CACHED_NEED)],
+    ["abc", "triple", "--a", "100000", "--b", str(WARM_LIMIT - 100000)],
+    ["abc", "proof-triple", "--x", str(WARM_LIMIT - 7), "--j1", "7", "--j2", "3"],
+    ["abc", "scan", "--x", str(WARM_LIMIT - 19), "--k", "20"],
+    ["block", "analyze", "--x", str(WARM_LIMIT - 9), "--k", "10"],
+    ["ratio", "erdos-graham", "--n", str(WARM_LIMIT - 1)],
+    ["ratio", "erdos-block", "--x", str(WARM_LIMIT - 9), "--k", "10"],
+    ["gap-witness", "--n", str(WARM_LIMIT - 1000), "--l", "-999"],
+    # past the limit: the table is the whole limit, and the message names it
+    ["ratio", "erdos-graham", "--n", str(WARM_LIMIT)],
+    ["block", "analyze", "--x", "5000000", "--k", "3"],
+    ["verify", "dusart", "--y-max", str(WARM_LIMIT + 1)],
+    ["search", "--mode", "r1", "--n-max", str(WARM_LIMIT + 1), "--t-max", "3"],
+]
+PAST_LIMIT = CACHED_ARGV[-4:]
+# exit codes other than 0: the search runs out of budget, thm24 finds (15, 2)
+# and the dusart sweep y = 3296..3299
+CACHED_EXITS = {"search": 3, "verify lemma23": 3, "verify thm24": 1, "verify dusart --y-max": 1}
+
+
+@pytest.fixture(scope="module")
+def warm_big_cache(tmp_path_factory):
+    cache = tmp_path_factory.mktemp("warm-big")
+    load_or_build_sieve(CommandConfig(sieve_limit=WARM_LIMIT, cache_dir=cache))
+    return cache, {p.name: p.read_bytes() for p in cache.iterdir()}
+
+
+@pytest.mark.parametrize("argv", CACHED_ARGV, ids=" ".join)
+def test_need_above_the_in_memory_bound_reads_the_cache(argv, warm_big_cache, monkeypatch):
+    cache, files = warm_big_cache
+    needs = []
+    real_load = cli.load_or_build_sieve
+
+    def spy(config, need=None):
+        needs.append(need)
+        return real_load(config, need)
+
+    full = argv + ["--sieve-limit", str(WARM_LIMIT), "--cache-dir", str(cache)]
+    want = run_on_full_table(full)
+    monkeypatch.setattr(cli, "load_or_build_sieve", spy)
+    got = _captured_run(full)
+    assert got == want
+    assert len(needs) == 1 and cli._IN_MEMORY_MAX < needs[0] <= WARM_LIMIT
+    if argv in PAST_LIMIT:
+        assert got[0] == 2 and got[1] == "" and f"exceeds sieve limit {WARM_LIMIT}\n" in got[2]
+    else:
+        code = next((c for key, c in CACHED_EXITS.items() if " ".join(argv).startswith(key)), 0)
+        assert got[0] == code, got[2]
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == files
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--mode", "r0", "--n-max", "400", "--t-max", "3"],
+        ["classify", "--n", "720", "--a", "5,718,6"],
+        ["verify", "lemma22", "--k-max", "100", "--n-max", "60"],
+    ],
+    ids=" ".join,
+)
+def test_small_needs_on_an_empty_cache_sieve_in_memory(argv, tmp_path):
+    cache = tmp_path / "cache"
+    res = run_reporting_import(argv, cache, tmp_path / "unused")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == run_on_full_table(argv + ["--cache-dir", str(tmp_path / "full")])[1]
+    assert res.stderr == "False\n"
+    assert not cache.exists()

@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import dflab
-from test_golden import CASES, run_case
+from dflab import cli
+from test_golden import CASES, GOLDEN_DIR, run_case
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 SUBMODULES = ("core", "equation", "bounds", "abc_triples", "formulas")
@@ -46,7 +48,14 @@ def test_import_loads_no_submodule_and_no_numpy():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_only_closed_form_commands_leave_the_cache_empty(name, tmp_path):
+    # every golden case needs a table small enough to sieve in memory
+    run_case(name, "jsonl", tmp_path / "small")
+    assert not (tmp_path / "small").exists()
+    # with no need below the in-memory bound, every command but the closed
+    # forms reads its table through the cache, with the same output
     cache = tmp_path / "cache"
-    run_case(name, "jsonl", cache)
+    with mock.patch.object(cli, "_IN_MEMORY_MAX", 1):
+        _, out = run_case(name, "jsonl", cache)
+    assert out.encode() == (GOLDEN_DIR / f"{name}.jsonl").read_bytes()
     empty = not cache.exists() or not any(cache.iterdir())
     assert empty == (name in CLOSED_FORM_CASES)
