@@ -5,11 +5,11 @@ Library layout:
     equation     the product identity, trivial families, exhaustive search
     bounds       empirical checkers for every explicit inequality used
     abc_triples  coprime sum triples, radicals, the 7/4-exponent check
-    formulas     closed-form evaluators and their constants (no numpy)
+    formulas     closed-form evaluators and their constants (no sieve)
     cli          command-line surface with jsonl/csv/human output
 
 The public names below are resolved on first use (PEP 562), so importing
-the package loads no submodule and no numpy.
+the package loads no submodule.  The library needs only the standard library.
 """
 
 import importlib
@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "core": (
-        "BlockReport PrimeTable SieveRangeError analyze_block block_lpf_max double_factorial"
-        " factorize largest_prime_factor log_double_factorial lpf_array mertens_log_sum"
-        " radical sieve_primes theta"
+        "BlockReport PrimeTable SieveRangeError analyze_block double_factorial factorize"
+        " largest_prime_factor log_double_factorial mertens_log_sum radical sieve_primes"
+        " smooth_runs theta"
     ),
     "equation": (
         "EquationInstance NotASolutionError OddDecomposition ResourceLimitError SolutionRecord"

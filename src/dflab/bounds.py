@@ -10,12 +10,13 @@ Verdicts that rest on double-precision comparisons are reliable down to
 FLOAT_TOLERANCE; every margin at desk scale sits orders of magnitude
 above it.
 
-Only theorem24_scan vectorizes; it imports numpy when it runs.
-verify_lemma21 and dusart_sweep stream their primes off the sieve, and the
-geometry scan and the point checks (erdos_ratio, erdos_graham_ratio,
-dusart_check, the single-block checks) read it entry by entry, so none of
-them needs numpy; the val2 sweep and factorial check are closed forms and
-read no sieve.  Only sandwich_check imports the equation module.
+verify_lemma21 and dusart_sweep stream their primes off the sieve, and
+the geometry scan and the point checks (erdos_ratio, erdos_graham_ratio,
+dusart_check, the single-block checks) read it entry by entry.
+theorem24_scan reads no sieve: it scans the runs of consecutive smooth
+integers, which it builds itself.  The val2 sweep and factorial check are
+closed forms and read no sieve.  Only sandwich_check imports the equation
+module.
 """
 
 from __future__ import annotations
@@ -23,14 +24,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from bisect import bisect_left, bisect_right
+from itertools import chain, compress, islice
 
 from .core import (
     PrimeTable,
     SieveRangeError,
     analyze_block,
-    block_lpf_max,
     largest_prime_factor,
+    sieve_primes,
+    smooth_runs,
     _primes_between,
     _walk_spf,
 )
@@ -310,67 +313,112 @@ def sandwich_check(instance: EquationInstance, table: PrimeTable) -> BoundCheckR
     )
 
 
-def theorem24_scan(k_range, x_max: int, table: PrimeTable):
+def _smooth_block_maxima(bound: int, hi: int, ks):
+    """Yield (k, xs, best) for each k in ks, ascending, over the bound-smooth runs up to hi.
+
+    best[i] = min(P(xs[i] ... xs[i] + k - 1), bound + 1) for each block
+    that ends at or below hi, and xs lists every start of a block with
+    P <= bound: the members of the runs at least k long, each run followed
+    by the integer after it, which is not smooth (or is past hi).  xs
+    ascends; best can be up to k - 1 entries shorter.
+    """
+    runs, lpf = smooth_runs(bound, hi, ks[0])
+    for k in ks:
+        runs = [run for run in runs if len(run) >= k]
+        xs, ps = [], []
+        for run in runs:
+            xs += run
+            xs.append(run[-1] + 1)
+            ps += map(lpf.__getitem__, run)
+            ps.append(bound + 1)
+        # window maxima of width k: doubling widths, then two overlapping windows
+        best, width = ps, 1
+        while 2 * width <= k:
+            best = list(map(max, best, islice(best, width, None)))
+            width *= 2
+        if width < k:
+            best = list(map(max, best, islice(best, k - width, None)))
+        yield k, xs, best
+
+
+def theorem24_scan(k_range, x_max: int):
     """Scan P(block) > LPF_BLOCK_COEFF * k over 4k < x <= x_max, k in k_range.
 
     Returns (exceptions, result): exceptions are all pairs at or under the
     bound, k-major and x ascending; the check passes iff every one is an
     exceptional pair.  The scan is one-directional: exceptional pairs that
     happen to satisfy the bound anyway are reported in details, never
-    treated as errors.  Block maxima come chunk by chunk from
-    block_lpf_max, so memory does not grow with x_max.
+    treated as errors.
+
+    No table is read.  A block with P <= B has all its terms B-smooth, so
+    it lies in a run of consecutive B-smooth integers, and core.smooth_runs
+    lists those runs.  B = floor(LPF_BLOCK_COEFF * max k) finds every
+    exception.  The margin is the least P over the non-member blocks, and
+    a block outside the runs has P >= B + 1: once the least found inside
+    is at or below that for every k left unresolved, the margin is exact;
+    until then B doubles, up to the largest block end, where every block
+    is inside.  The members' own verdicts come from their blocks, factored
+    directly.
     """
-    import numpy as np
     ks = sorted({int(k) for k in k_range})
     if not ks or ks[0] < 2:
         raise ValueError("k values must be >= 2")
     if x_max <= 4 * ks[0]:
         raise ValueError(f"empty scan: no x with 4k < x <= {x_max} for k in {ks}")
-    if x_max + ks[-1] - 1 > table.limit:
-        raise SieveRangeError(
-            f"x_max + max(k) - 1 = {x_max + ks[-1] - 1} exceeds sieve limit {table.limit}"
-        )
     ks = [k for k in ks if 4 * k < x_max]
+    hi = x_max + ks[-1] - 1
     members = {
         k: sorted(x for (x, kk) in EXCEPTIONAL_PAIRS if kk == k and 4 * k < x <= x_max)
         for k in ks
     }
-    found = {k: [] for k in ks}
-    verdicts = {k: [] for k in ks}
+    found = {}
     # least P(block) over the non-member blocks of each k, an integer, so
     # the margin is float(least) - thresh, as rounding is monotone
     least = {}
-    for start, k, best in block_lpf_max(4 * ks[0] + 1, x_max, ks[-1], table):
-        if k not in members:
-            continue
-        lo = max(4 * k + 1, start)
-        best = best[lo - start :]
-        if not best.size:
-            continue
+    unresolved = ks
+    bound = math.floor(LPF_BLOCK_COEFF * ks[-1])
+    while True:
+        for k, xs, best in _smooth_block_maxima(bound, hi, unresolved):
+            lo = bisect_right(xs, 4 * k)
+            top = min(bisect_right(xs, x_max), len(best))
+            window = best[lo:top]
+            if k not in found:  # the first pass: every block with P <= thresh <= bound is here
+                cap = math.floor(LPF_BLOCK_COEFF * k)  # P <= thresh iff P <= cap, for integer P
+                found[k] = list(compress(xs[lo:top], map(cap.__ge__, window)))
+            for x in members[k]:
+                i = bisect_left(xs, x, lo, top)
+                if i < top and xs[i] == x:
+                    window[i - lo] = bound + 1
+            if min(window, default=bound + 1) <= bound:
+                least[k] = min(window)
+        unresolved = [k for k in unresolved if k not in least]
+        margin = min(
+            (float(least[k]) - LPF_BLOCK_COEFF * k for k in least), default=math.inf
+        )
+        if bound >= hi or all(
+            margin <= float(bound + 1) - LPF_BLOCK_COEFF * k for k in unresolved
+        ):
+            break
+        bound = min(2 * bound, hi)
+    ends = [x + k - 1 for k in ks for x in members[k]]
+    table = sieve_primes(max(ends)) if ends else None
+    verdicts = []
+    for k in ks:
         thresh = LPF_BLOCK_COEFF * k
-        found[k] += (lo + np.flatnonzero(best <= thresh)).tolist()
-        inside = [x - lo for x in members[k] if lo <= x < lo + best.size]
-        for i in inside:
-            p_val = int(best[i])
-            verdicts[k].append(
-                {"x": lo + i, "k": k, "lpf": p_val, "satisfies_bound": p_val > thresh}
-            )
-        rest = np.delete(best, inside) if inside else best
-        if rest.size:
-            least[k] = min(least.get(k, math.inf), int(rest.min()))
+        for x in members[k]:
+            p_val = analyze_block(x, k, table).lpf
+            verdicts.append({"x": x, "k": k, "lpf": p_val, "satisfies_bound": p_val > thresh})
     exceptions = [(x, k) for k in ks for x in found[k]]
     counterexamples = [pair for pair in exceptions if pair not in EXCEPTIONAL_PAIRS]
     result = BoundCheckResult(
         name="block_lpf_linear_lower",
         domain_checked=f"k in {ks}, 4k < x <= {x_max}",
         counterexamples=counterexamples,
-        margin=min(
-            (float(least[k]) - LPF_BLOCK_COEFF * k for k in ks if k in least), default=math.inf
-        ),
+        margin=margin,
         details={
             "pairs_scanned": sum(x_max - 4 * k for k in ks),
             "exceptions": [list(p) for p in exceptions],
-            "exceptional_member_verdicts": [d for k in ks for d in verdicts[k]],
+            "exceptional_member_verdicts": verdicts,
         },
     )
     return exceptions, result

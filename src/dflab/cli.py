@@ -10,17 +10,15 @@ The leaf commands are declared once, in COMMANDS: the words that name
 each, its flags, its handler, and its need: the largest sieve index it
 reads, as a function of its arguments.  A command builds the parser of its
 own leaf only (every leaf when argv names none, as for --help).  A command
-with no need (bound thm12ii, bound ineq3, verify known-factorials, verify
-val2) evaluates a closed form: it loads no cache and builds none.  Every
-other command imports only the library modules it calls, when it runs.
+with no need loads no cache and builds none: bound thm12ii, bound ineq3,
+verify known-factorials and verify val2 evaluate closed forms, and verify
+thm24 builds the runs of smooth integers it scans.  Every command imports
+only the library modules it calls, when it runs.
 
 A table is one read-only memoryview of native uint32 entries: over the
 checked cache bytes, with no copy on a little-endian host, or over a
-table sieved in memory.  The point queries (classify, generate, abc,
-block analyze, gap-witness, ratio), search and the verify commands
-dusart, lemma21, lemma22 and lemma23 read it entry by entry or stream its
-primes, and the sieve is built in pure Python, so numpy is imported only
-by verify thm24.
+table sieved in memory.  Every command that reads it does so entry by
+entry or streams its primes, and the sieve is built in pure Python.
 
 The sieve is cached on disk in two files.  sieve.dfl holds a 32-byte
 header (magic "DFL1", uint32 version 1, uint64 limit, uint32 CRC-32 of the
@@ -498,7 +496,7 @@ def _cmd_verify_lemma23(args, config, table):
 
 def _cmd_verify_thm24(args, config, table):
     from . import bounds
-    _, result = bounds.theorem24_scan(args.k, args.x_max, table)
+    _, result = bounds.theorem24_scan(args.k, args.x_max)
     return _checks([result])
 
 
@@ -632,11 +630,8 @@ COMMANDS = {
         lambda args: max(2 * args.k_max - 2, args.n_max),
     ),
     "verify lemma23": Command(_cmd_verify_lemma23, {"--n-max": 400, "--t-max": 3}, _search_need),
-    "verify thm24": Command(
-        _cmd_verify_thm24,
-        {"--k": (_parse_k_range, "2..7"), "--x-max": 5000},
-        lambda args: args.x_max + max(args.k) - 1,
-    ),
+    # builds its own runs of smooth integers and reads no table
+    "verify thm24": Command(_cmd_verify_thm24, {"--k": (_parse_k_range, "2..7"), "--x-max": 5000}),
     "verify val2": Command(
         _cmd_verify_val2,
         {"--m-max": 10**6, "--x-max": 10**4, "--k-max": 50, "--samples": 10**4, "--seed": 0},

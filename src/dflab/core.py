@@ -2,16 +2,16 @@
 
 The sieve is a smallest-prime-factor table held as one read-only, flat
 uint32 memoryview (4 bytes per integer), which makes factorization of any
-n <= limit a walk of O(log n) lookups that need no numpy; factorize
+n <= limit a walk of O(log n) lookups; factorize
 returns the prime -> exponent dict, primes ascending.  Exponents have
 this one form: spf-walk dicts for products of table-sized integers, and
 the scalar Legendre sum factorial_valuation for nu_p(m!).  Every prime
 fact is read off the same table: a prime test is spf[m] == m, and the
 primes of a range stream from _primes_between, with no prime list kept.
-sieve_primes builds the table in pure Python, by slice assignment.  Only
-the functions that vectorize import numpy, each when it runs, and read
-the table through a zero-copy np.frombuffer view: lpf_array and
-block_lpf_max.
+sieve_primes builds the table in pure Python, by slice assignment.
+smooth_runs needs no table up to its range: it sieves the primes up to
+its smoothness bound only, builds the smooth integers as their products
+and keeps the runs of consecutive ones.
 Integer arithmetic is exact everywhere; floats appear only in the
 log-space helpers.  A PrimeTable never changes after construction, so
 one instance can be shared freely.
@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, islice
+from operator import ne
 
 __all__ = [
     "SieveRangeError",
@@ -42,8 +44,7 @@ __all__ = [
     "analyze_block",
     "theta",
     "mertens_log_sum",
-    "lpf_array",
-    "block_lpf_max",
+    "smooth_runs",
 ]
 
 _UINT32_MAX = 2**32 - 1
@@ -59,6 +60,10 @@ MAX_TABLE_BYTES = 2**30
 # allows (exit 3 above it), so it stays fixed as the table's own cost
 # changes.
 _SIEVE_BYTES_PER_ENTRY = 14
+# Bytes per integer the memory guard charges smooth_runs: about 40 for the
+# int and its list slot, up to 48 for its slot in the set of them all, and
+# headroom for the sorts and the runs
+_SMOOTH_BYTES_PER_ENTRY = 128
 
 
 class SieveRangeError(ValueError):
@@ -294,53 +299,51 @@ def mertens_log_sum(nu, table: PrimeTable) -> float:
     return sum(math.log(p) / p for p in _primes_upto(nu, table, "mertens_log_sum"))
 
 
-# Entries lpf_array factors per pass, so its temporaries do not grow with hi
-_LPF_CHUNK = 1 << 16
-# Block starts block_lpf_max covers per pass, so no array spans its range
-_BLOCK_CHUNK = 1 << 16
+def smooth_runs(bound: int, hi: int, min_len: int = 2) -> tuple:
+    """(runs, lpf): the maximal runs of consecutive bound-smooth integers in [1, hi].
 
-
-def lpf_array(hi: int, table: PrimeTable, lo: int = 0) -> np.ndarray:
-    """Array a with a[i] = P(lo + i) for lo <= lo + i <= hi (P(0) = P(1) = 1)."""
-    if hi > table.limit:
-        raise SieveRangeError(f"{hi} exceeds sieve limit {table.limit}")
-    if not 0 <= lo <= hi + 1:
-        raise ValueError(f"need 0 <= lo <= hi + 1, got lo={lo}, hi={hi}")
-    import numpy as np
-    res = np.ones(hi - lo + 1, dtype=np.int64)
-    spf = np.frombuffer(table.spf, dtype=np.uint32)
-    for start in range(max(lo, 2), hi + 1, _LPF_CHUNK):
-        rem = np.arange(start, min(start + _LPF_CHUNK, hi + 1), dtype=np.int64)
-        out = res[start - lo : start - lo + rem.size]
-        idx = np.arange(rem.size)
-        while idx.size:
-            # smallest prime factors come in ascending order, so the last is P(i)
-            p = spf[rem[idx]].astype(np.int64)
-            out[idx] = p
-            rem[idx] //= p
-            idx = idx[rem[idx] > 1]
-    return res
-
-
-def block_lpf_max(x0: int, x_max: int, k_max: int, table: PrimeTable):
-    """Yield (start, k, best), best[i] = P((start+i)(start+i+1)...(start+i+k-1)).
-
-    The block starts x0..x_max are taken in chunks of _BLOCK_CHUNK, and
-    each chunk yields k = 1..k_max in ascending order.  A chunk factors its
-    window with lpf_array once, with k_max - 1 entries of overlap, and
-    grows best in place by one np.maximum per k, so memory is bounded by
-    the chunk, not the range.  best is overwritten after the next yield.
+    runs lists each run of at least min_len integers as an ascending list,
+    runs ascending; lpf maps every integer in them to its largest prime
+    factor (P(1) = 1).  Only the primes up to bound are sieved.  The smooth
+    numbers are built as products of those primes, taken in ascending
+    order: multiplying the numbers made so far by the powers of p makes
+    exactly those whose largest prime is p.  Each batch is counted before
+    it is built, and ResourceLimitError is raised before the count,
+    charged _SMOOTH_BYTES_PER_ENTRY each, would pass MAX_TABLE_BYTES.  Runs
+    are rare (Størmer: finitely many pairs of smooth neighbours for any
+    bound), so they are a small part of the numbers built.
     """
-    if k_max < 1:
-        raise ValueError(f"block length must be >= 1, got {k_max}")
-    if x_max + k_max - 1 > table.limit:
-        raise SieveRangeError(f"block end {x_max + k_max - 1} exceeds sieve limit {table.limit}")
-    import numpy as np
-    for start in range(x0, x_max + 1, _BLOCK_CHUNK):
-        size = min(_BLOCK_CHUNK, x_max + 1 - start)
-        lpf = lpf_array(start + size + k_max - 2, table, start)
-        best = lpf[:size].copy()
-        yield start, 1, best
-        for k in range(2, k_max + 1):
-            np.maximum(best, lpf[k - 1 : k - 1 + size], out=best)
-            yield start, k, best
+    if bound < 2:
+        raise ValueError(f"smoothness bound must be >= 2, got {bound}")
+    if min_len < 2:
+        raise ValueError(f"runs must be at least 2 long, got {min_len}")
+    primes = list(_primes_between(sieve_primes(bound).spf, 2, bound + 1))
+    groups = [[1]]  # groups[i]: the smooth m <= hi whose largest prime is primes[i - 1], ascending
+    count = 1
+    for p in primes:
+        batch = []
+        q = p
+        while q <= hi:
+            cuts = [bisect_right(g, hi // q) for g in groups]
+            count += sum(cuts)
+            if count * _SMOOTH_BYTES_PER_ENTRY > MAX_TABLE_BYTES:
+                raise ResourceLimitError(
+                    f"the {bound}-smooth integers up to {hi} number at least {count}, which need"
+                    f" about {count * _SMOOTH_BYTES_PER_ENTRY} bytes, above the {MAX_TABLE_BYTES}-byte cap"
+                )
+            for g, cut in zip(groups, cuts):
+                batch += map(q.__mul__, islice(g, cut))
+            q *= p
+        batch.sort()
+        groups.append(batch)
+    smooth = set(chain.from_iterable(groups))
+    after = smooth.intersection(map((1).__add__, smooth))  # m with m - 1 smooth too
+    del smooth
+    inside = after.union(map((-1).__add__, after))
+    lpf = {}
+    for p, g in zip([1] + primes, groups):
+        lpf.update(dict.fromkeys(inside.intersection(g), p))
+    ms = sorted(inside)
+    ends = [0, *compress(range(1, len(ms)), map(ne, islice(ms, 1, None), map((1).__add__, ms))), len(ms)]
+    runs = [ms[a:b] for a, b in zip(ends, ends[1:]) if b - a >= min_len]
+    return runs, lpf

@@ -1,7 +1,7 @@
 """Closed-form evaluators and the explicit constants they use.
 
-Nothing here reads a sieve or imports numpy, so a command that only
-evaluates a formula starts without either.  bounds, abc_triples and
+Nothing here reads a sieve, so a command that only evaluates a formula
+builds none.  bounds, abc_triples and
 equation re-export these names.
 """
 

@@ -47,17 +47,62 @@ def primes_upto(n: int) -> list:
 def block_lpf_violators(k_range, x_max: int, coeff: float) -> list:
     """All (x, k) with 4k < x <= x_max and P(x(x+1)...(x+k-1)) <= coeff*k.
 
-    P is the largest prime factor, taken from trial_factor.  Pairs are
-    ordered by k, then x.
+    P is the largest prime factor.  Every term of such a block is
+    B-smooth, B = coeff * max k.  An m <= hi is B-smooth iff it divides Q,
+    the product over the primes p <= B of the largest power of p up to hi,
+    and then P(m) is the largest of those primes dividing m.  A block of
+    k >= 2 starts with two smooth neighbours.  Pairs are ordered by k,
+    then x.
+    """
+    ks = sorted(set(k_range))
+    hi = x_max + ks[-1] - 1
+    small = primes_upto(math.floor(coeff * ks[-1]))
+    q = 1
+    for p in small:
+        power = p
+        while power * p <= hi:
+            power *= p
+        q *= power
+    lpf = {m: max(p for p in small if m % p == 0) for m in range(2, hi + 1) if q % m == 0}
+    pairs = sorted(m for m in lpf if m + 1 in lpf)
+    out = []
+    for k in ks:
+        bound = coeff * k
+        out += [
+            (x, k)
+            for x in pairs
+            if 4 * k < x <= x_max and all(lpf.get(m, math.inf) <= bound for m in range(x, x + k))
+        ]
+    return out
+
+
+def block_lpf_margin(k_range, x_max: int, coeff: float, exempt) -> float:
+    """min over k of (least P over the blocks 4k < x <= x_max not in exempt) - coeff*k.
+
+    Every P comes from trial_factor, every block is taken, and a k with no
+    such block is left out (inf when none has one).
     """
     ks = sorted(set(k_range))
     lpf = [1, 1] + [max(trial_factor(m)) for m in range(2, x_max + ks[-1])]
-    return [
-        (x, k)
+    least = {
+        k: min(
+            (max(lpf[x : x + k]) for x in range(4 * k + 1, x_max + 1) if (x, k) not in exempt),
+            default=None,
+        )
         for k in ks
-        for x in range(4 * k + 1, x_max + 1)
-        if max(lpf[x : x + k]) <= coeff * k
-    ]
+    }
+    return min((p - coeff * k for k, p in least.items() if p is not None), default=math.inf)
+
+
+def smooth_count(bound: int, hi: int) -> int:
+    """How many m in [1, hi] have no prime factor above bound, by a depth-first walk of their factorizations."""
+    primes = primes_upto(bound)
+
+    def walk(m, i):
+        # m times any product of primes[i:] that stays <= hi
+        return 1 + sum(walk(m * p, j) for j, p in enumerate(primes[i:], i) if m * p <= hi)
+
+    return walk(1, 0) if hi >= 1 else 0
 
 
 def enumerate_r0_solutions(n_max: int, t_max: int) -> set:

@@ -105,9 +105,9 @@ def test_c04_search_matches_bigint_oracle(table_small):
         assert got == enumerate_r0_solutions(60, 3)
 
 
-def test_c05_block_lpf_scan_exceptions_all_catalogued(table_small):
+def test_c05_block_lpf_scan_exceptions_all_catalogued():
     with criterion(5, "block LPF scan: all exceptions catalogued but (15, 2)", 120.0):
-        exceptions, result = theorem24_scan(range(2, 8), 5000, table_small)
+        exceptions, result = theorem24_scan(range(2, 8), 5000)
         assert exceptions == block_lpf_violators(range(2, 8), 5000, 4.42)
         # the catalogue omits (15, 2): 15*16 = 240 = 2^4*3*5, and 5 <= 4.42*2
         assert 15 * 16 == 240 and max(trial_factor(240)) == 5 <= 4.42 * 2

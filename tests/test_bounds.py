@@ -21,6 +21,7 @@ from dflab import (
     dusart_sweep,
     erdos_graham_ratio,
     erdos_ratio,
+    largest_prime_factor,
     radical_product_bound_check,
     sandwich_check,
     search,
@@ -36,10 +37,13 @@ from dflab import bounds, core
 from dflab.bounds import EXCEPTIONAL_PAIRS, EXCEPTIONAL_PAIRS_ORDERED, BoundCheckResult
 
 from oracles import (
+    block_lpf_margin,
     block_lpf_violators,
     dusart_failures,
     prime_sum_fold,
+    smooth_count,
     spf_direct,
+    trial_factor,
     trial_is_prime,
     val2_factorial_fold,
 )
@@ -229,8 +233,8 @@ def test_sandwich_errors(table_small):
         sandwich_check(EquationInstance(45, (43, 5, 3)), table_small)
 
 
-def test_theorem24_scan_matches_observed_exceptions(table_small):
-    exceptions, res = theorem24_scan(range(2, 8), 5000, table_small)
+def test_theorem24_scan_matches_observed_exceptions():
+    exceptions, res = theorem24_scan(range(2, 8), 5000)
     assert sorted(exceptions, key=lambda p: (p[1], p[0])) == OBSERVED_EXCEPTIONS
     assert res.counterexamples == [(15, 2)]
     assert not res.passed
@@ -241,71 +245,99 @@ def test_theorem24_exceptions_agree_with_trial_division():
     assert block_lpf_violators(range(2, 8), 5000, 4.42) == OBSERVED_EXCEPTIONS
 
 
-def test_theorem24_member_verdicts(table_small):
-    _, res = theorem24_scan([7], 5000, table_small)
+def test_theorem24_member_verdicts():
+    _, res = theorem24_scan([7], 5000)
     verdicts = {(d["x"], d["k"]): d for d in res.details["exceptional_member_verdicts"]}
     assert verdicts[(29, 7)]["lpf"] == 31 and verdicts[(29, 7)]["satisfies_bound"]
     assert verdicts[(30, 7)]["lpf"] == 31 and verdicts[(30, 7)]["satisfies_bound"]
     assert res.passed
 
 
-def test_theorem24_scan_validation(table_small):
+def test_theorem24_scan_validation():
     with pytest.raises(ValueError):
-        theorem24_scan([1], 100, table_small)
+        theorem24_scan([1], 100)
     with pytest.raises(ValueError, match="empty scan"):
-        theorem24_scan([2, 3], 8, table_small)  # 4k < x <= 8 holds for no x
-    _, res = theorem24_scan([2, 3], 9, table_small)
+        theorem24_scan([2, 3], 8)  # 4k < x <= 8 holds for no x
+    _, res = theorem24_scan([2, 3], 9)
     assert res.details["pairs_scanned"] == 1
 
 
-def test_theorem24_running_maximum_matches_trial_division(table_small):
+def test_theorem24_running_maximum_matches_trial_division():
     # k values with gaps: the running block maximum must still pass every k
-    exceptions, _ = theorem24_scan([3, 5, 9], 3000, table_small)
+    exceptions, _ = theorem24_scan([3, 5, 9], 3000)
     assert sorted(exceptions, key=lambda p: (p[1], p[0])) == block_lpf_violators([3, 5, 9], 3000, 4.42)
 
 
-def test_theorem24_domain_names_only_scanned_k(table_small):
+def test_theorem24_domain_names_only_scanned_k():
     # 4k < x <= 50 holds for k <= 12 only
-    _, res = theorem24_scan(range(2, 21), 50, table_small)
+    _, res = theorem24_scan(range(2, 21), 50)
     assert res.domain_checked == f"k in {list(range(2, 13))}, 4k < x <= 50"
     assert res.details["pairs_scanned"] == sum(50 - 4 * k for k in range(2, 13))
-    _, res = theorem24_scan(range(2, 8), 5000, table_small)
+    _, res = theorem24_scan(range(2, 8), 5000)
     assert res.domain_checked == "k in [2, 3, 4, 5, 6, 7], 4k < x <= 5000"
 
 
-def _thm24_record(ks, x_max, table):
-    exceptions, res = theorem24_scan(ks, x_max, table)
-    details = res.details
-    return (
-        exceptions,
-        res.counterexamples,
-        res.margin,
-        details["pairs_scanned"],
-        details["exceptional_member_verdicts"],
-    )
+# (ks, x_max, the smoothness bounds B the scan takes) for the record test:
+# the golden case, k with gaps, more k than the range holds, two with no
+# non-member block, and four that double B, e.g. because no 20 consecutive
+# integers past 80 are 88-smooth
+THM24_CASES = [
+    (range(2, 8), 5000, [30]), ([3, 5, 9], 3000, [39, 78]), (range(2, 21), 50, [53]),
+    ([2, 3], 9, [8, 10]), ([7], 29, [30, 35]), ([20], 20_000, [88, 176]),
+    (range(6, 10), 20_000, [39, 78]), (range(12, 21), 3000, [88, 176]),
+]
 
 
-def test_theorem24_scan_chunks_agree(table_small, monkeypatch):
-    cases = [(range(2, 8), 5000), ([3, 5, 9], 3000), (range(2, 21), 50)]
-    monkeypatch.setattr(core, "_BLOCK_CHUNK", 10_000)  # one chunk covers each case
-    whole = [_thm24_record(ks, x_max, table_small) for ks, x_max in cases]
-    assert whole[0][0][:3] == [(9, 2), (14, 2), (15, 2)]  # k-major, x ascending
-    for chunk in (1, 3, 7, 1000):
-        monkeypatch.setattr(core, "_BLOCK_CHUNK", chunk)
-        for (ks, x_max), want in zip(cases, whole):
-            assert _thm24_record(ks, x_max, table_small) == want, (chunk, x_max)
+def test_theorem24_scan_matches_the_trial_division_record(monkeypatch):
+    taken = []
+
+    def spy(bound, hi, min_len):
+        taken.append(bound)
+        return core.smooth_runs(bound, hi, min_len)
+
+    monkeypatch.setattr(bounds, "smooth_runs", spy)
+    for ks, x_max, bounds_taken in THM24_CASES:
+        taken.clear()
+        exceptions, res = theorem24_scan(ks, x_max)
+        assert taken == bounds_taken, (ks, x_max)
+        assert exceptions == block_lpf_violators(ks, x_max, 4.42), (ks, x_max)
+        assert res.margin == block_lpf_margin(ks, x_max, 4.42, EXCEPTIONAL_PAIRS), (ks, x_max)
+        want = [
+            (x, k, max(max(trial_factor(t)) for t in range(x, x + k)))
+            for k in ks if 4 * k < x_max
+            for x in sorted(x for x, kk in EXCEPTIONAL_PAIRS if kk == k and 4 * k < x <= x_max)
+        ]
+        got = res.details["exceptional_member_verdicts"]
+        assert [(d["x"], d["k"], d["lpf"]) for d in got] == want, (ks, x_max)
+        assert all(d["satisfies_bound"] == (d["lpf"] > 4.42 * d["k"]) for d in got)
+    assert theorem24_scan([20], 20_000)[1].margin == pytest.approx(97 - 88.4)  # 81..100, P = 97
 
 
-def test_theorem24_scan_memory_is_bounded_by_the_chunk(table_big):
-    # numpy reports its buffers to tracemalloc; an int64 array over the
-    # scanned range alone would take 7.6 MiB here
+def test_theorem24_scan_memory_is_bounded_by_the_smooth_count():
+    # a scan holds each 88-smooth integer up to 10^6 + 19 a bounded number of
+    # times, never an array over the scanned range
     tracemalloc.start()
     try:
-        theorem24_scan(range(2, 21), 999_980, table_big)
+        theorem24_scan(range(2, 21), 999_980)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < smooth_count(88, 999_980 + 19) * core._SMOOTH_BYTES_PER_ENTRY
+
+
+def test_smooth_block_maxima_is_the_window_maximum():
+    lpf = [1, 1] + [max(trial_factor(m)) for m in range(2, 3001)]
+    for bound, hi, ks in ((30, 3000, [2, 3, 4, 7]), (13, 400, [3, 5]), (100, 3000, [2, 9, 17])):
+        seen = []
+        for k, xs, best in bounds._smooth_block_maxima(bound, hi, ks):
+            seen.append(k)
+            assert len(best) <= len(xs) and sorted(set(xs)) == xs
+            inside = [(x, b) for x, b in zip(xs, best) if x + k - 1 <= hi]
+            assert inside == [(x, min(max(lpf[x : x + k]), bound + 1)) for x, _ in inside], (bound, k)
+            # every block of P <= bound is listed
+            smooth = [x for x in range(1, hi - k + 2) if max(lpf[x : x + k]) <= bound]
+            assert smooth == [x for x, b in zip(xs, best) if b <= bound], (bound, k)
+        assert seen == ks
 
 
 def test_erdos_ratio(table_small):
@@ -420,14 +452,11 @@ def test_radical_product_bound(table_small):
 
 
 def test_radical_product_bound_on_random_blocks(table_small):
-    from dflab import lpf_array
-
-    lpf = lpf_array(9_010, table_small)
     rng = random.Random(31)
     for _ in range(10_000):
         k = rng.randint(2, 8)
         x = rng.randint(2, 9_000)
-        a_bound = int(max(lpf[x : x + k]))
+        a_bound = max(largest_prime_factor(t, table_small) for t in range(x, x + k))
         res = radical_product_bound_check(x, k, a_bound, table_small)
         assert res.passed, (x, k, a_bound)
 

@@ -23,7 +23,7 @@ from dflab.cli import (
     load_or_build_sieve,
     run,
 )
-from oracles import df_direct, spf_direct, trial_factor
+from oracles import block_lpf_violators, df_direct, spf_direct, trial_factor
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -506,6 +506,7 @@ POINT_QUERIES = [
     ["verify", "lemma21", "--nu-max", "20000"],
     ["verify", "lemma22", "--k-max", "100", "--n-max", "60"],
     ["search", "--mode", "r1", "--n-max", "800", "--t-max", "3"],
+    ["verify", "thm24", "--k", "2..7", "--x-max", "5000"],
 ]
 # records each point query writes: one, but the search's eight solutions,
 # lemma21's two prime sums, and lemma22's geometry scan plus one sandwich
@@ -515,8 +516,8 @@ POINT_RECORDS = {
     "verify lemma21 --nu-max 20000": 2,
     "verify lemma22 --k-max 100 --n-max 60": 3,
 }
-# exit codes other than 0: the dusart sweep finds y = 3296..3299
-POINT_EXITS = {"verify dusart --y-max 20000": 1}
+# exit codes other than 0: the dusart sweep finds y = 3296..3299, thm24 (15, 2)
+POINT_EXITS = {"verify dusart --y-max 20000": 1, "verify thm24 --k 2..7 --x-max 5000": 1}
 POINT_LIMIT = ["--sieve-limit", "20000"]
 
 
@@ -854,10 +855,6 @@ NEED_ARGV = {
     "verify lemma23": _limited(300, lambda d, n: [
         "verify", "lemma23", "--n-max", str(d(_upto(n))), "--t-max", str(d(st.integers(2, 3))),
     ]),
-    "verify thm24": _limited(6000, lambda d, n: [
-        "verify", "thm24", "--k", "{}..{}".format(*d(st.tuples(st.integers(1, 6), st.integers(2, 20)))),
-        "--x-max", str(d(_upto(n))),
-    ]),
     "verify dusart": _limited(6000, lambda d, n: [
         "verify", "dusart", d(st.sampled_from(["--y", "--y-max"])), str(d(_upto(n, 3270))),
     ]),
@@ -913,7 +910,6 @@ CACHED_ARGV = [
     ["verify", "lemma21", "--nu-max", str(WARM_LIMIT)],
     ["verify", "lemma22", "--k-max", str(CACHED_NEED // 2 + 2), "--n-max", "100"],
     ["verify", "lemma23", "--n-max", str(CACHED_NEED), "--node-budget", "1000"],
-    ["verify", "thm24", "--k", "2..5", "--x-max", str(WARM_LIMIT - 4)],
     ["verify", "dusart", "--y", str(WARM_LIMIT)],
     ["verify", "dusart", "--y-max", str(CACHED_NEED)],
     ["abc", "triple", "--a", "100000", "--b", str(WARM_LIMIT - 100000)],
@@ -930,9 +926,9 @@ CACHED_ARGV = [
     ["search", "--mode", "r1", "--n-max", str(WARM_LIMIT + 1), "--t-max", "3"],
 ]
 PAST_LIMIT = CACHED_ARGV[-4:]
-# exit codes other than 0: the search runs out of budget, thm24 finds (15, 2)
-# and the dusart sweep y = 3296..3299
-CACHED_EXITS = {"search": 3, "verify lemma23": 3, "verify thm24": 1, "verify dusart --y-max": 1}
+# exit codes other than 0: the search runs out of budget, and the dusart
+# sweep finds y = 3296..3299
+CACHED_EXITS = {"search": 3, "verify lemma23": 3, "verify dusart --y-max": 1}
 
 
 @pytest.fixture(scope="module")
@@ -982,3 +978,41 @@ def test_small_needs_on_an_empty_cache_sieve_in_memory(argv, tmp_path):
     assert res.stdout == run_on_full_table(argv + ["--cache-dir", str(tmp_path / "full")])[1]
     assert res.stderr == "False\n"
     assert not cache.exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ks=st.tuples(st.integers(1, 6), st.integers(2, 20)),
+    x_max=st.integers(0, 6002),
+    limit=st.integers(2, 6000),
+)
+def test_thm24_output_does_not_depend_on_the_sieve_limit(untouched_cache, ks, x_max, limit):
+    argv = ["verify", "thm24", "--k", "{}..{}".format(*ks), "--x-max", str(x_max)]
+    got = _captured_run(argv + ["--sieve-limit", str(limit), "--cache-dir", str(untouched_cache)])
+    assert got == _captured_run(argv + ["--cache-dir", str(untouched_cache)])
+    event(f"exit {got[0]}")
+    assert not any(untouched_cache.iterdir())
+
+
+def test_thm24_past_the_sieve_limit_reads_no_cache(tmp_path):
+    # --x-max 2 * 10^6 is past the default --sieve-limit of 10^6
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    argv = ["verify", "thm24", "--k", "2..20", "--x-max", "2000000"]
+    res = run_reporting_import(argv, cache, tmp_path / "unused")
+    assert res.returncode == 1, res.stderr
+    assert res.stderr == "False\n"
+    (rec,) = parse_jsonl(res.stdout)
+    exceptions = [tuple(p) for p in rec["payload"]["details"]["exceptions"]]
+    assert exceptions == block_lpf_violators(range(2, 21), 2_000_000, 4.42)
+    assert rec["payload"]["counterexamples"] == [[15, 2]]
+    assert not any(cache.iterdir())
+
+
+def test_thm24_refuses_a_scan_past_the_memory_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "MAX_TABLE_BYTES", 2**20)
+    argv = ["verify", "thm24", "--k", "2..20", "--x-max", str(10**15), "--cache-dir", str(tmp_path)]
+    code, out, err = _captured_run(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("dflab: the 88-smooth integers up to 1000000000000019 number at least ")
+    assert err.endswith(" bytes, above the 1048576-byte cap\n")

@@ -1,27 +1,28 @@
 import math
 import random
+import tracemalloc
+from itertools import chain
 
-import numpy as np
 import pytest
 
 from dflab import (
     SieveRangeError,
+    ResourceLimitError,
     analyze_block,
-    block_lpf_max,
     double_factorial,
     factorize,
     largest_prime_factor,
     log_double_factorial,
-    lpf_array,
     mertens_log_sum,
     radical,
     sieve_primes,
+    smooth_runs,
     theta,
 )
 from dflab import core
 from dflab.core import factorial_valuation
 
-from oracles import df_direct, primes_upto, spf_direct, trial_factor, trial_is_prime
+from oracles import df_direct, primes_upto, smooth_count, spf_direct, trial_factor, trial_is_prime
 
 
 def test_sieve_rejects_small_limit():
@@ -96,14 +97,24 @@ def test_radical_examples(table_small):
         radical(10_001, table_small)
 
 
-def test_lpf_divisibility_sweep(table_big):
+def test_smooth_runs_divisibility_sweep(table_big):
     hi = 100_000
-    lpf = lpf_array(hi, table_big)
-    ns = np.arange(hi + 1)
-    assert (ns[2:] % lpf[2:] == 0).all()
-    # lpf[n] is prime, and no prime above it divides n / lpf[n]
-    assert (lpf[lpf[2:]] == lpf[2:]).all()
-    assert (lpf[ns[2:] // lpf[2:]] <= lpf[2:]).all()
+    big = [1, 1] + [largest_prime_factor(m, table_big) for m in range(2, hi + 1)]
+    for bound in (13, 50, 200):
+        runs, lpf = smooth_runs(bound, hi)
+        assert all(len(r) >= 2 and r == list(range(r[0], r[-1] + 1)) for r in runs)
+        members = list(chain.from_iterable(runs))
+        # every smooth neighbour of a smooth integer is in a run
+        assert members == [
+            m for m in range(1, hi + 1)
+            if big[m] <= bound and (m > 1 and big[m - 1] <= bound or m < hi and big[m + 1] <= bound)
+        ]
+        assert members[0] == 1 and lpf[1] == 1
+        for m in members[1:]:
+            p = lpf[m]
+            # P(m) is a prime <= bound dividing m, and no prime above it divides m / P(m)
+            assert m % p == 0 and table_big.is_prime(p) and p <= bound, (bound, m)
+            assert largest_prime_factor(m // p, table_big) <= p, (bound, m)
 
 
 def test_factorial_valuation_examples():
@@ -203,49 +214,44 @@ def test_mertens_log_sum_values(table_small):
     assert mertens_log_sum(1000, table_small) < math.log(1000)
 
 
-def test_array_helpers_match_pointwise(table_small):
-    lpf = lpf_array(3000, table_small)
-    for n in range(2, 3001):
-        assert int(lpf[n]) == largest_prime_factor(n, table_small)
+def test_smooth_runs_match_pointwise():
+    lpf_of = [1] + [max(trial_factor(m), default=1) for m in range(1, 3001)]
+    for bound in (2, 3, 7, 30, 97, 200):
+        for hi in (1, 2, 3, 10, 64, 3000):
+            smooth = [m for m in range(1, hi + 1) if lpf_of[m] <= bound]
+            runs = [[smooth[0]]] if smooth else []
+            for m in smooth[1:]:
+                if m == runs[-1][-1] + 1:
+                    runs[-1].append(m)
+                else:
+                    runs.append([m])
+            for min_len in (2, 3, 5):
+                got, lpf = smooth_runs(bound, hi, min_len)
+                assert got == [r for r in runs if len(r) >= min_len], (bound, hi, min_len)
+                assert all(lpf[m] == lpf_of[m] for m in chain.from_iterable(got)), (bound, hi)
 
 
-def test_lpf_array_chunks_agree(table_small, monkeypatch):
-    whole = {hi: lpf_array(hi, table_small) for hi in (0, 1, 2, 3, 64, 9_999)}
-    assert [int(p) for p in whole[64][:8]] == [1, 1, 2, 3, 2, 5, 3, 7]
-    for chunk in (1, 3, 7, 1000):
-        monkeypatch.setattr(core, "_LPF_CHUNK", chunk)
-        for hi, want in whole.items():
-            got = lpf_array(hi, table_small)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (chunk, hi)
-            for lo in sorted({1, hi // 2 + 1, hi, hi + 1}):
-                got = lpf_array(hi, table_small, lo)
-                assert got.dtype == want.dtype, (chunk, hi, lo)
-                assert np.array_equal(got, want[lo:]), (chunk, hi, lo)
+def test_smooth_runs_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="bound must be >= 2"):
+        smooth_runs(1, 100)
+    with pytest.raises(ValueError, match="at least 2 long"):
+        smooth_runs(10, 100, 1)
 
 
-def test_lpf_array_rejects_bad_start(table_small):
-    with pytest.raises(ValueError):
-        lpf_array(10, table_small, -1)
-    with pytest.raises(ValueError):
-        lpf_array(10, table_small, 12)
-    with pytest.raises(SieveRangeError):
-        lpf_array(10_001, table_small, 10_000)
-
-
-def test_block_lpf_max_is_the_window_maximum(table_small, monkeypatch):
-    lpf = lpf_array(3_000, table_small)
-    for chunk in (1, 3, 7, 1000, 1 << 16):
-        monkeypatch.setattr(core, "_BLOCK_CHUNK", chunk)
-        for x0, x_max, k_max in ((0, 40, 5), (17, 2_990, 9), (2_000, 2_000, 3)):
-            seen = {}
-            for start, k, best in block_lpf_max(x0, x_max, k_max, table_small):
-                want = [max(lpf[x : x + k]) for x in range(start, start + best.size)]
-                assert best.tolist() == want, (chunk, start, k)
-                seen.setdefault(k, []).extend(range(start, start + best.size))
-            assert sorted(seen) == list(range(1, k_max + 1))
-            assert all(xs == list(range(x0, x_max + 1)) for xs in seen.values())
-    with pytest.raises(SieveRangeError):
-        next(block_lpf_max(2, 10_000, 2, table_small))
+def test_smooth_runs_refuses_before_it_allocates(monkeypatch):
+    # 88-smooth integers up to 10^15 are tens of millions; a 1 MiB cap stops
+    # the count at 8192, before their lists are built
+    monkeypatch.setattr(core, "MAX_TABLE_BYTES", 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="above the 1048576-byte cap"):
+            smooth_runs(88, 10**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert smooth_count(88, 10**4) * core._SMOOTH_BYTES_PER_ENTRY < 2**20
+    assert smooth_runs(88, 10**4)[0]  # a small range still fits
 
 
 def test_primes_between_reads_the_primes_off_spf(table_big):

@@ -15,12 +15,16 @@ from test_golden import CASES, GOLDEN_DIR, run_case
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 SUBMODULES = ("core", "equation", "bounds", "abc_triples", "formulas")
-CLOSED_FORM_CASES = {"bound-thm12ii", "bound-ineq3", "verify-known-factorials", "verify-val2"}
+# the commands with no need: the closed forms, and verify thm24, which builds
+# its own runs of smooth integers
+CLOSED_FORM_CASES = {
+    "bound-thm12ii", "bound-ineq3", "verify-known-factorials", "verify-val2", "verify-thm24"
+}
 
 
 def test_public_names_are_the_defining_modules_objects():
     modules = [importlib.import_module(f"dflab.{name}") for name in SUBMODULES]
-    assert len(dflab.__all__) == len(set(dflab.__all__)) > 50
+    assert len(dflab.__all__) == len(set(dflab.__all__)) == 50
     for name in dflab.__all__:
         homes = [mod for mod in modules if name in mod.__all__]
         assert homes, name
@@ -46,13 +50,25 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert res.stdout == "['dflab']\n"
 
 
+def test_no_module_and_no_dependency_names_numpy():
+    tomllib = pytest.importorskip("tomllib")
+    modules = sorted((Path(SRC_DIR) / "dflab").glob("*.py"))
+    assert modules and [p.name for p in modules if "numpy" in p.read_text()] == []
+    with open(Path(SRC_DIR).parent / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    deps = project["dependencies"] + [
+        dep for extra in project.get("optional-dependencies", {}).values() for dep in extra
+    ]
+    assert [dep for dep in deps if "numpy" in dep] == []
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_only_closed_form_commands_leave_the_cache_empty(name, tmp_path):
     # every golden case needs a table small enough to sieve in memory
     run_case(name, "jsonl", tmp_path / "small")
     assert not (tmp_path / "small").exists()
-    # with no need below the in-memory bound, every command but the closed
-    # forms reads its table through the cache, with the same output
+    # with no need below the in-memory bound, every command but those with no
+    # need reads its table through the cache, with the same output
     cache = tmp_path / "cache"
     with mock.patch.object(cli, "_IN_MEMORY_MAX", 1):
         _, out = run_case(name, "jsonl", cache)
