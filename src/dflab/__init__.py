@@ -18,19 +18,19 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "core": (
-        "BlockReport PrimeTable SieveRangeError analyze_block double_factorial factorize"
-        " largest_prime_factor log_double_factorial mertens_log_sum radical sieve_primes"
-        " smooth_runs theta"
+        "BlockReport PrimeTable SieveRangeError analyze_block double_factorial erdos_graham_ratio"
+        " erdos_ratio factorize largest_prime_factor log_double_factorial mertens_log_sum"
+        " odd_gap_obstruction radical sieve_primes smooth_runs theta"
     ),
     "equation": (
         "EquationInstance NotASolutionError OddDecomposition ResourceLimitError SolutionRecord"
         " check_identity classify generate_trivial_even generate_trivial_odd odd_decomposition"
-        " odd_gap_obstruction search"
+        " search"
     ),
     "bounds": (
         "EXCEPTIONAL_PAIRS BoundCheckResult HypothesisViolationError"
         " check_composite_block_geometry composite_block_geometry_scan dusart_check dusart_sweep"
-        " erdos_graham_ratio erdos_ratio radical_product_bound_check sandwich_check"
+        " radical_product_bound_check sandwich_check"
         " smallest_two_radicals theorem24_scan valuation2_block_bound_check"
         " valuation2_block_sweep valuation2_factorial_lower_check verify_lemma21"
     ),

@@ -8,7 +8,7 @@ the float margin reported alongside.
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import PrimeTable, SieveRangeError, radical
 from .formulas import ABC_EXPONENT, inequality3_rhs
@@ -24,15 +24,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AbcTriple:
-    a: int
-    b: int
-    c: int
-    rad: int
-    quality: float
-    explicit_ok: bool
-    explicit_margin: float  # (7/4)*log(rad) - log(c)
+class AbcTriple(namedtuple("AbcTriple", "a b c rad quality explicit_ok explicit_margin")):
+    """A normalized triple a + b = c, rad = N(abc), quality log(c)/log(rad),
+    explicit_ok for c < rad^(7/4), and explicit_margin (7/4)*log(rad) - log(c)."""
+
+    __slots__ = ()
 
 
 def make_triple(a: int, b: int, table: PrimeTable) -> AbcTriple:
@@ -72,18 +68,10 @@ def _make_triple(a: int, b: int, table: PrimeTable, rad_of) -> AbcTriple:
     )
 
 
-@dataclass(frozen=True)
-class ProofTripleResult:
+class ProofTripleResult(namedtuple("ProofTripleResult", "triple x j1 j2 d x_over_d bound holds")):
     """Difference triple of two block terms, plus its x/d bound."""
 
-    triple: AbcTriple
-    x: int
-    j1: int
-    j2: int
-    d: int
-    x_over_d: float
-    bound: float
-    holds: bool
+    __slots__ = ()
 
 
 def proof_triple(x: int, j1: int, j2: int, table: PrimeTable) -> ProofTripleResult:

@@ -11,8 +11,9 @@ FLOAT_TOLERANCE; every margin at desk scale sits orders of magnitude
 above it.
 
 verify_lemma21 and dusart_sweep stream their primes off the sieve, and
-the geometry scan and the point checks (erdos_ratio, erdos_graham_ratio,
-dusart_check, the single-block checks) read it entry by entry.
+the geometry scan and the point checks (dusart_check, the single-block
+checks) read it entry by entry.  erdos_ratio and erdos_graham_ratio live
+in core and are re-exported here.
 theorem24_scan reads no sieve: it scans the runs of consecutive smooth
 integers, which it builds itself.  The val2 sweep and factorial check are
 closed forms and read no sieve.  Only sandwich_check imports the equation
@@ -23,15 +24,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from itertools import chain, compress, islice
 
 from .core import (
     PrimeTable,
     SieveRangeError,
     analyze_block,
-    largest_prime_factor,
+    erdos_graham_ratio,  # re-exported: ratio reads both from core
+    erdos_ratio,
     sieve_primes,
     smooth_runs,
     _primes_between,
@@ -57,7 +59,6 @@ __all__ = [
     "composite_block_geometry_scan",
     "sandwich_check",
     "theorem24_scan",
-    "erdos_ratio",
     "valuation2_block_bound_check",
     "valuation2_block_sweep",
     "valuation2_factorial_lower_check",
@@ -67,7 +68,6 @@ __all__ = [
     "SmallestRadicals",
     "dusart_check",
     "dusart_sweep",
-    "erdos_graham_ratio",
 ]
 
 # P(x(x+1)...(x+k-1)) > LPF_BLOCK_COEFF * k for x > 4k, k >= 2, outside the
@@ -100,13 +100,17 @@ class HypothesisViolationError(ValueError):
     """The caller-asserted hypothesis of a check does not hold."""
 
 
-@dataclass
-class BoundCheckResult:
-    name: str
-    domain_checked: str
-    counterexamples: list
-    margin: float
-    details: dict = field(default_factory=dict)
+class BoundCheckResult(
+    namedtuple("BoundCheckResult", "name domain_checked counterexamples margin details")
+):
+    """A check's verdict: counterexamples (empty means pass), the least slack, details."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, domain_checked, counterexamples, margin, details=None):
+        # a fresh details dict per result, never one shared default
+        details = {} if details is None else details
+        return super().__new__(cls, name, domain_checked, counterexamples, margin, details)
 
     @property
     def passed(self) -> bool:
@@ -288,7 +292,7 @@ def sandwich_check(instance: EquationInstance, table: PrimeTable) -> BoundCheckR
             block = analyze_block(dec.x1, dec.l1, table)
             details.update(
                 {
-                    "decomposition": asdict(dec),
+                    "decomposition": dec._asdict(),
                     "block_all_composite": block.all_composite,
                 }
             )
@@ -354,11 +358,12 @@ def theorem24_scan(k_range, x_max: int):
     it lies in a run of consecutive B-smooth integers, and core.smooth_runs
     lists those runs.  B = floor(LPF_BLOCK_COEFF * max k) finds every
     exception.  The margin is the least P over the non-member blocks, and
-    a block outside the runs has P >= B + 1: once the least found inside
-    is at or below that for every k left unresolved, the margin is exact;
-    until then B doubles, up to the largest block end, where every block
-    is inside.  The members' own verdicts come from their blocks, factored
-    directly.
+    a block outside the runs has P >= B + 1, so the least found inside is
+    exact for each k that has one.  A k with none matters only if B + 1
+    can still undercut the margin.  Then its first non-member block past
+    4k, whose P is at most about 5k, bounds its least P from above, and one
+    more scan, at the largest such P over those k, makes each exact.  The
+    members' own verdicts and those first blocks are factored directly.
     """
     ks = sorted({int(k) for k in k_range})
     if not ks or ks[0] < 2:
@@ -375,14 +380,14 @@ def theorem24_scan(k_range, x_max: int):
     # least P(block) over the non-member blocks of each k, an integer, so
     # the margin is float(least) - thresh, as rounding is monotone
     least = {}
-    unresolved = ks
-    bound = math.floor(LPF_BLOCK_COEFF * ks[-1])
-    while True:
-        for k, xs, best in _smooth_block_maxima(bound, hi, unresolved):
+
+    def scan(bound, scan_ks):
+        """Record the blocks of each k with P <= bound; return the margin over every least P so far."""
+        for k, xs, best in _smooth_block_maxima(bound, hi, scan_ks):
             lo = bisect_right(xs, 4 * k)
             top = min(bisect_right(xs, x_max), len(best))
             window = best[lo:top]
-            if k not in found:  # the first pass: every block with P <= thresh <= bound is here
+            if k not in found:  # the first scan: every block with P <= thresh <= bound is here
                 cap = math.floor(LPF_BLOCK_COEFF * k)  # P <= thresh iff P <= cap, for integer P
                 found[k] = list(compress(xs[lo:top], map(cap.__ge__, window)))
             for x in members[k]:
@@ -391,17 +396,22 @@ def theorem24_scan(k_range, x_max: int):
                     window[i - lo] = bound + 1
             if min(window, default=bound + 1) <= bound:
                 least[k] = min(window)
-        unresolved = [k for k in unresolved if k not in least]
-        margin = min(
-            (float(least[k]) - LPF_BLOCK_COEFF * k for k in least), default=math.inf
-        )
-        if bound >= hi or all(
-            margin <= float(bound + 1) - LPF_BLOCK_COEFF * k for k in unresolved
-        ):
-            break
-        bound = min(2 * bound, hi)
-    ends = [x + k - 1 for k in ks for x in members[k]]
+        return min((float(least[k]) - LPF_BLOCK_COEFF * k for k in least), default=math.inf)
+
+    bound = math.floor(LPF_BLOCK_COEFF * ks[-1])
+    margin = scan(bound, ks)
+    firsts = []  # (x, k): the first non-member block of each k that may undercut the margin
+    for k in ks:
+        if k not in least and margin > float(bound + 1) - LPF_BLOCK_COEFF * k:
+            x = 4 * k + 1
+            while (x, k) in EXCEPTIONAL_PAIRS:
+                x += 1
+            if x <= x_max:
+                firsts.append((x, k))
+    ends = [x + k - 1 for k in ks for x in members[k]] + [x + k - 1 for x, k in firsts]
     table = sieve_primes(max(ends)) if ends else None
+    if firsts:
+        margin = scan(max(analyze_block(x, k, table).lpf for x, k in firsts), [k for _, k in firsts])
     verdicts = []
     for k in ks:
         thresh = LPF_BLOCK_COEFF * k
@@ -422,16 +432,6 @@ def theorem24_scan(k_range, x_max: int):
         },
     )
     return exceptions, result
-
-
-def erdos_ratio(x: int, k: int, table: PrimeTable) -> float | None:
-    """P(block) / (k*log k) when the block is all composite, else None."""
-    if k < 2:
-        raise ValueError(f"block length must be >= 2, got {k}")
-    report = analyze_block(x, k, table)
-    if not report.all_composite:
-        return None
-    return report.lpf / (k * math.log(k))
 
 
 def _val2_block_slack(x: int, k: int) -> tuple:
@@ -506,16 +506,19 @@ def valuation2_factorial_lower_check(m_max: int) -> BoundCheckResult:
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
+    slope, offset, rise, log2 = VAL2_SLOPE, VAL2_OFFSET, 1 - VAL2_SLOPE, math.log2
     counterexamples = []
     margin = math.inf
+    clear = max(margin, 0) + FLOAT_TOLERANCE  # what low must exceed to stop
     for m in range(1, m_max + 1):
         v2 = m - m.bit_count()
-        slack = v2 - (VAL2_SLOPE * m - VAL2_OFFSET)
-        margin = min(margin, slack)
+        slack = v2 - (slope * m - offset)
+        if slack < margin:
+            margin = slack
+            clear = max(margin, 0) + FLOAT_TOLERANCE
         if slack <= 0:
             counterexamples.append((m, v2))
-        low = (1 - VAL2_SLOPE) * m + VAL2_OFFSET - math.log2(m) - 1
-        if low > max(margin, 0) + FLOAT_TOLERANCE:
+        if rise * m + offset - log2(m) - 1 > clear:  # low(m)
             break
     return BoundCheckResult(
         name="factorial_power_of_two_lower",
@@ -579,15 +582,10 @@ def radical_product_bound_check(
     )
 
 
-@dataclass(frozen=True)
-class SmallestRadicals:
+class SmallestRadicals(namedtuple("SmallestRadicals", "j1 j2 bound holds radicals")):
     """Indices of the two smallest term radicals and the mean-radical bound."""
 
-    j1: int
-    j2: int
-    bound: float
-    holds: bool
-    radicals: tuple
+    __slots__ = ()
 
 
 def smallest_two_radicals(x: int, k: int, table: PrimeTable) -> SmallestRadicals:
@@ -695,12 +693,3 @@ def dusart_sweep(y_max: int, table: PrimeTable) -> BoundCheckResult:
         margin=worst,
         details={"literal_form_failures": literal_fail},
     )
-
-
-def erdos_graham_ratio(n: int, table: PrimeTable) -> float:
-    """P(n(n+1)) / log(n), the growth statistic for consecutive pairs."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if n + 1 > table.limit:
-        raise SieveRangeError(f"n+1={n + 1} exceeds sieve limit {table.limit}")
-    return max(largest_prime_factor(n, table), largest_prime_factor(n + 1, table)) / math.log(n)

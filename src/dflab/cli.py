@@ -95,8 +95,12 @@ EXIT_RESOURCE = 3
 
 
 class CommandConfig:
-    """The flags every command shares (a plain class, like OutputRecord, since
-    importing dataclasses would add about a tenth to a closed-form command)."""
+    """The flags every command shares.
+
+    A plain class, like OutputRecord: no module of the package imports
+    dataclasses, which loads inspect, ast and dis and takes about 10 ms of
+    a process's start.  The library's result types are namedtuples.
+    """
 
     def __init__(
         self,
@@ -310,12 +314,16 @@ def _jsonable(obj):
 
 
 def _record(kind: str, result, lift: str | None = None, **derived) -> OutputRecord:
-    """A record of result's dataclass fields plus the derived values given.
+    """A record of result's fields plus the derived values given.
 
-    The fields of the nested dataclass named by lift move to the top level.
+    result is a namedtuple; a field that is one too (a solution's instance
+    and decomposition, a proof triple's triple) becomes the dict of its own
+    fields, and the fields of the one named by lift move to the top level.
     """
-    import dataclasses
-    payload = dataclasses.asdict(result)
+    payload = {
+        key: value._asdict() if hasattr(value, "_asdict") else value
+        for key, value in result._asdict().items()
+    }
     if lift:
         payload.update(payload.pop(lift))
     payload.update(derived)
@@ -567,20 +575,20 @@ def _cmd_block_analyze(args, config, table):
 
 
 def _cmd_ratio_erdos_graham(args, config, table):
-    from .bounds import erdos_graham_ratio
+    from .core import erdos_graham_ratio
     payload = {"n": args.n, "ratio": erdos_graham_ratio(args.n, table)}
     return [OutputRecord("scan_summary", payload)], EXIT_OK
 
 
 def _cmd_ratio_erdos_block(args, config, table):
-    from .bounds import erdos_ratio
+    from .core import erdos_ratio
     value = erdos_ratio(args.x, args.k, table)
     payload = {"x": args.x, "k": args.k, "ratio": value, "all_composite": value is not None}
     return [OutputRecord("scan_summary", payload)], EXIT_OK
 
 
 def _cmd_gap_witness(args, config, table):
-    from .equation import odd_gap_obstruction
+    from .core import odd_gap_obstruction
     payload = {"n": args.n, "l": args.l, "witness": odd_gap_obstruction(args.n, args.l, table)}
     return [OutputRecord("scan_summary", payload)], EXIT_OK
 

@@ -12,6 +12,13 @@ sieve_primes builds the table in pure Python, by slice assignment.
 smooth_runs needs no table up to its range: it sieves the primes up to
 its smoothness bound only, builds the smooth integers as their products
 and keeps the runs of consecutive ones.
+The CLI's point queries on blocks and pairs live here too, beside the
+data they read: analyze_block, erdos_ratio, erdos_graham_ratio and
+odd_gap_obstruction, so that block analyze, ratio and gap-witness load no
+other library module (bounds and equation re-export the last three).
+Result types are namedtuple subclasses: importing dataclasses (with
+inspect, ast and dis) takes about 10 ms, more than a point query's
+arithmetic.
 Integer arithmetic is exact everywhere; floats appear only in the
 log-space helpers.  A PrimeTable never changes after construction, so
 one instance can be shared freely.
@@ -23,7 +30,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, compress, islice
 from operator import ne
 
@@ -42,6 +49,9 @@ __all__ = [
     "log_double_factorial",
     "BlockReport",
     "analyze_block",
+    "erdos_ratio",
+    "erdos_graham_ratio",
+    "odd_gap_obstruction",
     "theta",
     "mertens_log_sum",
     "smooth_runs",
@@ -235,16 +245,10 @@ def log_double_factorial(m: int) -> float:
     return math.lgamma(m + 2) - half * math.log(2.0) - math.lgamma(half + 1)
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(namedtuple("BlockReport", "x k lpf val2 all_composite term_radicals")):
     """Anatomy of the consecutive-integer product x(x+1)...(x+k-1)."""
 
-    x: int
-    k: int
-    lpf: int
-    val2: int
-    all_composite: bool
-    term_radicals: tuple
+    __slots__ = ()
 
 
 def analyze_block(x: int, k: int, table: PrimeTable) -> BlockReport:
@@ -278,6 +282,50 @@ def analyze_block(x: int, k: int, table: PrimeTable) -> BlockReport:
         if big > lpf:
             lpf = big
     return BlockReport(x, k, lpf, val2, all_composite, tuple(rads))
+
+
+def erdos_ratio(x: int, k: int, table: PrimeTable) -> float | None:
+    """P(block) / (k*log k) when the block is all composite, else None."""
+    if k < 2:
+        raise ValueError(f"block length must be >= 2, got {k}")
+    report = analyze_block(x, k, table)
+    if not report.all_composite:
+        return None
+    return report.lpf / (k * math.log(k))
+
+
+def erdos_graham_ratio(n: int, table: PrimeTable) -> float:
+    """P(n(n+1)) / log(n), the growth statistic for consecutive pairs."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if n + 1 > table.limit:
+        raise SieveRangeError(f"n+1={n + 1} exceeds sieve limit {table.limit}")
+    return max(largest_prime_factor(n, table), largest_prime_factor(n + 1, table)) / math.log(n)
+
+
+def odd_gap_obstruction(n: int, l: int, table: PrimeTable) -> int | None:
+    """A prime p with n/2 < p <= n - l, if one exists (largest such).
+
+    For even n and odd a1 = n - l, any such p divides a1!! but not
+    n!! = 2^(n/2) (n/2)!, so no identity with largest part a1 can hold.
+    Returns None when the interval is empty of primes.
+    """
+    if n % 2:
+        raise ValueError(f"n must be even, got {n}")
+    a1 = n - l
+    if a1 % 2 == 0:
+        raise ValueError(f"n - l = {a1} must be odd")
+    if a1 < 3:
+        raise ValueError(f"n - l = {a1} must be >= 3")
+    if n > table.limit:
+        raise SieveRangeError(f"n={n} exceeds sieve limit {table.limit}")
+    if a1 > table.limit:  # l < 0
+        raise SieveRangeError(f"n - l = {a1} exceeds sieve limit {table.limit}")
+    spf = table.spf
+    for v in range(a1, n // 2, -2):  # odd v, downward: the first prime is the largest
+        if spf[v] == v:
+            return v
+    return None
 
 
 def _primes_upto(nu, table: PrimeTable, name: str):

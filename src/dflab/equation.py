@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     PrimeTable,
@@ -37,6 +37,7 @@ from .core import (
     double_factorial,
     factorial_valuation,
     log_double_factorial,
+    odd_gap_obstruction,  # re-exported: gap-witness reads it from core
 )
 from .formulas import KNOWN_FACTORIAL_IDENTITIES, verify_known_factorial_solutions
 
@@ -53,7 +54,6 @@ __all__ = [
     "generate_trivial_odd",
     "search",
     "verify_known_factorial_solutions",
-    "odd_gap_obstruction",
     "DEFAULT_MAX_GENERATED_N",
     "DEFAULT_NODE_BUDGET",
     "KNOWN_FACTORIAL_IDENTITIES",
@@ -79,23 +79,21 @@ class NotASolutionError(ValueError):
     """The candidate instance does not satisfy the product identity."""
 
 
-@dataclass(frozen=True)
-class EquationInstance:
+class EquationInstance(namedtuple("EquationInstance", "n a")):
     """Candidate (n; a_1..a_t), parts stored as a descending tuple."""
 
-    n: int
-    a: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(sorted((int(v) for v in self.a), reverse=True))
-        object.__setattr__(self, "a", parts)
-        object.__setattr__(self, "n", int(self.n))
+    def __new__(cls, n, a):
+        parts = tuple(sorted((int(v) for v in a), reverse=True))
+        n = int(n)
         if len(parts) < 2:
             raise ValueError("need at least two parts (t >= 2)")
         if parts[-1] < 3:
             raise ValueError("every part must be >= 3")
-        if parts[0] >= self.n:
-            raise ValueError(f"largest part {parts[0]} must be < n = {self.n}")
+        if parts[0] >= n:
+            raise ValueError(f"largest part {parts[0]} must be < n = {n}")
+        return super().__new__(cls, n, parts)
 
     @property
     def t(self) -> int:
@@ -120,26 +118,23 @@ class EquationInstance:
         return tuple(v for v in self.a if v % 2 == 0)
 
 
-@dataclass(frozen=True)
-class OddDecomposition:
+class OddDecomposition(namedtuple("OddDecomposition", "x1 l1 x2 l2")):
     """Block coordinates for a single-odd-part solution.
 
     x1 + l1 = N + 1 and x2 + l2 = A1 + 1 hold by construction, where
     N = n/2 and A1 = (a1+1)/2 for the odd part a1.
     """
 
-    x1: int
-    l1: int
-    x2: int
-    l2: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
-    instance: EquationInstance
-    classification: str  # trivial-even | trivial-odd | nontrivial
-    witness: str
-    decomposition: OddDecomposition | None = None
+class SolutionRecord(
+    namedtuple("SolutionRecord", "instance classification witness decomposition", defaults=(None,))
+):
+    """A verified solution, its family label (trivial-even, trivial-odd or
+    nontrivial), the reason for the label, and its OddDecomposition or None."""
+
+    __slots__ = ()
 
 
 def check_identity(instance: EquationInstance, table: PrimeTable) -> bool:
@@ -557,28 +552,3 @@ def search(
         hits += [(n, parts) for parts in sorted(found)]
         budget.done = n
     return [classify(EquationInstance(n, parts), table) for n, parts in hits]
-
-
-def odd_gap_obstruction(n: int, l: int, table: PrimeTable) -> int | None:
-    """A prime p with n/2 < p <= n - l, if one exists (largest such).
-
-    For even n and odd a1 = n - l, any such p divides a1!! but not
-    n!! = 2^(n/2) (n/2)!, so no identity with largest part a1 can hold.
-    Returns None when the interval is empty of primes.
-    """
-    if n % 2:
-        raise ValueError(f"n must be even, got {n}")
-    a1 = n - l
-    if a1 % 2 == 0:
-        raise ValueError(f"n - l = {a1} must be odd")
-    if a1 < 3:
-        raise ValueError(f"n - l = {a1} must be >= 3")
-    if n > table.limit:
-        raise SieveRangeError(f"n={n} exceeds sieve limit {table.limit}")
-    if a1 > table.limit:  # l < 0
-        raise SieveRangeError(f"n - l = {a1} exceeds sieve limit {table.limit}")
-    spf = table.spf
-    for v in range(a1, n // 2, -2):  # odd v, downward: the first prime is the largest
-        if spf[v] == v:
-            return v
-    return None

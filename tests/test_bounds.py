@@ -33,7 +33,7 @@ from dflab import (
     valuation2_factorial_lower_check,
     verify_lemma21,
 )
-from dflab import bounds, core
+from dflab import bounds, cli, core
 from dflab.bounds import EXCEPTIONAL_PAIRS, EXCEPTIONAL_PAIRS_ORDERED, BoundCheckResult
 
 from oracles import (
@@ -279,12 +279,13 @@ def test_theorem24_domain_names_only_scanned_k():
 
 # (ks, x_max, the smoothness bounds B the scan takes) for the record test:
 # the golden case, k with gaps, more k than the range holds, two with no
-# non-member block, and four that double B, e.g. because no 20 consecutive
-# integers past 80 are 88-smooth
+# non-member block (so no second scan), and four whose second scan takes
+# the P of a first non-member block, e.g. because no 20 consecutive
+# integers past 80 are 88-smooth, and 81..100 has P = 97
 THM24_CASES = [
-    (range(2, 8), 5000, [30]), ([3, 5, 9], 3000, [39, 78]), (range(2, 21), 50, [53]),
-    ([2, 3], 9, [8, 10]), ([7], 29, [30, 35]), ([20], 20_000, [88, 176]),
-    (range(6, 10), 20_000, [39, 78]), (range(12, 21), 3000, [88, 176]),
+    (range(2, 8), 5000, [30]), ([3, 5, 9], 3000, [39, 43]), (range(2, 21), 50, [53]),
+    ([2, 3], 9, [8]), ([7], 29, [30]), ([20], 20_000, [88, 97]),
+    (range(6, 10), 20_000, [39, 43]), (range(12, 21), 3000, [88, 97]),
 ]
 
 
@@ -311,6 +312,41 @@ def test_theorem24_scan_matches_the_trial_division_record(monkeypatch):
         assert [(d["x"], d["k"], d["lpf"]) for d in got] == want, (ks, x_max)
         assert all(d["satisfies_bound"] == (d["lpf"] > 4.42 * d["k"]) for d in got)
     assert theorem24_scan([20], 20_000)[1].margin == pytest.approx(97 - 88.4)  # 81..100, P = 97
+
+
+# verify thm24 --x-max 10^6 as it was when B doubled (88 -> 176) until the
+# margin was exact: one k, and a mixed range with catalogued members
+THM24_DOUBLING_OUTPUT = {
+    "20..20": (
+        '{"kind":"bound_check","payload":{"counterexamples":[],"details":{'
+        '"exceptional_member_verdicts":[],"exceptions":[],"pairs_scanned":999920},'
+        '"domain_checked":"k in [20], 4k < x <= 1000000","margin":8.599999999999994,'
+        '"name":"block_lpf_linear_lower","passed":true},"schema_version":1}\n'
+    ),
+    "5,20": (
+        '{"kind":"bound_check","payload":{"counterexamples":[],"details":{'
+        '"exceptional_member_verdicts":[{"k":5,"lpf":13,"satisfies_bound":false,"x":24},'
+        '{"k":5,"lpf":17,"satisfies_bound":false,"x":32},'
+        '{"k":5,"lpf":17,"satisfies_bound":false,"x":48}],'
+        '"exceptions":[[24,5],[32,5],[48,5]],"pairs_scanned":1999900},'
+        '"domain_checked":"k in [5, 20], 4k < x <= 1000000","margin":0.8999999999999986,'
+        '"name":"block_lpf_linear_lower","passed":true},"schema_version":1}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("k", sorted(THM24_DOUBLING_OUTPUT))
+def test_theorem24_second_scan_matches_the_doubling_path(k, monkeypatch, capsys):
+    taken = []
+
+    def spy(bound, hi, min_len):
+        taken.append(bound)
+        return core.smooth_runs(bound, hi, min_len)
+
+    monkeypatch.setattr(bounds, "smooth_runs", spy)
+    assert cli.run(["verify", "thm24", "--k", k, "--x-max", "1000000"]) == 0
+    assert capsys.readouterr().out == THM24_DOUBLING_OUTPUT[k]
+    assert taken == [88, 97]  # 81..100 is the first block of k = 20 past 80
 
 
 def test_theorem24_scan_memory_is_bounded_by_the_smooth_count():
@@ -399,14 +435,14 @@ def test_valuation2_factorial_lower():
 def test_valuation2_factorial_lower_matches_the_fold(monkeypatch):
     # offsets 3 and 1 make the bound fail at 113 and 388 m, some of them past
     # where the walk stops at offset 7, so an early stop loses counterexamples
-    checked = set(range(1, 3001)) | {10**4, 10**6}
+    checked = [*range(1, 3001), 10**4, 10**6]
     for offset in (bounds.VAL2_OFFSET, 3, 1):
         monkeypatch.setattr(bounds, "VAL2_OFFSET", offset)
-        fold = val2_factorial_fold(10**6, bounds.VAL2_SLOPE, offset)
-        for m_max, (bad, margin) in enumerate(fold, 1):
-            if m_max in checked:
-                got = valuation2_factorial_lower_check(m_max)
-                assert (got.counterexamples, got.margin.hex()) == (list(bad), margin.hex()), (offset, m_max)
+        fold = val2_factorial_fold(checked, bounds.VAL2_SLOPE, offset)
+        for m_max in checked:
+            got = valuation2_factorial_lower_check(m_max)
+            bad, margin = fold[m_max]
+            assert (got.counterexamples, got.margin.hex()) == (bad, margin.hex()), (offset, m_max)
         assert [m for m, _ in got.counterexamples] == [
             m for m in range(1, 3001) if m - bin(m).count("1") <= bounds.VAL2_SLOPE * m - offset
         ]

@@ -454,10 +454,13 @@ def test_cache_env_var_override(tmp_path):
 
 
 def run_reporting_import(argv, cache, env_dir, module="numpy"):
-    """Run argv through cli.run in a fresh interpreter that prints on stderr whether module loaded."""
+    """Run argv through cli.run in a fresh interpreter that prints on stderr which of module
+    (one name or a tuple of names) loaded: their list, or False when none did."""
+    names = (module,) if isinstance(module, str) else tuple(module)
     script = (
         "import sys; from dflab.cli import run; code = run(sys.argv[1:]); "
-        f"print({module!r} in sys.modules, file=sys.stderr); sys.exit(code)"
+        f"print([m for m in {names!r} if m in sys.modules] or False, file=sys.stderr); "
+        "sys.exit(code)"
     )
     return subprocess.run(
         [sys.executable, "-c", script, *argv, "--cache-dir", str(cache)],
@@ -543,6 +546,31 @@ def test_point_queries_never_import_numpy(argv, warm_cache, tmp_path):
 )
 def test_bounds_point_queries_leave_the_search_unloaded(argv, warm_cache, tmp_path):
     res = run_reporting_import(argv + POINT_LIMIT, warm_cache, tmp_path / "unused", "dflab.equation")
+    assert res.returncode == 0, res.stderr
+    assert len(parse_jsonl(res.stdout)) == 1
+    assert res.stderr == "False\n"
+
+
+# point queries and the modules each leaves unloaded: dataclasses (with the
+# inspect, ast and dis it imports) for every one; bounds and equation for
+# block analyze, ratio and gap-witness, which run on core alone; bounds for
+# classify
+LEAN = ("dataclasses", "dflab.bounds", "dflab.equation")
+LEAN_QUERIES = [
+    (["classify", "--n", "720", "--a", "5,718,6"], ("dataclasses", "dflab.bounds")),
+    (["generate", "trivial-even", "--evens", "6,4"], ("dataclasses",)),
+    (["generate", "trivial-odd", "--a1", "5", "--evens", "4"], ("dataclasses",)),
+    (["abc", "triple", "--a", "1", "--b", "4374"], ("dataclasses",)),
+    (["block", "analyze", "--x", "24", "--k", "5"], LEAN),
+    (["gap-witness", "--n", "20", "--l", "5"], LEAN),
+    (["ratio", "erdos-graham", "--n", "4374"], LEAN),
+    (["ratio", "erdos-block", "--x", "24", "--k", "5"], LEAN),
+]
+
+
+@pytest.mark.parametrize("argv, unloaded", LEAN_QUERIES, ids=[" ".join(a) for a, _ in LEAN_QUERIES])
+def test_point_queries_load_only_what_they_run(argv, unloaded, warm_cache, tmp_path):
+    res = run_reporting_import(argv + POINT_LIMIT, warm_cache, tmp_path / "unused", unloaded)
     assert res.returncode == 0, res.stderr
     assert len(parse_jsonl(res.stdout)) == 1
     assert res.stderr == "False\n"
