@@ -10,10 +10,12 @@ Verdicts that rest on double-precision comparisons are reliable down to
 FLOAT_TOLERANCE; every margin at desk scale sits orders of magnitude
 above it.
 
-verify_lemma21 and dusart_sweep stream their primes off the sieve, and
-the geometry scan and the point checks (dusart_check, the single-block
-checks) read it entry by entry.  erdos_ratio and erdos_graham_ratio live
-in core and are re-exported here.
+verify_lemma21 folds the primes up to 2^10 one at a time and decides the
+rest a block at a time, counting each block's primes off the sieve at C
+speed; dusart_sweep streams its primes off the sieve, and the geometry
+scan and the point checks (dusart_check, the single-block checks) read
+it entry by entry.  erdos_ratio and erdos_graham_ratio live in core and
+are re-exported here.
 theorem24_scan reads no sieve: it scans the runs of consecutive smooth
 integers, which it builds itself.  The val2 sweep and factorial check are
 closed forms and read no sieve.  Only sandwich_check imports the equation
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import chain, compress, islice
@@ -117,25 +120,24 @@ class BoundCheckResult(
         return not self.counterexamples
 
 
-def verify_lemma21(nu_max: int, table: PrimeTable) -> tuple:
-    """Lemma 2.1's prime sums at every prime nu <= nu_max: theta(nu) < THETA_COEFF * nu
-    and sum_{p <= nu} log(p)/p < log(nu).
+class _Fold(namedtuple("_Fold", "theta mertens theta_margin mertens_margin theta_bad mertens_bad count")):
+    """Lemma 2.1's per-prime fold: both running sums as the fold adds them,
+    each least slack, the counterexamples (p, running sum) at a slack <= 0,
+    and the primes folded."""
 
-    Returns the two BoundCheckResults, theta's first.  Each sum only jumps
-    at primes and each right side grows, so the minimum slack over real nu
-    is attained at a prime.  One pass over the primes takes one log each
-    and adds both running sums in prime order.
+    __slots__ = ()
+
+
+def _prime_sum_fold(spf, nu_max: int, coeff: float) -> _Fold:
+    """Lemma 2.1's fold over the primes p <= nu_max, one prime at a time.
+
+    One log per prime; both running sums are added in prime order.
     """
-    if nu_max > table.limit:
-        raise SieveRangeError(f"nu_max={nu_max} exceeds sieve limit {table.limit}")
-    if nu_max < 2:
-        raise ValueError("nu_max must be at least 2")
-    coeff = THETA_COEFF
     theta = mertens = 0.0
     theta_margin = mertens_margin = math.inf
     theta_bad, mertens_bad = [], []
     count = 0
-    for p in _primes_between(table.spf, 2, nu_max + 1):
+    for p in _primes_between(spf, 2, nu_max + 1):
         log_p = math.log(p)
         theta += log_p
         mertens += log_p / p
@@ -150,6 +152,121 @@ def verify_lemma21(nu_max: int, table: PrimeTable) -> tuple:
         if slack <= 0:
             mertens_bad.append((p, mertens))
         count += 1
+    return _Fold(theta, mertens, theta_margin, mertens_margin, theta_bad, mertens_bad, count)
+
+
+def _count_primes(spf, lo: int, hi: int) -> int:
+    """The number of primes m with lo < m <= hi, for 255 <= lo <= hi < 2^32.
+
+    Every composite m has spf[m] <= sqrt(m), so for 2^(8j) <= m < 2^(8j+8),
+    j >= 1, byte j of spf[m] (its bits 8j to 8j+7) is nonzero iff m is
+    prime: it is then m's own top byte.  Each stretch of one j is counted
+    at C speed: one contiguous copy of its entries, sliced to byte j of the
+    odd ones (no even m > 2 is prime), then bytes.count.  Entries are
+    native uint32, so sys.byteorder says where byte j sits.
+    """
+    raw = spf.cast("B")
+    big = sys.byteorder == "big"
+    count = 0
+    m = (lo + 1) | 1
+    while m <= hi:
+        j = (m.bit_length() - 1) // 8
+        end = min(hi + 1, 1 << 8 * (j + 1))
+        stripe = raw[4 * m : 4 * end].tobytes()[3 - j if big else j :: 8]
+        count += len(stripe) - stripe.count(0)
+        m = end | 1
+    return count
+
+
+# verify_lemma21 folds the primes up to here one at a time: both margins
+# are attained at nu = 2 and 3 with the paper's constants, and
+# _count_primes starts at 256
+_LEMMA21_PREFIX = 1 << 10
+# a block this narrow that still cannot be skipped sends verify_lemma21
+# back to the per-prime fold
+_LEMMA21_MIN_BLOCK = 16
+# relative pad on the bounds for each float rounding they cover, about
+# 10^4 times the 2^-53 rounding unit
+_LEMMA21_PAD = 1e-12
+
+
+def _lemma21_blocks(spf, nu_max: int, coeff: float, fold: _Fold):
+    """Skip the primes _LEMMA21_PREFIX < p <= nu_max a block (a, b] at a time.
+
+    fold is the per-prime fold up to _LEMMA21_PREFIX.  Yields (b, primes
+    in (a, b], theta bound, log-sum bound) for each block skipped,
+    ascending, each bound at least the fold's running sum at b
+    (verify_lemma21 says when a block can be skipped), and stops at
+    nu_max, or early at a block of
+    _LEMMA21_MIN_BLOCK integers that cannot be skipped.  Each block starts
+    at about half the width that the slack either sum has to spare could
+    absorb, and is halved while it cannot be skipped.
+    """
+    theta, mertens = fold.theta, fold.mertens
+    theta_clear, mertens_clear = max(fold.theta_margin, 0), max(fold.mertens_margin, 0)
+    log, pad = math.log, _LEMMA21_PAD
+    a = _LEMMA21_PREFIX
+    while a < nu_max:
+        theta_low = coeff * (a + 1)  # coeff * p as the fold rounds it, at the least p
+        log_low = log(a + 1)
+        mertens_step = log_low / (a + 1)  # log(p)/p falls for p >= 3
+        log_low *= 1 - pad
+        width = min(theta_low - theta - theta_clear, (log_low - mertens - mertens_clear) * a) / 2
+        width = max(int(width), _LEMMA21_MIN_BLOCK)
+        while True:
+            b = min(a + width, nu_max)
+            r = _count_primes(spf, a, b)
+            grow = 1 + pad * (r + 16)
+            theta_high = (theta + r * log(b)) * grow
+            mertens_high = (mertens + r * mertens_step) * grow
+            if theta_low - theta_high > theta_clear and log_low - mertens_high > mertens_clear:
+                break
+            if width <= _LEMMA21_MIN_BLOCK:
+                return
+            width //= 2
+        yield b, r, theta_high, mertens_high
+        a, theta, mertens = b, theta_high, mertens_high
+
+
+def verify_lemma21(nu_max: int, table: PrimeTable) -> tuple:
+    """Lemma 2.1's prime sums at every prime nu <= nu_max: theta(nu) < THETA_COEFF * nu
+    and sum_{p <= nu} log(p)/p < log(nu).
+
+    Returns the two BoundCheckResults, theta's first.  Each sum only jumps
+    at primes and each right side grows, so the minimum slack over real nu
+    is attained at a prime.  The result is, bit for bit, that of the fold
+    over every prime: one log each, both running sums added in prime order.
+
+    That fold runs only up to _LEMMA21_PREFIX.  Above it the primes go a
+    block (a, b] at a time, counted off the table (_count_primes), and
+    the fold's two float sums are carried as upper bounds.  With math.log
+    within 1 ulp, as assumed here, each term the fold adds in the block is
+    at most log(b), resp. log(a+1)/(a+1), up to a few rounding units, and
+    each addition rounds up by at most one unit.  So r primes raise each
+    bound by r such terms, and the total is scaled by
+    1 + _LEMMA21_PAD * (r + 16), which covers those units and the rounding
+    of the bound's own arithmetic with room to spare.  Rounding is
+    monotone, so at every prime of the block the fold's theta slack is at
+    least coeff * (a+1) - theta_high, and its log-sum slack at least
+    log(a+1) * (1 - _LEMMA21_PAD) - mertens_high, each as rounded; the
+    pad also covers the log's ulp here.  When both exceed max(margin, 0),
+    no prime of the block can lower a margin or fail, and the block is
+    skipped.  If every block is, margins and counterexamples are the
+    prefix fold's and only the prime count grows.  Otherwise the fold
+    reruns from nu = 2 over the whole range.
+    """
+    if nu_max > table.limit:
+        raise SieveRangeError(f"nu_max={nu_max} exceeds sieve limit {table.limit}")
+    if nu_max < 2:
+        raise ValueError("nu_max must be at least 2")
+    coeff = THETA_COEFF
+    fold = _prime_sum_fold(table.spf, min(nu_max, _LEMMA21_PREFIX), coeff)
+    count, top = fold.count, _LEMMA21_PREFIX
+    for top, r, _, _ in _lemma21_blocks(table.spf, nu_max, coeff, fold):
+        count += r
+    if top < nu_max:  # a block could not be skipped
+        fold = _prime_sum_fold(table.spf, nu_max, coeff)
+        count = fold.count
 
     def result(name, bad, margin):
         return BoundCheckResult(
@@ -161,8 +278,8 @@ def verify_lemma21(nu_max: int, table: PrimeTable) -> tuple:
         )
 
     return (
-        result("theta_linear_upper", theta_bad, theta_margin),
-        result("mertens_log_sum_upper", mertens_bad, mertens_margin),
+        result("theta_linear_upper", fold.theta_bad, fold.theta_margin),
+        result("mertens_log_sum_upper", fold.mertens_bad, fold.mertens_margin),
     )
 
 

@@ -189,29 +189,36 @@ def dusart_failures(y_max: int, y_min: int = 3275) -> list:
     return bad
 
 
-def prime_sum_fold(nu_max: int, coeff: float) -> list:
-    """Lemma 2.1's two folds over the primes nu <= nu_max, one prime at a time.
+def prime_sum_fold(nu_maxes, coeff: float, spf: list) -> tuple:
+    """Lemma 2.1's two folds over the primes up to max(nu_maxes), one prime at a time.
 
-    theta(nu) < coeff * nu and sum_{p <= nu} log(p)/p < log(nu): for each,
-    (counterexamples, margin), where a counterexample is (nu, running sum)
-    at a slack <= 0 and the margin is the least slack.  Primes come from
-    spf_direct; each running sum is added in prime order.
+    theta(nu) < coeff * nu and sum_{p <= nu} log(p)/p < log(nu).  Returns
+    (theta_bad, mertens_bad, at): the counterexamples (nu, running sum) at
+    a slack <= 0 over the whole range, ascending, and for each nu_max
+    given, at[nu_max] = (theta_margin, mertens_margin, primes), the least
+    slacks and the prime count up to nu_max.  Primes come from spf, an
+    spf_direct table; each running sum is added in prime order.
     """
-    spf = spf_direct(nu_max)
     theta = mertens = 0.0
-    theta_slacks, mertens_slacks, theta_bad, mertens_bad = [], [], [], []
-    for p in range(2, nu_max + 1):
-        if spf[p] != p:
-            continue
-        theta += math.log(p)
-        mertens += math.log(p) / p
-        theta_slacks.append(coeff * p - theta)
-        mertens_slacks.append(math.log(p) - mertens)
-        if theta_slacks[-1] <= 0:
-            theta_bad.append((p, theta))
-        if mertens_slacks[-1] <= 0:
-            mertens_bad.append((p, mertens))
-    return [(theta_bad, min(theta_slacks)), (mertens_bad, min(mertens_slacks))]
+    theta_margin = mertens_margin = math.inf
+    theta_bad, mertens_bad, at = [], [], {}
+    count = 0
+    primes = iter(p for p in range(2, max(nu_maxes) + 1) if spf[p] == p)
+    p = next(primes)
+    for stop in sorted(set(nu_maxes)):
+        while p is not None and p <= stop:
+            count += 1
+            theta += math.log(p)
+            mertens += math.log(p) / p
+            theta_margin = min(theta_margin, coeff * p - theta)
+            mertens_margin = min(mertens_margin, math.log(p) - mertens)
+            if coeff * p - theta <= 0:
+                theta_bad.append((p, theta))
+            if math.log(p) - mertens <= 0:
+                mertens_bad.append((p, mertens))
+            p = next(primes, None)
+        at[stop] = (theta_margin, mertens_margin, count)
+    return theta_bad, mertens_bad, at
 
 
 def val2_factorial_fold(m_maxes, slope: float, offset: float) -> dict:

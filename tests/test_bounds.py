@@ -1,8 +1,11 @@
 import bisect
 import math
+import mmap
 import random
+import sys
 import time
 import tracemalloc
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -93,26 +96,153 @@ def test_mertens_bound_small(table_small):
     assert res.margin == pytest.approx(math.log(2) / 2, abs=1e-12)
 
 
-@pytest.mark.parametrize("coeff", [bounds.THETA_COEFF, 0.95])
-def test_lemma21_matches_the_prime_sum_fold(table_big, monkeypatch, coeff):
-    # at 0.95 theta(nu) < 0.95 nu fails from nu = 283 on, so the
-    # counterexample path runs at every later prime
+@pytest.fixture(scope="module")
+def spf_1e6():
+    return spf_direct(10**6)
+
+
+@pytest.fixture(scope="module")
+def lemma21_ends(table_big):
+    """nu_max values for the lemma21 comparisons, in three sets.
+
+    "fixed": small ones, 10^6, and both sides of the per-prime prefix and
+    of 2^16; "edges": both sides of sampled block edges of a default 10^6
+    run; "random": 50 seeded values up to 10^6.
+    """
+    coeff, spf = bounds.THETA_COEFF, table_big.spf
+    fold = bounds._prime_sum_fold(spf, bounds._LEMMA21_PREFIX, coeff)
+    edges = [b for b, *_ in bounds._lemma21_blocks(spf, 10**6, coeff, fold)]
+    assert edges[-1] == 10**6
+    rng = random.Random(2024)
+    sides = lambda xs: [x + d for x in xs for d in (-1, 0, 1)]
+    return {
+        "fixed": [2, 3, 100, 20_000, 10**6] + sides([bounds._LEMMA21_PREFIX, 1 << 16]),
+        "edges": sides(edges[:3] + rng.sample(edges, 5)),
+        "random": [rng.randint(2, 10**6) for _ in range(50)],
+    }
+
+
+# 1.00008 is the paper's; 1.0 and 0.99999 shrink the blocks near 1; at
+# 0.998 theta first fails near 10^5, so the blocks run up to it and the
+# fold reruns; at 0.95 it fails from nu = 283 on, inside the prefix, so the
+# first block fails and the counterexample path runs at every later prime.
+# The block edges matter only where blocks are skipped, and the random
+# values run at the paper's constant only, to bound the suite's time.
+@pytest.mark.parametrize("coeff", [bounds.THETA_COEFF, 1.0, 0.99999, 0.998, 0.95])
+def test_lemma21_matches_the_prime_sum_fold(table_big, spf_1e6, lemma21_ends, monkeypatch, coeff):
+    ends = lemma21_ends["fixed"]
+    if coeff >= 0.99999:
+        ends = ends + lemma21_ends["edges"]
+    if coeff == bounds.THETA_COEFF:
+        ends = ends + lemma21_ends["random"]
+    theta_bad, mertens_bad, at = prime_sum_fold(ends, coeff, spf_1e6)
     monkeypatch.setattr(bounds, "THETA_COEFF", coeff)
-    for nu_max in (2, 3, 100, 20_000, 10**6):
+    for nu_max in sorted(set(ends)):
         results = verify_lemma21(nu_max, table_big)
         assert [r.name for r in results] == ["theta_linear_upper", "mertens_log_sum_upper"]
-        for res, (bad, margin) in zip(results, prime_sum_fold(nu_max, coeff)):
-            assert res.counterexamples == bad, nu_max
+        margins, count = at[nu_max][:2], at[nu_max][2]
+        for res, bad, margin in zip(results, (theta_bad, mertens_bad), margins):
+            assert res.counterexamples == bad[: bisect.bisect_right(bad, (nu_max, math.inf))], nu_max
             assert res.margin.hex() == margin.hex(), nu_max
             assert res.domain_checked == f"primes nu <= {nu_max}"
+            assert res.details == {"primes_checked": count, "float_tolerance": 1e-9}
     theta_res, mertens_res = results
-    assert theta_res.details == {"primes_checked": 78_498, "float_tolerance": 1e-9}
+    assert theta_res.details["primes_checked"] == 78_498
     assert mertens_res.passed
     if coeff == 0.95:
         bad = theta_res.counterexamples
         assert (len(bad), bad[0][0], bad[-1][0]) == (78_392, 283, 999_983)
     else:
-        assert theta_res.passed
+        assert theta_res.passed == (coeff > 0.998)
+
+
+def test_lemma21_blocks_bound_the_running_sums(table_big, spf_1e6):
+    # each block's bounds hold the fold's float sums at its end, and stay
+    # close to them (at 10^6 they drift by about 47 and 0.016)
+    coeff, spf = bounds.THETA_COEFF, table_big.spf
+    fold = bounds._prime_sum_fold(spf, bounds._LEMMA21_PREFIX, coeff)
+    blocks = list(bounds._lemma21_blocks(spf, 10**6, coeff, fold))
+    theta = mertens = 0.0
+    p = 2
+    for b, r, theta_high, mertens_high in blocks:
+        while p <= b:
+            if spf_1e6[p] == p:
+                theta += math.log(p)
+                mertens += math.log(p) / p
+            p += 1
+        assert theta <= theta_high < theta + 100 and mertens <= mertens_high < mertens + 0.05, b
+    assert sum(r for _, r, *_ in blocks) == 78_498 - fold.count
+
+
+def test_lemma21_steps_prime_by_prime_only_up_to_the_prefix(table_big, monkeypatch):
+    his = []  # the end of every prime stream bounds opens
+
+    def spy(spf, lo, hi):
+        his.append(hi)
+        return core._primes_between(spf, lo, hi)
+
+    monkeypatch.setattr(bounds, "_primes_between", spy)
+    theta_res, mertens_res = verify_lemma21(10**6, table_big)
+    assert his == [bounds._LEMMA21_PREFIX + 1]
+    assert theta_res.details["primes_checked"] == mertens_res.details["primes_checked"] == 78_498
+    # a failing block reruns the fold over the whole range, and the spy sees it
+    monkeypatch.setattr(bounds, "THETA_COEFF", 0.95)
+    his.clear()
+    verify_lemma21(10**6, table_big)
+    assert his == [bounds._LEMMA21_PREFIX + 1, 10**6 + 1]
+
+
+def _prime_count_ranges(limit):
+    """(lo, hi) ranges for _count_primes up to limit: across 256, 2^16 and limit, and odd or even ends."""
+    ranges = [(255, 256), (255, 300), (256, 257), (1000, 1000), (1023, 5000), (65_000, 66_000)]
+    ranges += [(65_535, 65_536), (65_536, 65_537), (65_520, 65_560), (60_000, limit), (255, limit)]
+    rng = random.Random(7)
+    for _ in range(40):
+        lo = rng.randint(255, limit)
+        ranges.append((lo, rng.randint(lo, min(limit, lo + rng.choice((10, 300, 20_000))))))
+    return ranges
+
+
+def test_count_primes_reads_the_top_byte_of_each_entry(table_big, spf_1e6):
+    limit = 200_000
+    total = [0]
+    for m in range(1, limit + 1):
+        total.append(total[-1] + (spf_1e6[m] == m))
+    for lo, hi in _prime_count_ranges(limit):
+        assert bounds._count_primes(table_big.spf, lo, hi) == total[hi] - total[lo], (lo, hi)
+
+
+def test_count_primes_on_a_big_endian_host(monkeypatch):
+    # on this host "big" swaps the entries, so a byte-swapped table reads as
+    # a big-endian host would see its own
+    table = core.sieve_primes(70_000)
+    want = [bounds._count_primes(table.spf, lo, hi) for lo, hi in _prime_count_ranges(70_000)]
+    swapped = array("I", table.spf)
+    swapped.byteswap()
+    monkeypatch.setattr(sys, "byteorder", "big")
+    got = [bounds._count_primes(memoryview(swapped), lo, hi) for lo, hi in _prime_count_ranges(70_000)]
+    assert got == want
+
+
+def test_count_primes_above_2_24(spf_1e6):
+    # entries from 2^24 on carry a prime's top byte in byte 3: the first
+    # prime past 2^24, 2^24 + 43, has byte 2 zero.  Only a window around
+    # 2^24 is written, by a sieve of its own; the rest of the anonymous map
+    # stays unbacked zero pages.
+    lo, hi = (1 << 24) - 3000, (1 << 24) + 3000
+    window = [0] * (hi - lo + 1)
+    for p in (p for p in range(2, math.isqrt(hi) + 1) if spf_1e6[p] == p):
+        for m in range(-(-lo // p) * p, hi + 1, p):
+            window[m - lo] = window[m - lo] or p
+    primes = [m for m in range(lo + 1, hi + 1) if not window[m - lo]]
+    assert min(p for p in primes if p > 1 << 24) == (1 << 24) + 43
+    ranges = [(lo, hi), (lo, 1 << 24), ((1 << 24) - 1, hi), (1 << 24, (1 << 24) + 43), (lo + 17, hi - 5)]
+    with mmap.mmap(-1, 4 * (hi + 1)) as buf:
+        with memoryview(buf).cast("I") as spf:
+            for m in range(lo, hi + 1):
+                spf[m] = window[m - lo] or m
+            got = [bounds._count_primes(spf, a, b) for a, b in ranges]
+    assert got == [sum(a < p <= b for p in primes) for a, b in ranges]
 
 
 def test_lemma21_rejects_an_empty_or_oversized_range(table_small):
@@ -532,14 +662,13 @@ def test_dusart_check(table_big):
         dusart_check(3274, table_big)
 
 
-def test_dusart_sweep(table_big):
+def test_dusart_sweep(table_big, spf_1e6):
     # The narrow (in-use) interval fails for exactly four y just above the
     # threshold: the gap 3271 -> 3299 is wider than the interval there
     # (at y = 3296 the cutoff is 3271.07, a hair above the prime 3271).
     # The wide literal-statement interval never fails on this range.
     assert dusart_failures(100_000) == [3296, 3297, 3298, 3299]
-    spf = spf_direct(100_000)
-    primes = [p for p in range(2, 100_001) if spf[p] == p]
+    primes = [p for p in range(2, 100_001) if spf_1e6[p] == p]
     ys = range(3275, 100_001)
     witness = {y: primes[bisect.bisect_left(primes, y) - 1] for y in ys}
     assert all(witness[y] > y / (1 + 2 * math.log(y) ** 2) for y in ys)
