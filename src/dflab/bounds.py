@@ -47,7 +47,6 @@ from .formulas import THETA_COEFF, THM12II_OFFSET, VAL2_SLOPE, thm12ii_bound
 __all__ = [
     "THETA_COEFF",
     "LPF_BLOCK_COEFF",
-    "ERDOS_BLOCK_COEFF",
     "VAL2_SLOPE",
     "VAL2_OFFSET",
     "THM12II_OFFSET",
@@ -76,9 +75,6 @@ __all__ = [
 # P(x(x+1)...(x+k-1)) > LPF_BLOCK_COEFF * k for x > 4k, k >= 2, outside the
 # exceptional pairs below.
 LPF_BLOCK_COEFF = 4.42
-# P(block) > ERDOS_BLOCK_COEFF * k * log(k) for all-composite blocks and
-# k large (threshold unknown); used only for the exploratory ratio.
-ERDOS_BLOCK_COEFF = 2.0 / 7.0
 # nu_2(m!) > VAL2_SLOPE * m - VAL2_OFFSET; VAL2_SLOPE lives in formulas.
 VAL2_OFFSET = 7.0
 # Below this y the short prime-gap interval statement is not asserted.

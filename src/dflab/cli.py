@@ -20,32 +20,25 @@ checked cache bytes, with no copy on a little-endian host, or over a
 table sieved in memory.  Every command that reads it does so entry by
 entry or streams its primes, and the sieve is built in pure Python.
 
-The sieve is cached on disk in two files.  sieve.dfl holds a 32-byte
-header (magic "DFL1", uint32 version 1, uint64 limit, uint32 CRC-32 of the
+The sieve is cached on disk in one file, sieve.dfl: a 32-byte header
+(magic "DFL1", uint32 version 1, uint64 limit, uint32 CRC-32 of the
 payload, 12 zero bytes) followed by the smallest-prime-factor array as
 little-endian uint32 entries for indices 0..limit (entries 0 and 1 are
-zero).  sieve.crc holds one CRC-32 per chunk of 2**20 entries: a 32-byte
-header (magic "DFC1", uint32 version 1, uint64 limit, uint32 payload CRC,
-uint32 chunk size in entries, uint32 CRC-32 of the chunk table, 4 zero
-bytes) followed by ceil((limit+1) / chunk) uint32 LE chunk CRCs, the last
-chunk being short.  All integers are little-endian.
+zero).  All integers are little-endian.
 
 A command that reads the sieve with --sieve-limit N gets a table whose
 limit is exactly its need, capped at N and at least 2.  Every read lies
 within the need, and a need past N leaves the table at N, so a command
 raises or exits exactly where a table of N would.  A need up to
 _IN_MEMORY_MAX is sieved in memory: no cache is read or written.  A
-larger need is read from the cache.  When the sidecar matches sieve.dfl
-(same limit and payload CRC, the chunk size above, an intact chunk table,
-both file sizes as their headers imply), only the chunks covering entries
-0..need are read, each checked against its CRC.
-Otherwise (no sidecar, a stale one, or a cache written before sidecars
-existed) the whole payload is read and checked against the header CRC, and
-the sidecar is written afresh.  A damaged header, payload length or checked
-chunk rebuilds the cache with a warning; a cache smaller than the need is
-rebuilt at N, so that it keeps the size later commands read.  Both files
-are written through unique temp files and renamed into place, so
-processes sharing a cache directory never see a partial file.
+larger need is read from the cache: entries 0..need into the table, then
+the rest of the file in small pieces, so that every byte is checked
+against the header CRC while memory stays at the need.  A damaged header,
+payload length or checksum rebuilds the cache with a warning; a cache
+smaller than the need is rebuilt at N, so that it keeps the size later
+commands read.  The file is written through a unique temp file and
+renamed into place, so processes sharing a cache directory never see a
+partial file.
 """
 
 from __future__ import annotations
@@ -74,15 +67,11 @@ __all__ = [
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "DFLAB_CACHE_DIR"
 CACHE_FILENAME = "sieve.dfl"
-CRC_FILENAME = "sieve.crc"
 CACHE_MAGIC = b"DFL1"
-CRC_MAGIC = b"DFC1"
 CACHE_FORMAT_VERSION = 1
-CRC_FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQI12s")
-_CRC_HEADER = struct.Struct("<4sIQIII4s")
-# entries per sidecar CRC: a load reads and checks whole chunks of 4 MiB
-_CHUNK_ENTRIES = 1 << 20
+# bytes per read of the cache past the need, which is only CRC-checked
+_PIECE_BYTES = 1 << 20
 # A command whose table need is at most this builds the table in memory,
 # reading and writing no cache: below it the build is faster than a warm
 # cache load (BENCH_20.json)
@@ -149,12 +138,6 @@ def _cache_path(config: CommandConfig) -> Path:
     return config.cache_dir / CACHE_FILENAME
 
 
-def _chunk_crcs(payload) -> list:
-    """CRC-32 of each chunk of the little-endian payload bytes."""
-    view, step = memoryview(payload), 4 * _CHUNK_ENTRIES
-    return [zlib.crc32(view[i : i + step]) for i in range(0, len(view), step)]
-
-
 def _swap_le(buf) -> memoryview:
     """The bytes of buf's uint32 entries, swapped between host and little-endian order.
 
@@ -172,55 +155,14 @@ def _swap_le(buf) -> memoryview:
     return memoryview(swapped).cast("B")
 
 
-def _sidecar_blob(limit: int, payload_crc: int, crcs: list) -> bytes:
-    table = struct.pack(f"<{len(crcs)}I", *crcs)
-    header = _CRC_HEADER.pack(
-        CRC_MAGIC, CRC_FORMAT_VERSION, limit, payload_crc, _CHUNK_ENTRIES, zlib.crc32(table),
-        bytes(4),
-    )
-    return header + table
-
-
-def _read_sidecar(path: Path, limit: int, payload_crc: int) -> tuple | None:
-    """Chunk CRCs of the sieve file with this limit and payload CRC; None if absent or stale."""
-    n_chunks = -(-(limit + 1) // _CHUNK_ENTRIES)
-    size = _CRC_HEADER.size + 4 * n_chunks
-    try:
-        with open(path, "rb") as f:
-            blob = f.read(size + 1)
-    except OSError:
-        return None
-    if len(blob) != size:
-        return None
-    crcs = struct.unpack_from(f"<{n_chunks}I", blob, _CRC_HEADER.size)
-    return crcs if blob == _sidecar_blob(limit, payload_crc, crcs) else None
-
-
-def _read_checked(f, entries: int, chunk: int, crcs) -> bytearray:
-    """Read entries little-endian uint32 values from f in chunks of chunk entries, checking each CRC."""
-    payload = bytearray(4 * entries)
-    view = memoryview(payload)
-    for i, start in enumerate(range(0, entries, chunk)):
-        part = view[4 * start : 4 * (start + chunk)]
-        if f.readinto(part) != len(part):
-            raise _CacheInvalid("truncated payload")
-        if zlib.crc32(part) != crcs[i]:
-            end = start + len(part) // 4 - 1
-            raise _CacheInvalid(f"checksum mismatch in entries {start}..{end}")
-    return payload
-
-
 def _read_cache(path: Path, need: int) -> PrimeTable | None:
     """PrimeTable(need, ...) from the cache, every byte CRC-checked; None if the cache is too small.
 
-    With a matching sidecar only the chunks covering 0..need are read, each
-    checked against its own CRC.  Without one the whole payload is read and
-    checked against the header CRC, and the sidecar is written afresh.  The
-    table is a view of the entries read, no copy.
+    Entries 0..need are read into the table's own buffer; the rest of the
+    file streams through the CRC a piece at a time and is not kept.
     """
     from .core import PrimeTable
     with open(path, "rb") as f:
-        st = os.fstat(f.fileno())
         header = f.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise _CacheInvalid("truncated header")
@@ -231,23 +173,20 @@ def _read_cache(path: Path, need: int) -> PrimeTable | None:
             raise _CacheInvalid(f"unsupported cache version {version}")
         if reserved != bytes(len(reserved)):
             raise _CacheInvalid("nonzero reserved header bytes")
-        if st.st_size != _HEADER.size + 4 * (limit + 1):
+        if os.fstat(f.fileno()).st_size != _HEADER.size + 4 * (limit + 1):
             raise _CacheInvalid("payload length does not match limit")
         if limit < need:
             return None
-        sidecar = path.with_name(CRC_FILENAME)
-        crcs = _read_sidecar(sidecar, limit, crc)
-        if crcs is not None:
-            chunks = -(-(need + 1) // _CHUNK_ENTRIES)
-            payload = _read_checked(f, min(limit + 1, chunks * _CHUNK_ENTRIES), _CHUNK_ENTRIES, crcs)
-            return PrimeTable(need, _swap_le(payload).cast("I")[: need + 1])
-        payload = _read_checked(f, limit + 1, limit + 1, [crc])
-    try:
-        if os.path.samestat(st, os.stat(path)):  # skip if another process replaced the cache
-            _write_atomic(sidecar, _sidecar_blob(limit, crc, _chunk_crcs(payload)))
-    except OSError as exc:
-        print(f"dflab: cannot persist sieve checksums: {exc}", file=sys.stderr)
-    return PrimeTable(need, _swap_le(payload).cast("I")[: need + 1])
+        payload = bytearray(4 * (need + 1))
+        if f.readinto(payload) != len(payload):
+            raise _CacheInvalid("truncated payload")
+        running = zlib.crc32(payload)
+        piece = memoryview(bytearray(min(_PIECE_BYTES, 4 * (limit - need))))
+        while size := f.readinto(piece):
+            running = zlib.crc32(piece[:size], running)
+    if running != crc:
+        raise _CacheInvalid("checksum mismatch")
+    return PrimeTable(need, _swap_le(payload).cast("I"))
 
 
 def _write_atomic(path: Path, *parts):
@@ -271,13 +210,12 @@ def _write_cache(path: Path, table: PrimeTable):
     crc = zlib.crc32(payload)
     header = _HEADER.pack(CACHE_MAGIC, CACHE_FORMAT_VERSION, table.limit, crc, bytes(12))
     _write_atomic(path, header, payload)
-    _write_atomic(path.with_name(CRC_FILENAME), _sidecar_blob(table.limit, crc, _chunk_crcs(payload)))
 
 
 def load_or_build_sieve(config: CommandConfig, need: int | None = None) -> PrimeTable:
     """The sieve to exactly need (default config.sieve_limit), need <= config.sieve_limit.
 
-    It is a checked prefix of the cache when the cache reaches need.
+    It is read from the cache, whole file checked, when the cache reaches need.
     Otherwise the sieve is built to config.sieve_limit and persisted, so
     the cache keeps the size later commands read.
     """

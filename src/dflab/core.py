@@ -64,11 +64,10 @@ MAX_TABLE_BYTES = 2**30
 # table and the rest headroom.  Building a table peaks at about 6 bytes per
 # entry (the odd identity is copied in from a half-size array), and writing
 # the cache streams it without a copy; loading one touches about 4.
-# A loaded table is a view of the chunks read, not a copy; a cache read
-# whole because its checksum sidecar is missing stays held whole behind the
-# view of its prefix.  The charge sets the largest limit the memory cap
-# allows (exit 3 above it), so it stays fixed as the table's own cost
-# changes.
+# A loaded table holds only the entries to its need; the rest of the cache
+# file passes through its CRC a piece at a time.  The charge sets the
+# largest limit the memory cap allows (exit 3 above it), so it stays fixed
+# as the table's own cost changes.
 _SIEVE_BYTES_PER_ENTRY = 14
 # Bytes per integer the memory guard charges smooth_runs: about 40 for the
 # int and its list slot, up to 48 for its slot in the set of them all, and

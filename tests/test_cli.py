@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -577,11 +578,8 @@ def test_point_queries_load_only_what_they_run(argv, unloaded, warm_cache, tmp_p
 
 
 def test_point_query_on_empty_cache_builds_the_same_files(tmp_path):
-    # SHA-256 of the files the loader wrote when it sieved with numpy
-    parent = {
-        "sieve.dfl": "8b19815b496ea65235285d263fc3c71b2f72b7aca9be5fe5da4d9e5575fcefb4",
-        "sieve.crc": "033e27600fb8d3e8d0e65c86c17e23bb02102e3b1903e1c44846649c9ee59b95",
-    }
+    # SHA-256 of the file the loader wrote when it sieved with numpy
+    parent = {"sieve.dfl": "8b19815b496ea65235285d263fc3c71b2f72b7aca9be5fe5da4d9e5575fcefb4"}
     cache = tmp_path / "cache"
     argv = ["block", "analyze", "--x", "24", "--k", "5"]
     res = run_reporting_import(argv + POINT_LIMIT, cache, tmp_path / "unused")
@@ -590,7 +588,7 @@ def test_point_query_on_empty_cache_builds_the_same_files(tmp_path):
     golden = Path(__file__).resolve().parent / "golden" / "block-analyze.jsonl"
     assert res.stdout == golden.read_text()
     assert not cache.exists()
-    # the pure-Python sieve writes the numpy sieve's bytes
+    # the pure-Python sieve writes the numpy sieve's bytes, and nothing else
     load_or_build_sieve(CommandConfig(sieve_limit=20000, cache_dir=cache))
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in cache.iterdir()}
     assert got == parent
@@ -656,7 +654,7 @@ def test_concurrent_builds_share_one_cache_dir(tmp_path):
     out, err = third.communicate(timeout=120)
     assert third.returncode == 0 and out == results[0][0][0]
     assert "rebuilding" not in err
-    assert sorted(p.name for p in cache.iterdir()) == ["sieve.crc", "sieve.dfl"]
+    assert sorted(p.name for p in cache.iterdir()) == ["sieve.dfl"]
 
 
 def test_prefix_load_returns_requested_limit(tmp_path, capsys):
@@ -675,55 +673,57 @@ def test_prefix_load_returns_requested_limit(tmp_path, capsys):
         assert captured.out == ""
 
 
-def test_prefix_load_checks_only_the_chunks_it_reads(tmp_path, capsys):
+def test_small_need_from_an_oversized_cache_holds_only_the_need_and_checks_the_rest(tmp_path, capsys):
     cache = tmp_path / "cache"
-    limit = 2 * cli._CHUNK_ENTRIES + 100
-    load_or_build_sieve(CommandConfig(sieve_limit=limit, cache_dir=cache))
-    crc_blob = (cache / "sieve.crc").read_bytes()
-    assert len(crc_blob) == 32 + 4 * 3
+    # a cache of more than 2^21 entries, about a thousand times the need
+    load_or_build_sieve(CommandConfig(sieve_limit=2 * (1 << 20) + 100, cache_dir=cache))
+    config = CommandConfig(sieve_limit=2000, cache_dir=cache)
+    table = load_or_build_sieve(config)
+    assert table.spf.tolist() == spf_direct(2000)
+    assert memoryview(table.spf.obj).nbytes == 4 * 2001  # the buffer holds the need, no more
+    assert capsys.readouterr().err == ""
     path = cache / "sieve.dfl"
     blob = bytearray(path.read_bytes())
-    blob[32 + 4 * (2 * cli._CHUNK_ENTRIES + 7)] ^= 0x10  # entry in the third chunk
+    blob[32 + 4 * (2 * (1 << 20) + 7)] ^= 0x10  # an entry far past the need
     path.write_bytes(blob)
-    table = load_or_build_sieve(CommandConfig(sieve_limit=2000, cache_dir=cache))
-    assert table.spf.tolist() == spf_direct(2000)
+    assert load_or_build_sieve(config).spf.tolist() == spf_direct(2000)
+    assert "rebuilding sieve cache (checksum mismatch)" in capsys.readouterr().err
+    assert load_or_build_sieve(config).spf.tolist() == spf_direct(2000)
     assert capsys.readouterr().err == ""
-    table = load_or_build_sieve(CommandConfig(sieve_limit=limit, cache_dir=cache))
-    assert table.limit == limit
-    assert "rebuilding sieve cache (checksum mismatch" in capsys.readouterr().err
-    assert (cache / "sieve.crc").read_bytes() == crc_blob
 
 
-def test_missing_sidecar_falls_back_to_whole_file_and_recreates_it(tmp_path, monkeypatch):
+def _old_sidecar(cache_blob: bytes) -> bytes:
+    """The per-chunk checksum file sieve.crc that dflab wrote beside sieve.dfl
+    before the whole file was checked on every load."""
+    limit, crc = struct.unpack_from("<QI", cache_blob, 8)
+    payload, step = memoryview(cache_blob)[32:], 4 << 20
+    crcs = [zlib.crc32(payload[i : i + step]) for i in range(0, len(payload), step)]
+    table = struct.pack(f"<{len(crcs)}I", *crcs)
+    return struct.pack("<4sIQIII4s", b"DFC1", 1, limit, crc, 1 << 20, zlib.crc32(table), bytes(4)) + table
+
+
+def test_a_sidecar_left_by_an_older_version_is_ignored(tmp_path, capsys):
     cache = tmp_path / "cache"
     load_or_build_sieve(CommandConfig(sieve_limit=5000, cache_dir=cache))
     sidecar = cache / "sieve.crc"
-    blob = sidecar.read_bytes()
-    sidecar.unlink()
-    reads = []
-    real_read = cli._read_checked
-
-    def spy(f, entries, chunk, crcs):
-        reads.append((entries, chunk))
-        return real_read(f, entries, chunk, crcs)
-
-    monkeypatch.setattr(cli, "_read_checked", spy)
-    config = CommandConfig(sieve_limit=100, cache_dir=cache)
-    assert load_or_build_sieve(config).spf.tolist() == spf_direct(100)
-    assert reads == [(5001, 5001)]
-    assert sidecar.read_bytes() == blob
-    assert load_or_build_sieve(config).spf.tolist() == spf_direct(100)
-    assert reads[1:] == [(5001, cli._CHUNK_ENTRIES)]
+    old = _old_sidecar((cache / "sieve.dfl").read_bytes())
+    sidecar.write_bytes(old)
+    for limit in (200, 5000, 8000):  # a prefix, the whole file, and a rebuild
+        table = load_or_build_sieve(CommandConfig(sieve_limit=limit, cache_dir=cache))
+        assert table.spf.tolist() == spf_direct(limit)
+        assert capsys.readouterr().err == ""
+        assert sidecar.read_bytes() == old
+    assert sorted(p.name for p in cache.iterdir()) == ["sieve.crc", "sieve.dfl"]
 
 
-def test_table_is_the_same_from_every_source(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 64)  # so the prefix load reads a true prefix
-    cache = tmp_path / "cache"
-    load_or_build_sieve(CommandConfig(sieve_limit=20_000, cache_dir=cache))
-    config = CommandConfig(sieve_limit=5000, cache_dir=cache)
-    tables = [core.sieve_primes(5000), load_or_build_sieve(config)]
-    (cache / "sieve.crc").unlink()
-    tables.append(load_or_build_sieve(config))  # the whole file, checked by its header CRC
+def test_table_is_the_same_from_every_source(tmp_path):
+    load_or_build_sieve(CommandConfig(sieve_limit=20_000, cache_dir=tmp_path / "warm"))
+    tables = [
+        core.sieve_primes(5000),  # in memory
+        load_or_build_sieve(CommandConfig(sieve_limit=5000, cache_dir=tmp_path / "cold")),
+        load_or_build_sieve(CommandConfig(sieve_limit=5000, cache_dir=tmp_path / "warm")),
+    ]
+    assert (tmp_path / "cold" / "sieve.dfl").exists()
     want = spf_direct(5000)
     primes = [m for m in range(2, 5001) if want[m] == m]
     for table in tables:
@@ -748,29 +748,21 @@ def test_cache_stays_little_endian_on_a_big_endian_host(tmp_path, monkeypatch):
     assert load_or_build_sieve(config).spf.tolist() == spf_direct(1000)
 
 
-# A small chunk size makes a 1000-entry cache span 16 chunks, the last short.
-_DAMAGE_CHUNK = 64
 _DAMAGE_LIMIT = 1000
 _DAMAGE_ORACLE = spf_direct(_DAMAGE_LIMIT)
 
 
 @pytest.fixture(scope="module")
 def pristine_cache():
-    with tempfile.TemporaryDirectory() as d, mock.patch.object(cli, "_CHUNK_ENTRIES", _DAMAGE_CHUNK):
+    with tempfile.TemporaryDirectory() as d:
         load_or_build_sieve(CommandConfig(sieve_limit=_DAMAGE_LIMIT, cache_dir=d))
-        return {name: Path(d, name).read_bytes() for name in ("sieve.dfl", "sieve.crc")}
+        return Path(d, "sieve.dfl").read_bytes()
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    need=st.integers(2, _DAMAGE_LIMIT),
-    target=st.sampled_from(["sieve.dfl", "sieve.crc"]),
-    truncate=st.booleans(),
-    data=st.data(),
-)
-def test_damaged_cache_is_rebuilt_or_never_read(pristine_cache, need, target, truncate, data):
-    damaged = dict(pristine_cache)
-    blob = bytearray(damaged[target])
+@given(need=st.integers(2, _DAMAGE_LIMIT), truncate=st.booleans(), data=st.data())
+def test_damaged_cache_is_rebuilt(pristine_cache, need, truncate, data):
+    blob = bytearray(pristine_cache)
     units = 1 if truncate else 8  # truncate at a byte, or flip a bit
     header = st.integers(0, 32 * units - 1)
     pos = data.draw(st.one_of(header, st.integers(0, len(blob) * units - 1)), label="pos")
@@ -778,14 +770,9 @@ def test_damaged_cache_is_rebuilt_or_never_read(pristine_cache, need, target, tr
         del blob[pos:]
     else:
         blob[pos // 8] ^= 1 << (pos % 8)
-    damaged[target] = bytes(blob)
-    chunks = -(-(need + 1) // _DAMAGE_CHUNK)
-    prefix_end = 32 + 4 * min(_DAMAGE_LIMIT + 1, chunks * _DAMAGE_CHUNK)
-    expect_rebuild = target == "sieve.dfl" and (truncate or pos // 8 < prefix_end)
 
-    with tempfile.TemporaryDirectory() as d, mock.patch.object(cli, "_CHUNK_ENTRIES", _DAMAGE_CHUNK):
-        for name, content in damaged.items():
-            Path(d, name).write_bytes(content)
+    with tempfile.TemporaryDirectory() as d:
+        Path(d, "sieve.dfl").write_bytes(blob)
         config = CommandConfig(sieve_limit=need, cache_dir=d)
         for attempt in range(2):
             err = io.StringIO()
@@ -794,9 +781,7 @@ def test_damaged_cache_is_rebuilt_or_never_read(pristine_cache, need, target, tr
             assert table.limit == need
             assert table.spf.tolist() == _DAMAGE_ORACLE[: need + 1]
             rebuilt = "rebuilding sieve cache" in err.getvalue()
-            assert rebuilt == (expect_rebuild and attempt == 0), err.getvalue()
-        if not expect_rebuild:
-            assert Path(d, "sieve.crc").read_bytes() == pristine_cache["sieve.crc"]
+            assert rebuilt == (attempt == 0), err.getvalue()
 
 
 def _captured_run(argv) -> tuple:
