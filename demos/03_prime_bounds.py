@@ -7,19 +7,21 @@ a cautionary tale: it finds one violator, (15, 2), that the catalogued
 38-pair exception set omits -- P(15*16) = P(240) = 5.
 """
 
+import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # run from a checkout
 
-from dflab import dusart_check, sieve_primes, theorem24_scan, theta, verify_lemma21
+from dflab import dusart_check, sieve_primes, theorem24_scan, verify_lemma21
 from dflab.bounds import EXCEPTIONAL_PAIRS
 
 table = sieve_primes(100_000)
 
 print("== Chebyshev theta and the log-sum of primes ==")
 for nu in (10, 100, 1000, 100_000):
-    print(f"  theta({nu}) = {theta(nu, table):.5f}   (linear cap {1.00008 * nu:.3f})")
+    theta = sum(math.log(p) for p in range(2, nu + 1) if table.spf[p] == p)
+    print(f"  theta({nu}) = {theta:.5f}   (linear cap {1.00008 * nu:.3f})")
 theta_res, mertens_res = verify_lemma21(100_000, table)
 print(f"  theta(nu) < 1.00008*nu on primes <= 1e5: {theta_res.passed}, min slack {theta_res.margin:.4f}")
 print(f"  sum log(p)/p < log(nu) on primes <= 1e5: {mertens_res.passed}, min slack {mertens_res.margin:.4f}")

@@ -3,8 +3,8 @@
 
 Blocks are factored term by term, never multiplied out.  The report
 carries the largest prime factor, the power of 2, per-term radicals,
-and a primality flag; on top sit the 2-adic counting bounds and the
-radical-product machinery used to squeeze solutions.
+and a primality flag; on top sit the 2-adic counting bounds, the
+largest-prime ratios, and the two smallest term radicals of a block.
 """
 
 import sys
@@ -16,9 +16,7 @@ from dflab import (
     analyze_block,
     erdos_graham_ratio,
     erdos_ratio,
-    radical_product_bound_check,
     sieve_primes,
-    smallest_two_radicals,
     valuation2_block_bound_check,
     valuation2_factorial_lower_check,
 )
@@ -46,14 +44,8 @@ for x, k in ((9, 2), (24, 4), (13, 3)):
 for n in (2, 8, 4374):
     print(f"  P(n(n+1))/log(n) at n={n}: {erdos_graham_ratio(n, table):.4f}")
 
-print("\n== radical products under the deletion rule ==")
-for x, k, a_bound in ((9, 2, 5), (24, 4, 13)):
-    res = radical_product_bound_check(x, k, a_bound, table)
-    print(f"  block ({x},{k}), primes <= {a_bound}: deleted terms {res.details['deleted_terms']}, "
-          f"log lhs {res.details['log_lhs']:.3f} <= log rhs {res.details['log_rhs']:.3f}")
-
 print("\n== the two smallest term radicals ==")
 for x, k in ((9, 2), (24, 4)):
-    s = smallest_two_radicals(x, k, table)
-    print(f"  block ({x},{k}): radicals {list(s.radicals)}, smallest at offsets "
-          f"j1={s.j1}, j2={s.j2}; N(x+j2) <= (prod N)^(1/(k-1)) = {s.bound:.3f}: {s.holds}")
+    rads = analyze_block(x, k, table).term_radicals
+    j1, j2 = sorted(range(k), key=lambda i: (rads[i], i))[:2]
+    print(f"  block ({x},{k}): radicals {list(rads)}, smallest at offsets j1={j1}, j2={j2}")

@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 _HOMES = {
     "core": (
         "BlockReport PrimeTable SieveRangeError analyze_block double_factorial erdos_graham_ratio"
-        " erdos_ratio factorize largest_prime_factor log_double_factorial mertens_log_sum"
-        " odd_gap_obstruction radical sieve_primes smooth_runs theta"
+        " erdos_ratio factorize largest_prime_factor log_double_factorial odd_gap_obstruction"
+        " radical sieve_primes smooth_runs"
     ),
     "equation": (
         "EquationInstance NotASolutionError OddDecomposition ResourceLimitError SolutionRecord"
@@ -28,11 +28,9 @@ _HOMES = {
         " search"
     ),
     "bounds": (
-        "EXCEPTIONAL_PAIRS BoundCheckResult HypothesisViolationError"
-        " check_composite_block_geometry composite_block_geometry_scan dusart_check dusart_sweep"
-        " radical_product_bound_check sandwich_check"
-        " smallest_two_radicals theorem24_scan valuation2_block_bound_check"
-        " valuation2_block_sweep valuation2_factorial_lower_check verify_lemma21"
+        "EXCEPTIONAL_PAIRS BoundCheckResult composite_block_geometry_scan dusart_check dusart_sweep"
+        " sandwich_check theorem24_scan valuation2_block_bound_check valuation2_block_sweep"
+        " valuation2_factorial_lower_check verify_lemma21"
     ),
     "abc_triples": "AbcTriple ProofTripleResult make_triple proof_triple scan_block_triples",
     "formulas": "inequality3_rhs thm12ii_bound verify_known_factorial_solutions",

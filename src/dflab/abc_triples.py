@@ -31,6 +31,11 @@ class AbcTriple(namedtuple("AbcTriple", "a b c rad quality explicit_ok explicit_
     __slots__ = ()
 
 
+def _quality(c: int, rad: int) -> float:
+    """log(c) / log(rad), inf when rad is 1."""
+    return math.log(c) / math.log(rad) if rad > 1 else math.inf
+
+
 def make_triple(a: int, b: int, table: PrimeTable) -> AbcTriple:
     """Normalize (a, b, a+b) by g = gcd(a, b) and evaluate it.
 
@@ -39,16 +44,6 @@ def make_triple(a: int, b: int, table: PrimeTable) -> AbcTriple:
     three pairwise gcds coincide.  rad then factors as
     N(a) * N(b) * N(c).
     """
-    return _make_triple(a, b, table, lambda n: radical(n, table))
-
-
-def _quality(c: int, rad: int) -> float:
-    """log(c) / log(rad), inf when rad is 1."""
-    return math.log(c) / math.log(rad) if rad > 1 else math.inf
-
-
-def _make_triple(a: int, b: int, table: PrimeTable, rad_of) -> AbcTriple:
-    """make_triple with the radical taken from rad_of."""
     if a < 1 or b < 1:
         raise ValueError(f"triple entries must be positive, got ({a}, {b})")
     g = math.gcd(a, b)
@@ -56,7 +51,7 @@ def _make_triple(a: int, b: int, table: PrimeTable, rad_of) -> AbcTriple:
     c = a + b
     if c > table.limit:
         raise SieveRangeError(f"c={c} exceeds sieve limit {table.limit}")
-    rad = rad_of(a) * rad_of(b) * rad_of(c)
+    rad = radical(a, table) * radical(b, table) * radical(c, table)
     return AbcTriple(
         a=a,
         b=b,
@@ -82,11 +77,6 @@ def proof_triple(x: int, j1: int, j2: int, table: PrimeTable) -> ProofTripleResu
     x/d <= (N(x+j1) * N(x+j2) * (j1-j2)/d)^(7/4), deciding it exactly in
     integer arithmetic.
     """
-    return _proof_triple(x, j1, j2, table, lambda n: radical(n, table))
-
-
-def _proof_triple(x: int, j1: int, j2: int, table: PrimeTable, rad_of) -> ProofTripleResult:
-    """proof_triple with every radical taken from rad_of."""
     if j1 <= j2:
         raise ValueError(f"need j2 < j1, got j1={j1}, j2={j2}")
     if j2 < 0:
@@ -97,8 +87,8 @@ def _proof_triple(x: int, j1: int, j2: int, table: PrimeTable, rad_of) -> ProofT
         raise SieveRangeError(f"x+j1={x + j1} exceeds sieve limit {table.limit}")
     diff = j1 - j2
     d = math.gcd(x + j1, diff)
-    triple = _make_triple(diff, x + j2, table, rad_of)
-    rad_pair = rad_of(x + j1) * rad_of(x + j2) * (diff // d)
+    triple = make_triple(diff, x + j2, table)
+    rad_pair = radical(x + j1, table) * radical(x + j2, table) * (diff // d)
     bound = rad_pair**ABC_EXPONENT
     holds = x**4 <= rad_pair**7 * d**4
     return ProofTripleResult(
@@ -117,9 +107,9 @@ def scan_block_triples(x: int, k: int, table: PrimeTable) -> ProofTripleResult:
     """Best-quality difference triple over all pairs j2 < j1 < k.
 
     Deterministic: ties keep the first pair in (j1, j2) order.  Each
-    distinct radical is computed once per scan.  Pairs are ranked by the
-    quality _proof_triple would report (the same g, c and rad, the same
-    _quality), and only the first-best pair is built.
+    distinct radical is computed once for the ranking.  Pairs are ranked
+    by the quality proof_triple would report (the same g, c and rad, the
+    same _quality), and only the first-best pair is built, by proof_triple.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -139,4 +129,4 @@ def scan_block_triples(x: int, k: int, table: PrimeTable) -> ProofTripleResult:
             q = _quality(c, rad_of(diff // g) * rad_of((x + j2) // g) * rad_of(c))
             if best is None or q > best_q:
                 best, best_q = (j1, j2), q
-    return _proof_triple(x, *best, table, rad_of)
+    return proof_triple(x, *best, table)

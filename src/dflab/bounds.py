@@ -11,11 +11,10 @@ FLOAT_TOLERANCE; every margin at desk scale sits orders of magnitude
 above it.
 
 verify_lemma21 folds the primes up to 2^10 one at a time and decides the
-rest a block at a time, counting each block's primes off the sieve at C
-speed; dusart_sweep streams its primes off the sieve, and the geometry
-scan and the point checks (dusart_check, the single-block checks) read
-it entry by entry.  erdos_ratio and erdos_graham_ratio live in core and
-are re-exported here.
+rest a block at a time, counting each block's primes off the sieve with
+core._count_primes; dusart_sweep streams its primes off the sieve, and
+the geometry scan and dusart_check read it entry by entry.  erdos_ratio
+and erdos_graham_ratio live in core and are re-exported here.
 theorem24_scan reads no sieve: it scans the runs of consecutive smooth
 integers, which it builds itself.  The val2 sweep and factorial check are
 closed forms and read no sieve.  Only sandwich_check imports the equation
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import chain, compress, islice
@@ -39,8 +37,8 @@ from .core import (
     erdos_ratio,
     sieve_primes,
     smooth_runs,
+    _count_primes,
     _primes_between,
-    _walk_spf,
 )
 from .formulas import THETA_COEFF, THM12II_OFFSET, VAL2_SLOPE, thm12ii_bound
 
@@ -54,10 +52,8 @@ __all__ = [
     "FLOAT_TOLERANCE",
     "EXCEPTIONAL_PAIRS_ORDERED",
     "EXCEPTIONAL_PAIRS",
-    "HypothesisViolationError",
     "BoundCheckResult",
     "verify_lemma21",
-    "check_composite_block_geometry",
     "composite_block_geometry_scan",
     "sandwich_check",
     "theorem24_scan",
@@ -65,9 +61,6 @@ __all__ = [
     "valuation2_block_sweep",
     "valuation2_factorial_lower_check",
     "thm12ii_bound",
-    "radical_product_bound_check",
-    "smallest_two_radicals",
-    "SmallestRadicals",
     "dusart_check",
     "dusart_sweep",
 ]
@@ -93,10 +86,6 @@ EXCEPTIONAL_PAIRS_ORDERED = (
     (29, 7), (30, 7),
 )
 EXCEPTIONAL_PAIRS = frozenset(EXCEPTIONAL_PAIRS_ORDERED)
-
-
-class HypothesisViolationError(ValueError):
-    """The caller-asserted hypothesis of a check does not hold."""
 
 
 class BoundCheckResult(
@@ -149,29 +138,6 @@ def _prime_sum_fold(spf, nu_max: int, coeff: float) -> _Fold:
             mertens_bad.append((p, mertens))
         count += 1
     return _Fold(theta, mertens, theta_margin, mertens_margin, theta_bad, mertens_bad, count)
-
-
-def _count_primes(spf, lo: int, hi: int) -> int:
-    """The number of primes m with lo < m <= hi, for 255 <= lo <= hi < 2^32.
-
-    Every composite m has spf[m] <= sqrt(m), so for 2^(8j) <= m < 2^(8j+8),
-    j >= 1, byte j of spf[m] (its bits 8j to 8j+7) is nonzero iff m is
-    prime: it is then m's own top byte.  Each stretch of one j is counted
-    at C speed: one contiguous copy of its entries, sliced to byte j of the
-    odd ones (no even m > 2 is prime), then bytes.count.  Entries are
-    native uint32, so sys.byteorder says where byte j sits.
-    """
-    raw = spf.cast("B")
-    big = sys.byteorder == "big"
-    count = 0
-    m = (lo + 1) | 1
-    while m <= hi:
-        j = (m.bit_length() - 1) // 8
-        end = min(hi + 1, 1 << 8 * (j + 1))
-        stripe = raw[4 * m : 4 * end].tobytes()[3 - j if big else j :: 8]
-        count += len(stripe) - stripe.count(0)
-        m = end | 1
-    return count
 
 
 # verify_lemma21 folds the primes up to here one at a time: both margins
@@ -279,25 +245,14 @@ def verify_lemma21(nu_max: int, table: PrimeTable) -> tuple:
     )
 
 
-def check_composite_block_geometry(x: int, k: int, table: PrimeTable) -> bool:
-    """Concrete instance of: an all-composite block forces x >= k.
+def composite_block_geometry_scan(k_max: int, table: PrimeTable) -> BoundCheckResult:
+    """An all-composite block forces x >= k, checked at every 2 <= x < k <= k_max.
 
     (A prime sits in ((x+k-1)/2, x+k-1) by Bertrand; were x < k that
-    interval would land inside the block.)  True unless the block is
-    all-composite with x < k, which should never happen.
-    """
-    if k < 2:
-        raise ValueError(f"block length must be >= 2, got {k}")
-    report = analyze_block(x, k, table)
-    return not (report.all_composite and x < k)
-
-
-def composite_block_geometry_scan(k_max: int, table: PrimeTable) -> BoundCheckResult:
-    """check_composite_block_geometry over every block 2 <= x < k <= k_max.
-
-    A block [x, x+k-1] is all composite iff it ends before the first prime
-    >= x, so one walk down spf over [2, 2*k_max - 2], tracking that prime,
-    decides every block exactly.  Counterexamples are ordered by k, then x.
+    interval would land inside the block.)  A block [x, x+k-1] is all
+    composite iff it ends before the first prime >= x, so one walk down
+    spf over [2, 2*k_max - 2], tracking that prime, decides every block
+    exactly.  Counterexamples are ordered by k, then x.
     """
     if k_max < 3:
         raise ValueError(f"empty scan: no block with 2 <= x < k <= {k_max}")
@@ -640,85 +595,6 @@ def valuation2_factorial_lower_check(m_max: int) -> BoundCheckResult:
         margin=margin,
         details={"float_tolerance": FLOAT_TOLERANCE},
     )
-
-
-def radical_product_bound_check(
-    x: int, k: int, a_bound: int, table: PrimeTable
-) -> BoundCheckResult:
-    """Deleted radical product of a block against exp(THETA_COEFF*a_bound + k*log k).
-
-    Primes >= k divide at most one term; for each prime p < k the term
-    where p appears to the maximum power is deleted (lowest index on
-    ties), and the radical product of the surviving terms is bounded.
-    Requires every prime factor of the block to be <= a_bound.
-    """
-    if k < 2:
-        raise ValueError(f"block length must be >= 2, got {k}")
-    if x < 2:
-        raise ValueError(f"block start must be >= 2, got {x}")
-    hi = x + k - 1
-    if hi > table.limit:
-        raise SieveRangeError(f"block end {hi} exceeds sieve limit {table.limit}")
-    facs = [_walk_spf(x + i, table.spf) for i in range(k)]
-    for i, fac in enumerate(facs):
-        big = max(fac)
-        if big > a_bound:
-            raise HypothesisViolationError(
-                f"prime {big} divides term {x + i} but exceeds a_bound={a_bound}"
-            )
-    deleted = set()
-    small_primes = sorted({p for fac in facs for p in fac if p < k})
-    for p in small_primes:
-        best_i = max(range(k), key=lambda i: (facs[i].get(p, 0), -i))
-        deleted.add(best_i)
-    lhs_log = 0.0
-    surviving = []
-    for i, fac in enumerate(facs):
-        if i in deleted:
-            continue
-        surviving.append(x + i)
-        lhs_log += sum(math.log(p) for p in fac)
-    rhs_log = THETA_COEFF * a_bound + k * math.log(k)
-    slack = rhs_log - lhs_log
-    return BoundCheckResult(
-        name="deleted_radical_product_upper",
-        domain_checked=f"x={x}, k={k}, a_bound={a_bound}",
-        counterexamples=[] if slack > 0 else [(x, k)],
-        margin=slack,
-        details={
-            "deleted_terms": sorted(x + i for i in deleted),
-            "surviving_terms": surviving,
-            "log_lhs": lhs_log,
-            "log_rhs": rhs_log,
-            "float_tolerance": FLOAT_TOLERANCE,
-        },
-    )
-
-
-class SmallestRadicals(namedtuple("SmallestRadicals", "j1 j2 bound holds radicals")):
-    """Indices of the two smallest term radicals and the mean-radical bound."""
-
-    __slots__ = ()
-
-
-def smallest_two_radicals(x: int, k: int, table: PrimeTable) -> SmallestRadicals:
-    """Pick N(x+j1) <= N(x+j2) smallest among the term radicals.
-
-    Also verifies N(x+j2) <= (prod_i N(x+i))^(1/(k-1)), exactly in
-    integer arithmetic; ties break toward the smaller index.
-    """
-    if k < 2:
-        raise ValueError(f"block length must be >= 2, got {k}")
-    report = analyze_block(x, k, table)
-    rads = report.term_radicals
-    order = sorted(range(k), key=lambda i: (rads[i], i))
-    j1, j2 = order[0], order[1]
-    prod = 1
-    for r in rads:
-        prod *= r
-    bound = prod ** (1.0 / (k - 1))
-    holds = rads[j2] ** (k - 1) <= prod
-    return SmallestRadicals(j1, j2, bound, holds, rads)
 
 
 def _dusart_lo_used(y: int) -> float:

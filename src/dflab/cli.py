@@ -705,7 +705,7 @@ def run(argv) -> int:
                 table = sieve_primes(need)
         records, code = args.leaf.handler(args, config, table)
     except (ValueError, OverflowError) as exc:
-        # SieveRangeError, NotASolutionError and HypothesisViolationError are ValueErrors
+        # SieveRangeError and NotASolutionError are ValueErrors
         print(f"dflab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

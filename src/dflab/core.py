@@ -6,8 +6,10 @@ n <= limit a walk of O(log n) lookups; factorize
 returns the prime -> exponent dict, primes ascending.  Exponents have
 this one form: spf-walk dicts for products of table-sized integers, and
 the scalar Legendre sum factorial_valuation for nu_p(m!).  Every prime
-fact is read off the same table: a prime test is spf[m] == m, and the
-primes of a range stream from _primes_between, with no prime list kept.
+fact is read off the same table: a prime test is spf[m] == m, the
+primes of a range stream from _primes_between, with no prime list kept,
+and _count_primes counts them at C speed.  These two are the only
+library code, besides the cache in cli, that reads the table's bytes.
 sieve_primes builds the table in pure Python, by slice assignment.
 smooth_runs needs no table up to its range: it sieves the primes up to
 its smoothness bound only, builds the smooth integers as their products
@@ -52,8 +54,6 @@ __all__ = [
     "erdos_ratio",
     "erdos_graham_ratio",
     "odd_gap_obstruction",
-    "theta",
-    "mertens_log_sum",
     "smooth_runs",
 ]
 
@@ -169,6 +169,29 @@ def _primes_between(spf, lo: int, hi: int):
     halves = spf.cast("B").cast("H")[high : 2 * hi : 4]
     small = (m for m in range(max(lo, 2), mid) if spf[m] == m)
     return chain(small, compress(range(odd, hi, 2), halves))
+
+
+def _count_primes(spf, lo: int, hi: int) -> int:
+    """The number of primes m with lo < m <= hi, for 255 <= lo <= hi < 2^32.
+
+    Every composite m has spf[m] <= sqrt(m), so for 2^(8j) <= m < 2^(8j+8),
+    j >= 1, byte j of spf[m] (its bits 8j to 8j+7) is nonzero iff m is
+    prime: it is then m's own top byte.  Each stretch of one j is counted
+    at C speed: one contiguous copy of its entries, sliced to byte j of the
+    odd ones (no even m > 2 is prime), then bytes.count.  Entries are
+    native uint32, so sys.byteorder says where byte j sits.
+    """
+    raw = spf.cast("B")
+    big = sys.byteorder == "big"
+    count = 0
+    m = (lo + 1) | 1
+    while m <= hi:
+        j = (m.bit_length() - 1) // 8
+        end = min(hi + 1, 1 << 8 * (j + 1))
+        stripe = raw[4 * m : 4 * end].tobytes()[3 - j if big else j :: 8]
+        count += len(stripe) - stripe.count(0)
+        m = end | 1
+    return count
 
 
 def _walk_spf(n: int, spf) -> dict:
@@ -325,25 +348,6 @@ def odd_gap_obstruction(n: int, l: int, table: PrimeTable) -> int | None:
         if spf[v] == v:
             return v
     return None
-
-
-def _primes_upto(nu, table: PrimeTable, name: str):
-    """The primes p <= nu off table, after checking 1 < nu <= table.limit."""
-    if not nu > 1:
-        raise ValueError(f"{name} needs nu > 1, got {nu}")
-    if nu > table.limit:
-        raise SieveRangeError(f"nu={nu} exceeds sieve limit {table.limit}")
-    return _primes_between(table.spf, 2, math.floor(nu) + 1)
-
-
-def theta(nu, table: PrimeTable) -> float:
-    """Chebyshev theta: sum of log p over primes p <= nu (natural log)."""
-    return sum(map(math.log, _primes_upto(nu, table, "theta")))
-
-
-def mertens_log_sum(nu, table: PrimeTable) -> float:
-    """sum of log(p)/p over primes p <= nu."""
-    return sum(math.log(p) / p for p in _primes_upto(nu, table, "mertens_log_sum"))
 
 
 def smooth_runs(bound: int, hi: int, min_len: int = 2) -> tuple:

@@ -2,6 +2,8 @@ import pytest
 
 from dflab import sieve_primes
 
+from oracles import spf_direct
+
 
 @pytest.fixture(scope="session")
 def table_small():
@@ -11,3 +13,8 @@ def table_small():
 @pytest.fixture(scope="session")
 def table_big():
     return sieve_primes(1_000_000)
+
+
+@pytest.fixture(scope="session")
+def spf_1e6():
+    return spf_direct(10**6)

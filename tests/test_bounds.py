@@ -1,11 +1,8 @@
 import bisect
 import math
-import mmap
 import random
-import sys
 import time
 import tracemalloc
-from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -14,21 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from dflab import (
     EquationInstance,
-    HypothesisViolationError,
     NotASolutionError,
     SieveRangeError,
     analyze_block,
-    check_composite_block_geometry,
     composite_block_geometry_scan,
     dusart_check,
     dusart_sweep,
     erdos_graham_ratio,
     erdos_ratio,
-    largest_prime_factor,
-    radical_product_bound_check,
     sandwich_check,
     search,
-    smallest_two_radicals,
     theorem24_scan,
     thm12ii_bound,
     valuation2_block_bound_check,
@@ -44,8 +36,8 @@ from oracles import (
     block_lpf_violators,
     dusart_failures,
     prime_sum_fold,
+    primes_upto,
     smooth_count,
-    spf_direct,
     trial_factor,
     trial_is_prime,
     val2_factorial_fold,
@@ -97,11 +89,6 @@ def test_mertens_bound_small(table_small):
 
 
 @pytest.fixture(scope="module")
-def spf_1e6():
-    return spf_direct(10**6)
-
-
-@pytest.fixture(scope="module")
 def lemma21_ends(table_big):
     """nu_max values for the lemma21 comparisons, in three sets.
 
@@ -120,6 +107,21 @@ def lemma21_ends(table_big):
         "edges": sides(edges[:3] + rng.sample(edges, 5)),
         "random": [rng.randint(2, 10**6) for _ in range(50)],
     }
+
+
+def test_prime_sum_fold_values(table_small):
+    def fold(nu):
+        return bounds._prime_sum_fold(table_small.spf, nu, bounds.THETA_COEFF)
+
+    assert fold(100).theta == pytest.approx(sum(math.log(p) for p in primes_upto(100)), abs=1e-9)
+    assert fold(100).theta == pytest.approx(83.728390399, abs=1e-6)
+    assert fold(10).theta == pytest.approx(5.347107530717, abs=1e-9)
+    assert fold(2).theta == pytest.approx(math.log(2), abs=1e-12)
+    four_terms = sum(math.log(p) / p for p in (2, 3, 5, 7))
+    assert fold(10).mertens == pytest.approx(four_terms, abs=1e-12)
+    assert fold(10).mertens == pytest.approx(1.3126524331, abs=1e-9)
+    assert fold(2).mertens == pytest.approx(math.log(2) / 2, abs=1e-12)
+    assert fold(1000).mertens < math.log(1000)
 
 
 # 1.00008 is the paper's; 1.0 and 0.99999 shrink the blocks near 1; at
@@ -192,59 +194,6 @@ def test_lemma21_steps_prime_by_prime_only_up_to_the_prefix(table_big, monkeypat
     assert his == [bounds._LEMMA21_PREFIX + 1, 10**6 + 1]
 
 
-def _prime_count_ranges(limit):
-    """(lo, hi) ranges for _count_primes up to limit: across 256, 2^16 and limit, and odd or even ends."""
-    ranges = [(255, 256), (255, 300), (256, 257), (1000, 1000), (1023, 5000), (65_000, 66_000)]
-    ranges += [(65_535, 65_536), (65_536, 65_537), (65_520, 65_560), (60_000, limit), (255, limit)]
-    rng = random.Random(7)
-    for _ in range(40):
-        lo = rng.randint(255, limit)
-        ranges.append((lo, rng.randint(lo, min(limit, lo + rng.choice((10, 300, 20_000))))))
-    return ranges
-
-
-def test_count_primes_reads_the_top_byte_of_each_entry(table_big, spf_1e6):
-    limit = 200_000
-    total = [0]
-    for m in range(1, limit + 1):
-        total.append(total[-1] + (spf_1e6[m] == m))
-    for lo, hi in _prime_count_ranges(limit):
-        assert bounds._count_primes(table_big.spf, lo, hi) == total[hi] - total[lo], (lo, hi)
-
-
-def test_count_primes_on_a_big_endian_host(monkeypatch):
-    # on this host "big" swaps the entries, so a byte-swapped table reads as
-    # a big-endian host would see its own
-    table = core.sieve_primes(70_000)
-    want = [bounds._count_primes(table.spf, lo, hi) for lo, hi in _prime_count_ranges(70_000)]
-    swapped = array("I", table.spf)
-    swapped.byteswap()
-    monkeypatch.setattr(sys, "byteorder", "big")
-    got = [bounds._count_primes(memoryview(swapped), lo, hi) for lo, hi in _prime_count_ranges(70_000)]
-    assert got == want
-
-
-def test_count_primes_above_2_24(spf_1e6):
-    # entries from 2^24 on carry a prime's top byte in byte 3: the first
-    # prime past 2^24, 2^24 + 43, has byte 2 zero.  Only a window around
-    # 2^24 is written, by a sieve of its own; the rest of the anonymous map
-    # stays unbacked zero pages.
-    lo, hi = (1 << 24) - 3000, (1 << 24) + 3000
-    window = [0] * (hi - lo + 1)
-    for p in (p for p in range(2, math.isqrt(hi) + 1) if spf_1e6[p] == p):
-        for m in range(-(-lo // p) * p, hi + 1, p):
-            window[m - lo] = window[m - lo] or p
-    primes = [m for m in range(lo + 1, hi + 1) if not window[m - lo]]
-    assert min(p for p in primes if p > 1 << 24) == (1 << 24) + 43
-    ranges = [(lo, hi), (lo, 1 << 24), ((1 << 24) - 1, hi), (1 << 24, (1 << 24) + 43), (lo + 17, hi - 5)]
-    with mmap.mmap(-1, 4 * (hi + 1)) as buf:
-        with memoryview(buf).cast("I") as spf:
-            for m in range(lo, hi + 1):
-                spf[m] = window[m - lo] or m
-            got = [bounds._count_primes(spf, a, b) for a, b in ranges]
-    assert got == [sum(a < p <= b for p in primes) for a, b in ranges]
-
-
 def test_lemma21_rejects_an_empty_or_oversized_range(table_small):
     with pytest.raises(ValueError):
         verify_lemma21(1, table_small)
@@ -252,21 +201,13 @@ def test_lemma21_rejects_an_empty_or_oversized_range(table_small):
         verify_lemma21(10_001, table_small)
 
 
-def test_composite_block_geometry(table_small):
-    assert check_composite_block_geometry(9, 2, table_small)
-    assert check_composite_block_geometry(13, 3, table_small)
-    for k in range(2, 51):
-        for x in range(2, k):
-            assert check_composite_block_geometry(x, k, table_small)
-
-
-def _geometry_fold(k_max, table):
-    """The geometry scan as per-block check_composite_block_geometry calls."""
+def _geometry_fold(k_max):
+    """The geometry scan block by block: a block with x < k fails if trial division finds no prime in it."""
     bad = [
         (x, k)
         for k in range(2, k_max + 1)
         for x in range(2, k)
-        if not check_composite_block_geometry(x, k, table)
+        if not any(map(trial_is_prime, range(x, x + k)))
     ]
     return BoundCheckResult(
         name="all_composite_block_geometry",
@@ -279,7 +220,7 @@ def _geometry_fold(k_max, table):
 
 def test_geometry_scan_equals_per_block_checks(table_small):
     for k_max in (3, 4, 5, 17, 60):
-        assert composite_block_geometry_scan(k_max, table_small) == _geometry_fold(k_max, table_small)
+        assert composite_block_geometry_scan(k_max, table_small) == _geometry_fold(k_max)
     assert composite_block_geometry_scan(100, table_small).details == {"blocks_checked": 4851}
     with pytest.raises(ValueError, match="empty scan"):
         composite_block_geometry_scan(2, table_small)
@@ -603,52 +544,6 @@ def test_thm12ii_bound():
     assert thm12ii_bound(100) == pytest.approx(426.204, abs=1e-2)
     with pytest.raises(ValueError):
         thm12ii_bound(0)
-
-
-def test_radical_product_bound(table_small):
-    res = radical_product_bound_check(9, 2, 5, table_small)
-    assert res.passed
-    assert res.details["log_lhs"] == pytest.approx(math.log(30), abs=1e-9)
-    assert res.details["log_rhs"] == pytest.approx(1.00008 * 5 + 2 * math.log(2), abs=1e-9)
-    res = radical_product_bound_check(24, 4, 13, table_small)
-    assert res.passed
-    assert res.details["deleted_terms"] == [24, 27]
-    with pytest.raises(HypothesisViolationError):
-        radical_product_bound_check(9, 2, 3, table_small)
-
-
-def test_radical_product_bound_on_random_blocks(table_small):
-    rng = random.Random(31)
-    for _ in range(10_000):
-        k = rng.randint(2, 8)
-        x = rng.randint(2, 9_000)
-        a_bound = max(largest_prime_factor(t, table_small) for t in range(x, x + k))
-        res = radical_product_bound_check(x, k, a_bound, table_small)
-        assert res.passed, (x, k, a_bound)
-
-
-def test_smallest_two_radicals(table_small):
-    res = smallest_two_radicals(9, 2, table_small)
-    assert (res.j1, res.j2) == (0, 1)
-    assert res.bound == pytest.approx(30.0, abs=1e-9)
-    assert res.holds
-    res = smallest_two_radicals(24, 4, table_small)
-    assert (res.j1, res.j2) == (3, 1)
-    assert res.radicals == (6, 5, 26, 3)
-    assert res.bound == pytest.approx(2340 ** (1 / 3), abs=1e-9)
-    res = smallest_two_radicals(2, 2, table_small)
-    assert res.radicals == (2, 3)
-
-
-def test_smallest_two_radicals_holds_everywhere(table_small):
-    rng = random.Random(41)
-    for _ in range(10_000):
-        k = rng.randint(2, 9)
-        x = rng.randint(2, 9_900)
-        assert smallest_two_radicals(x, k, table_small).holds
-    # blocks arising from the single-odd-part solutions' decompositions
-    for x, k in [(14, 2), (35, 2)]:
-        assert smallest_two_radicals(x, k, table_small).holds
 
 
 def test_dusart_check(table_big):

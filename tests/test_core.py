@@ -1,6 +1,9 @@
 import math
+import mmap
 import random
+import sys
 import tracemalloc
+from array import array
 from itertools import chain
 
 import pytest
@@ -13,11 +16,9 @@ from dflab import (
     factorize,
     largest_prime_factor,
     log_double_factorial,
-    mertens_log_sum,
     radical,
     sieve_primes,
     smooth_runs,
-    theta,
 )
 from dflab import core
 from dflab.core import factorial_valuation
@@ -194,26 +195,6 @@ def test_analyze_block_against_trial_division(table_big):
         assert rep.term_radicals == tuple(rads)
 
 
-def test_theta_values(table_small):
-    ps = primes_upto(100)
-    assert theta(100, table_small) == pytest.approx(sum(math.log(p) for p in ps), abs=1e-9)
-    assert theta(100, table_small) == pytest.approx(83.728390399, abs=1e-6)
-    assert theta(10, table_small) == pytest.approx(5.347107530717, abs=1e-9)
-    assert theta(2, table_small) == pytest.approx(math.log(2), abs=1e-12)
-    with pytest.raises(ValueError):
-        theta(1, table_small)
-    with pytest.raises(SieveRangeError):
-        theta(10_001, table_small)
-
-
-def test_mertens_log_sum_values(table_small):
-    four_terms = sum(math.log(p) / p for p in (2, 3, 5, 7))
-    assert mertens_log_sum(10, table_small) == pytest.approx(four_terms, abs=1e-12)
-    assert mertens_log_sum(10, table_small) == pytest.approx(1.3126524331, abs=1e-9)
-    assert mertens_log_sum(2, table_small) == pytest.approx(math.log(2) / 2, abs=1e-12)
-    assert mertens_log_sum(1000, table_small) < math.log(1000)
-
-
 def test_smooth_runs_match_pointwise():
     lpf_of = [1] + [max(trial_factor(m), default=1) for m in range(1, 3001)]
     for bound in (2, 3, 7, 30, 97, 200):
@@ -254,16 +235,68 @@ def test_smooth_runs_refuses_before_it_allocates(monkeypatch):
     assert smooth_runs(88, 10**4)[0]  # a small range still fits
 
 
-def test_primes_between_reads_the_primes_off_spf(table_big):
+def test_primes_between_reads_the_primes_off_spf(table_big, spf_1e6):
     # below 2^16 spf[m] == m decides; above it the odd entries' high halves
     spf = table_big.spf
-    want = spf_direct(10**6)
-    primes = [m for m in range(2, 10**6 + 1) if want[m] == m]
+    primes = [m for m in range(2, 10**6 + 1) if spf_1e6[m] == m]
     assert list(core._primes_between(spf, 0, 10**6 + 1)) == primes
     for lo, hi in [(0, 3), (3272, 3272), (65_519, 65_540), (65_536, 65_537), (65_537, 65_538),
                    (65_538, 65_540), (65_540, 65_536), (131_000, 131_200), (999_900, 10**6 + 1)]:
         got = list(core._primes_between(spf, lo, hi))
         assert got == [m for m in range(lo, hi) if trial_is_prime(m)], (lo, hi)
+
+
+def _prime_count_ranges(limit):
+    """(lo, hi) ranges for _count_primes up to limit: across 256, 2^16 and limit, and odd or even ends."""
+    ranges = [(255, 256), (255, 300), (256, 257), (1000, 1000), (1023, 5000), (65_000, 66_000)]
+    ranges += [(65_535, 65_536), (65_536, 65_537), (65_520, 65_560), (60_000, limit), (255, limit)]
+    rng = random.Random(7)
+    for _ in range(40):
+        lo = rng.randint(255, limit)
+        ranges.append((lo, rng.randint(lo, min(limit, lo + rng.choice((10, 300, 20_000))))))
+    return ranges
+
+
+def test_count_primes_reads_the_top_byte_of_each_entry(table_big, spf_1e6):
+    limit = 200_000
+    total = [0]
+    for m in range(1, limit + 1):
+        total.append(total[-1] + (spf_1e6[m] == m))
+    for lo, hi in _prime_count_ranges(limit):
+        assert core._count_primes(table_big.spf, lo, hi) == total[hi] - total[lo], (lo, hi)
+
+
+def test_count_primes_on_a_big_endian_host(monkeypatch):
+    # on this host "big" swaps the entries, so a byte-swapped table reads as
+    # a big-endian host would see its own
+    table = core.sieve_primes(70_000)
+    want = [core._count_primes(table.spf, lo, hi) for lo, hi in _prime_count_ranges(70_000)]
+    swapped = array("I", table.spf)
+    swapped.byteswap()
+    monkeypatch.setattr(sys, "byteorder", "big")
+    got = [core._count_primes(memoryview(swapped), lo, hi) for lo, hi in _prime_count_ranges(70_000)]
+    assert got == want
+
+
+def test_count_primes_above_2_24(spf_1e6):
+    # entries from 2^24 on carry a prime's top byte in byte 3: the first
+    # prime past 2^24, 2^24 + 43, has byte 2 zero.  Only a window around
+    # 2^24 is written, by a sieve of its own; the rest of the anonymous map
+    # stays unbacked zero pages.
+    lo, hi = (1 << 24) - 3000, (1 << 24) + 3000
+    window = [0] * (hi - lo + 1)
+    for p in (p for p in range(2, math.isqrt(hi) + 1) if spf_1e6[p] == p):
+        for m in range(-(-lo // p) * p, hi + 1, p):
+            window[m - lo] = window[m - lo] or p
+    primes = [m for m in range(lo + 1, hi + 1) if not window[m - lo]]
+    assert min(p for p in primes if p > 1 << 24) == (1 << 24) + 43
+    ranges = [(lo, hi), (lo, 1 << 24), ((1 << 24) - 1, hi), (1 << 24, (1 << 24) + 43), (lo + 17, hi - 5)]
+    with mmap.mmap(-1, 4 * (hi + 1)) as buf:
+        with memoryview(buf).cast("I") as spf:
+            for m in range(lo, hi + 1):
+                spf[m] = window[m - lo] or m
+            got = [core._count_primes(spf, a, b) for a, b in ranges]
+    assert got == [sum(a < p <= b for p in primes) for a, b in ranges]
 
 
 def df_exponents(m, table):

@@ -14,20 +14,17 @@ from dflab import (
     classify,
     make_triple,
     proof_triple,
-    smallest_two_radicals,
 )
-from dflab.bounds import SmallestRadicals
 
 
 def records(table):
-    """One record of each of the eight result types."""
+    """One record of each of the seven result types."""
     return [
         analyze_block(24, 5, table),
         EquationInstance(720, [5, 718, 6]),
         OddDecomposition(60, 1, 3, 1),
         classify(EquationInstance(20, (14, 8, 5)), table),
         BoundCheckResult("check", "x <= 9", [(3, 4)], 0.5, {"seen": 9}),
-        smallest_two_radicals(24, 5, table),
         make_triple(1, 8, table),
         proof_triple(24, 3, 1, table),
     ]
@@ -35,7 +32,7 @@ def records(table):
 
 def test_each_result_type_is_covered(table_small):
     kinds = [BlockReport, EquationInstance, OddDecomposition, SolutionRecord,
-             BoundCheckResult, SmallestRadicals, AbcTriple, ProofTripleResult]
+             BoundCheckResult, AbcTriple, ProofTripleResult]
     assert [type(rec) for rec in records(table_small)] == kinds
 
 
