@@ -109,21 +109,6 @@ def lemma21_ends(table_big):
     }
 
 
-def test_prime_sum_fold_values(table_small):
-    def fold(nu):
-        return bounds._prime_sum_fold(table_small.spf, nu, bounds.THETA_COEFF)
-
-    assert fold(100).theta == pytest.approx(sum(math.log(p) for p in primes_upto(100)), abs=1e-9)
-    assert fold(100).theta == pytest.approx(83.728390399, abs=1e-6)
-    assert fold(10).theta == pytest.approx(5.347107530717, abs=1e-9)
-    assert fold(2).theta == pytest.approx(math.log(2), abs=1e-12)
-    four_terms = sum(math.log(p) / p for p in (2, 3, 5, 7))
-    assert fold(10).mertens == pytest.approx(four_terms, abs=1e-12)
-    assert fold(10).mertens == pytest.approx(1.3126524331, abs=1e-9)
-    assert fold(2).mertens == pytest.approx(math.log(2) / 2, abs=1e-12)
-    assert fold(1000).mertens < math.log(1000)
-
-
 # 1.00008 is the paper's; 1.0 and 0.99999 shrink the blocks near 1; at
 # 0.998 theta first fails near 10^5, so the blocks run up to it and the
 # fold reruns; at 0.95 it fails from nu = 283 on, inside the prefix, so the

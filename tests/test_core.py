@@ -20,7 +20,7 @@ from dflab import (
     sieve_primes,
     smooth_runs,
 )
-from dflab import core
+from dflab import bounds, core
 from dflab.core import factorial_valuation
 
 from oracles import df_direct, primes_upto, smooth_count, spf_direct, trial_factor, trial_is_prime
@@ -193,6 +193,32 @@ def test_analyze_block_against_trial_division(table_big):
             rads.append(r)
         assert (rep.lpf, rep.val2, rep.all_composite) == (lpf, val2, comp)
         assert rep.term_radicals == tuple(rads)
+
+
+def _fold(nu, table):
+    """theta(nu) and sum_{p <= nu} log(p)/p, as Lemma 2.1's fold adds them."""
+    return bounds._prime_sum_fold(table.spf, nu, bounds.THETA_COEFF)
+
+
+def test_theta_values(table_small):
+    ps = primes_upto(100)
+    assert _fold(100, table_small).theta == pytest.approx(sum(math.log(p) for p in ps), abs=1e-9)
+    assert _fold(100, table_small).theta == pytest.approx(83.728390399, abs=1e-6)
+    assert _fold(10, table_small).theta == pytest.approx(5.347107530717, abs=1e-9)
+    assert _fold(2, table_small).theta == pytest.approx(math.log(2), abs=1e-12)
+    # the fold's one public caller keeps the argument checks
+    with pytest.raises(ValueError):
+        bounds.verify_lemma21(1, table_small)
+    with pytest.raises(SieveRangeError):
+        bounds.verify_lemma21(10_001, table_small)
+
+
+def test_mertens_log_sum_values(table_small):
+    four_terms = sum(math.log(p) / p for p in (2, 3, 5, 7))
+    assert _fold(10, table_small).mertens == pytest.approx(four_terms, abs=1e-12)
+    assert _fold(10, table_small).mertens == pytest.approx(1.3126524331, abs=1e-9)
+    assert _fold(2, table_small).mertens == pytest.approx(math.log(2) / 2, abs=1e-12)
+    assert _fold(1000, table_small).mertens < math.log(1000)
 
 
 def test_smooth_runs_match_pointwise():
