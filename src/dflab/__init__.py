@@ -9,7 +9,8 @@ Library layout:
     cli          command-line surface with jsonl/csv/human output
 
 The public names below are resolved on first use (PEP 562), so importing
-the package loads no submodule.  The library needs only the standard library.
+the package loads no submodule.  Each is filed under the module that
+defines it, its one home.  The library needs only the standard library.
 """
 
 import importlib
@@ -18,14 +19,13 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "core": (
-        "BlockReport PrimeTable SieveRangeError analyze_block double_factorial erdos_graham_ratio"
-        " erdos_ratio factorize largest_prime_factor log_double_factorial odd_gap_obstruction"
-        " radical sieve_primes smooth_runs"
+        "BlockReport PrimeTable ResourceLimitError SieveRangeError analyze_block double_factorial"
+        " erdos_graham_ratio erdos_ratio factorize largest_prime_factor log_double_factorial"
+        " odd_gap_obstruction radical sieve_primes smooth_runs"
     ),
     "equation": (
-        "EquationInstance NotASolutionError OddDecomposition ResourceLimitError SolutionRecord"
-        " check_identity classify generate_trivial_even generate_trivial_odd odd_decomposition"
-        " search"
+        "EquationInstance NotASolutionError OddDecomposition SolutionRecord check_identity classify"
+        " generate_trivial_even generate_trivial_odd odd_decomposition search"
     ),
     "bounds": (
         "EXCEPTIONAL_PAIRS BoundCheckResult composite_block_geometry_scan dusart_check dusart_sweep"

@@ -11,15 +11,13 @@ import math
 from collections import namedtuple
 
 from .core import PrimeTable, SieveRangeError, radical
-from .formulas import ABC_EXPONENT, inequality3_rhs
+from .formulas import ABC_EXPONENT
 
 __all__ = [
-    "ABC_EXPONENT",
     "AbcTriple",
     "make_triple",
     "ProofTripleResult",
     "proof_triple",
-    "inequality3_rhs",
     "scan_block_triples",
 ]
 

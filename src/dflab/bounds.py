@@ -13,12 +13,12 @@ above it.
 verify_lemma21 folds the primes up to 2^10 one at a time and decides the
 rest a block at a time, counting each block's primes off the sieve with
 core._count_primes; dusart_sweep streams its primes off the sieve, and
-the geometry scan and dusart_check read it entry by entry.  erdos_ratio
-and erdos_graham_ratio live in core and are re-exported here.
+the geometry scan and dusart_check read it entry by entry.
 theorem24_scan reads no sieve: it scans the runs of consecutive smooth
 integers, which it builds itself.  The val2 sweep and factorial check are
-closed forms and read no sieve.  Only sandwich_check imports the equation
-module.
+closed forms and read no sieve.  sandwich_check takes a SolutionRecord
+that classify or search has already verified and decomposed, so this
+module imports only core and formulas.
 """
 
 from __future__ import annotations
@@ -33,21 +33,16 @@ from .core import (
     PrimeTable,
     SieveRangeError,
     analyze_block,
-    erdos_graham_ratio,  # re-exported: ratio reads both from core
-    erdos_ratio,
     sieve_primes,
     smooth_runs,
     _count_primes,
     _primes_between,
 )
-from .formulas import THETA_COEFF, THM12II_OFFSET, VAL2_SLOPE, thm12ii_bound
+from .formulas import THETA_COEFF, VAL2_SLOPE
 
 __all__ = [
-    "THETA_COEFF",
     "LPF_BLOCK_COEFF",
-    "VAL2_SLOPE",
     "VAL2_OFFSET",
-    "THM12II_OFFSET",
     "DUSART_MIN_Y",
     "FLOAT_TOLERANCE",
     "EXCEPTIONAL_PAIRS_ORDERED",
@@ -60,7 +55,6 @@ __all__ = [
     "valuation2_block_bound_check",
     "valuation2_block_sweep",
     "valuation2_factorial_lower_check",
-    "thm12ii_bound",
     "dusart_check",
     "dusart_sweep",
 ]
@@ -287,9 +281,11 @@ def _log_factor_sum(m: int, step: int) -> float:
     return total
 
 
-def sandwich_check(instance: EquationInstance, table: PrimeTable) -> BoundCheckResult:
+def sandwich_check(solution: SolutionRecord, table: PrimeTable) -> BoundCheckResult:
     """Log-scale sandwich inequalities satisfied by nontrivial solutions.
 
+    solution is a SolutionRecord from classify or search, so its identity
+    is already verified and its decomposition already taken.
     Even case (r = 0), with m = a1/2 + 1 and k = (n - a1)/2:
         a2*log(a2) - a2 <= log(a2!!) <= k*log(4m)
     Odd case (r = 1), with (x1, l1) from the decomposition:
@@ -298,9 +294,7 @@ def sandwich_check(instance: EquationInstance, table: PrimeTable) -> BoundCheckR
     block); inequalities whose hypotheses fail are evaluated and reported
     but cannot fail the check.  Logs of factorials are exact factor sums.
     """
-    from .equation import NotASolutionError, check_identity, odd_decomposition
-    if not check_identity(instance, table):
-        raise NotASolutionError(f"(n={instance.n}, a={instance.a}) does not satisfy the identity")
+    instance = solution.instance
     r = instance.r
     if r > 1:
         raise ValueError(f"sandwich checks cover parity signatures 0 and 1, got r={r}")
@@ -343,7 +337,7 @@ def sandwich_check(instance: EquationInstance, table: PrimeTable) -> BoundCheckR
         )
     else:
         a1 = instance.odd_parts[0]
-        dec = odd_decomposition(instance)
+        dec = solution.decomposition
         log_fact = _log_factor_sum(a1 + 1, 1)
         details["a1"] = a1
         add(

@@ -86,9 +86,9 @@ EXIT_RESOURCE = 3
 class CommandConfig:
     """The flags every command shares.
 
-    A plain class, like OutputRecord: no module of the package imports
-    dataclasses, which loads inspect, ast and dis and takes about 10 ms of
-    a process's start.  The library's result types are namedtuples.
+    A plain class: no module of the package imports dataclasses, which
+    loads inspect, ast and dis and takes about 10 ms of a process's start.
+    OutputRecord and the library's result types are namedtuples.
     """
 
     def __init__(
@@ -120,14 +120,8 @@ class CommandConfig:
         return self.threads if self.threads > 0 else max(1, os.cpu_count() or 1)
 
 
-class OutputRecord:
-    """One record of a command's output."""
-
-    __slots__ = ("kind", "payload")
-
-    def __init__(self, kind: str, payload: dict):
-        self.kind = kind  # solution | bound_check | triple | scan_summary
-        self.payload = payload
+# One record of a command's output; kind is solution, bound_check, triple or scan_summary
+OutputRecord = collections.namedtuple("OutputRecord", "kind payload")
 
 
 class _CacheInvalid(Exception):
@@ -398,16 +392,17 @@ def _cmd_classify(args, config, table):
     return _solution_records([classify(EquationInstance(args.n, tuple(args.a)), table)]), EXIT_OK
 
 
-def _cmd_generate_even(args, config, table):
-    from .equation import classify, generate_trivial_even
-    inst = generate_trivial_even(args.evens, max_n=args.max_n)
-    return _solution_records([classify(inst, table)]), EXIT_OK
+def _generated(args):
+    """The instance a generate leaf builds: trivial-odd's when args has a1, else trivial-even's."""
+    from .equation import generate_trivial_even, generate_trivial_odd
+    if "a1" in args:
+        return generate_trivial_odd(args.a1, args.evens, max_n=args.max_n)
+    return generate_trivial_even(args.evens, max_n=args.max_n)
 
 
-def _cmd_generate_odd(args, config, table):
-    from .equation import classify, generate_trivial_odd
-    inst = generate_trivial_odd(args.a1, args.evens, max_n=args.max_n)
-    return _solution_records([classify(inst, table)]), EXIT_OK
+def _cmd_generate(args, config, table):
+    from .equation import classify
+    return _solution_records([classify(_generated(args), table)]), EXIT_OK
 
 
 def _require_at_least(flag, value, least):
@@ -426,14 +421,14 @@ def _cmd_verify_lemma22(args, config, table):
     _require_at_least("--k-max", args.k_max, 3)
     results = [bounds.composite_block_geometry_scan(args.k_max, table)]
     for rec in _search(args, config, table, "r0"):
-        results.append(bounds.sandwich_check(rec.instance, table))
+        results.append(bounds.sandwich_check(rec, table))
     return _checks(results)
 
 
 def _cmd_verify_lemma23(args, config, table):
     from . import bounds
     solutions = _search(args, config, table, "r1")
-    results = [bounds.sandwich_check(rec.instance, table) for rec in solutions]
+    results = [bounds.sandwich_check(rec, table) for rec in solutions]
     if not results:
         note = f"no single-odd-part solutions with n <= {args.n_max}"
         return [OutputRecord("scan_summary", {"checked": 0, "note": note})], EXIT_OK
@@ -557,16 +552,17 @@ COMMANDS = {
     ),
     # every part must be below n, which is checked before any read
     "classify": Command(_cmd_classify, {"--n": int, "--a": _parse_int_list}, lambda args: args.n),
-    # n is known only once the generator has run, so the table is the whole limit
+    # the generator is pure and cheap, so the need runs it to learn n; a bad
+    # argument exits before any table is built
     "generate trivial-even": Command(
-        _cmd_generate_even,
+        _cmd_generate,
         {"--evens": _parse_int_list, "--max-n": 10**9},
-        lambda args: args.sieve_limit,
+        lambda args: _generated(args).n,
     ),
     "generate trivial-odd": Command(
-        _cmd_generate_odd,
+        _cmd_generate,
         {"--a1": int, "--evens": (_parse_int_list, ""), "--max-n": 10**9},
-        lambda args: args.sieve_limit,
+        lambda args: _generated(args).n,
     ),
     "verify lemma21": Command(_cmd_verify_lemma21, {"--nu-max": 10**6}, lambda args: args.nu_max),
     # the geometry scan reads up to 2*k_max - 2; the sandwich checks stay within n

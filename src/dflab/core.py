@@ -17,7 +17,7 @@ and keeps the runs of consecutive ones.
 The CLI's point queries on blocks and pairs live here too, beside the
 data they read: analyze_block, erdos_ratio, erdos_graham_ratio and
 odd_gap_obstruction, so that block analyze, ratio and gap-witness load no
-other library module (bounds and equation re-export the last three).
+other library module.
 Result types are namedtuple subclasses: importing dataclasses (with
 inspect, ast and dis) takes about 10 ms, more than a point query's
 arithmetic.

@@ -37,13 +37,10 @@ from .core import (
     double_factorial,
     factorial_valuation,
     log_double_factorial,
-    odd_gap_obstruction,  # re-exported: gap-witness reads it from core
 )
-from .formulas import KNOWN_FACTORIAL_IDENTITIES, verify_known_factorial_solutions
 
 __all__ = [
     "NotASolutionError",
-    "ResourceLimitError",
     "EquationInstance",
     "OddDecomposition",
     "SolutionRecord",
@@ -53,10 +50,8 @@ __all__ = [
     "generate_trivial_even",
     "generate_trivial_odd",
     "search",
-    "verify_known_factorial_solutions",
     "DEFAULT_MAX_GENERATED_N",
     "DEFAULT_NODE_BUDGET",
-    "KNOWN_FACTORIAL_IDENTITIES",
 ]
 
 DEFAULT_MAX_GENERATED_N = 10**9
@@ -249,6 +244,8 @@ def classify(instance: EquationInstance, table: PrimeTable) -> SolutionRecord:
 
 
 def _guard_generated_n(log_n: float, max_n: int):
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     if log_n > math.log(max_n) + 0.5:
         raise OverflowError(f"generated n would exceed the configured bound {max_n}")
 

@@ -1,8 +1,7 @@
 """Closed-form evaluators and the explicit constants they use.
 
 Nothing here reads a sieve, so a command that only evaluates a formula
-builds none.  bounds, abc_triples and
-equation re-export these names.
+builds none.  Like core, this module imports nothing from the package.
 """
 
 import math

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from dflab import (
     EquationInstance,
-    NotASolutionError,
     SieveRangeError,
     analyze_block,
+    classify,
     composite_block_geometry_scan,
     dusart_check,
     dusart_sweep,
@@ -236,8 +236,13 @@ def test_geometry_scan_memory_does_not_grow_with_k_squared(table_small):
     assert peak < 2**20
 
 
+def _sandwich(n, parts, table):
+    """sandwich_check on the record classify makes of (n; parts)."""
+    return sandwich_check(classify(EquationInstance(n, parts), table), table)
+
+
 def test_sandwich_even_case_values(table_small):
-    res = sandwich_check(EquationInstance(8, (6, 4)), table_small)
+    res = _sandwich(8, (6, 4), table_small)
     assert res.passed
     lower, upper = res.details["inequalities"]
     assert lower["lhs"] == pytest.approx(4 * math.log(4) - 4, abs=1e-9)
@@ -251,7 +256,7 @@ def test_sandwich_even_case_values(table_small):
 def test_sandwich_even_case_lower_bound_fails_numerically(table_small):
     # at a2 = 6 the stated lower bound is false (6ln6 - 6 > ln 48); it is
     # hypothesis-gated (k = 1 here), so the check still passes
-    res = sandwich_check(EquationInstance(384, (382, 6, 4)), table_small)
+    res = _sandwich(384, (382, 6, 4), table_small)
     assert res.passed
     lower = res.details["inequalities"][0]
     assert not lower["holds"]
@@ -259,7 +264,7 @@ def test_sandwich_even_case_lower_bound_fails_numerically(table_small):
 
 
 def test_sandwich_odd_case_values(table_small):
-    res = sandwich_check(EquationInstance(120, (118, 5, 4)), table_small)
+    res = _sandwich(120, (118, 5, 4), table_small)
     assert res.passed
     lower, upper = res.details["inequalities"]
     assert lower["lhs"] == pytest.approx(5 * math.log(5) - 5, abs=1e-9)
@@ -269,7 +274,7 @@ def test_sandwich_odd_case_values(table_small):
 
 
 def test_sandwich_odd_case_without_decomposition(table_small):
-    res = sandwich_check(EquationInstance(144, (142, 6, 3)), table_small)
+    res = _sandwich(144, (142, 6, 3), table_small)
     assert res.passed
     upper = res.details["inequalities"][1]
     assert not upper["hypothesis_met"]
@@ -279,14 +284,14 @@ def test_sandwich_odd_case_without_decomposition(table_small):
 def test_sandwich_on_all_searched_solutions(table_small):
     for mode, t_max in (("r0", 3), ("r1", 3)):
         for rec in search(400, t_max, mode, table_small):
-            assert sandwich_check(rec.instance, table_small).passed
+            assert sandwich_check(rec, table_small).passed
 
 
 def test_sandwich_errors(table_small):
-    with pytest.raises(NotASolutionError):
-        sandwich_check(EquationInstance(10, (6, 4)), table_small)
-    with pytest.raises(ValueError):
-        sandwich_check(EquationInstance(45, (43, 5, 3)), table_small)
+    # a non-solution never reaches sandwich_check: classify raises on it
+    # (test_equation.py's test_classify_families)
+    with pytest.raises(ValueError, match="parity signatures 0 and 1, got r=3"):
+        _sandwich(45, (43, 5, 3), table_small)
 
 
 def test_theorem24_scan_matches_observed_exceptions():

@@ -136,6 +136,26 @@ def test_classify_and_generate(tmp_path, capsys):
     assert payload["n"] == 384 and payload["a"] == [382, 6, 4]
 
 
+GENERATE_ERRORS = [
+    (["generate", "trivial-even", "--evens", "6", "--max-n", "0"], "max_n must be >= 1, got 0"),
+    (["generate", "trivial-odd", "--a1", "5", "--max-n", "-3"], "max_n must be >= 1, got -3"),
+    # the generator runs for the need, before the memory guard
+    (
+        ["generate", "trivial-even", "--evens", "5", "--sieve-limit", str(10**12)],
+        "values must be even and >= 4, got 5",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", GENERATE_ERRORS, ids=[" ".join(a) for a, _ in GENERATE_ERRORS]
+)
+def test_generate_argument_errors_exit_2_before_any_table(argv, message, tmp_path, capsys):
+    code, out, err = run_inproc(argv, tmp_path, capsys)
+    assert (code, out, err) == (2, "", f"dflab: {message}\n")
+    assert not (tmp_path / "cache").exists()
+
+
 def test_verify_lemma22_geometry_and_sandwich(tmp_path, capsys):
     code, out, _ = run_inproc(
         [
@@ -554,13 +574,14 @@ def test_bounds_point_queries_leave_the_search_unloaded(argv, warm_cache, tmp_pa
 
 # point queries and the modules each leaves unloaded: dataclasses (with the
 # inspect, ast and dis it imports) for every one; bounds and equation for
-# block analyze, ratio and gap-witness, which run on core alone; bounds for
-# classify
+# block analyze, ratio and gap-witness, which run on core alone; bounds and
+# formulas for classify and generate, which run on core and equation
 LEAN = ("dataclasses", "dflab.bounds", "dflab.equation")
+SOLUTION_LEAN = ("dataclasses", "dflab.bounds", "dflab.formulas")
 LEAN_QUERIES = [
-    (["classify", "--n", "720", "--a", "5,718,6"], ("dataclasses", "dflab.bounds")),
-    (["generate", "trivial-even", "--evens", "6,4"], ("dataclasses",)),
-    (["generate", "trivial-odd", "--a1", "5", "--evens", "4"], ("dataclasses",)),
+    (["classify", "--n", "720", "--a", "5,718,6"], SOLUTION_LEAN),
+    (["generate", "trivial-even", "--evens", "6,4"], SOLUTION_LEAN),
+    (["generate", "trivial-odd", "--a1", "5", "--evens", "4"], SOLUTION_LEAN),
     (["abc", "triple", "--a", "1", "--b", "4374"], ("dataclasses",)),
     (["block", "analyze", "--x", "24", "--k", "5"], LEAN),
     (["gap-witness", "--n", "20", "--l", "5"], LEAN),
@@ -980,6 +1001,8 @@ def test_need_above_the_in_memory_bound_reads_the_cache(argv, warm_big_cache, mo
     [
         ["search", "--mode", "r0", "--n-max", "400", "--t-max", "3"],
         ["classify", "--n", "720", "--a", "5,718,6"],
+        ["generate", "trivial-even", "--evens", "6,4"],
+        ["generate", "trivial-odd", "--a1", "5", "--evens", "4"],
         ["verify", "lemma22", "--k-max", "100", "--n-max", "60"],
     ],
     ids=" ".join,

@@ -1,5 +1,6 @@
 """The package resolves its public names lazily and commands load only what they use."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -21,17 +22,55 @@ SUBMODULES = ("core", "equation", "bounds", "abc_triples", "formulas")
 CLOSED_FORM_CASES = {
     "bound-thm12ii", "bound-ineq3", "verify-known-factorials", "verify-val2", "verify-thm24"
 }
+# the package modules each module imports: core and formulas are the base,
+# equation, bounds and abc_triples sit on them, and only cli reaches them all
+LAYERS = {
+    "__init__": set(),
+    "__main__": {"cli"},
+    "core": set(),
+    "formulas": set(),
+    "equation": {"core"},
+    "bounds": {"core", "formulas"},
+    "abc_triples": {"core", "formulas"},
+    "cli": {"core", "formulas", "equation", "bounds", "abc_triples"},
+}
 
 
 def test_public_names_are_the_defining_modules_objects():
-    modules = [importlib.import_module(f"dflab.{name}") for name in SUBMODULES]
     assert len(dflab.__all__) == len(set(dflab.__all__)) == 44
     for name in dflab.__all__:
-        homes = [mod for mod in modules if name in mod.__all__]
-        assert homes, name
-        for mod in homes:
-            assert getattr(dflab, name) is getattr(mod, name), (name, mod.__name__)
+        home = importlib.import_module(f"dflab.{dflab._HOME[name]}")
+        assert getattr(dflab, name) is getattr(home, name), name
     assert set(dflab.__all__) <= set(dir(dflab))
+
+
+def test_every_public_name_has_one_home():
+    homes = {}
+    for name in SUBMODULES + ("cli",):
+        mod = importlib.import_module(f"dflab.{name}")
+        for attr in mod.__all__:
+            homes.setdefault(attr, []).append(name)
+            obj = getattr(mod, attr)
+            if isinstance(obj, (FunctionType, type)):
+                assert obj.__module__ == mod.__name__, (attr, name)
+    assert {attr: found for attr, found in homes.items() if len(found) > 1} == {}
+    # dflab files each name under the module whose __all__ lists it
+    assert {name: homes.get(name) for name, home in dflab._HOME.items() if homes.get(name) != [home]} == {}
+
+
+def test_modules_import_in_layers():
+    graph = {}
+    for path in sorted((Path(SRC_DIR) / "dflab").glob("*.py")):
+        edges = set()
+        # every import statement, function-level ones included
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                edges |= {node.module} if node.module else {alias.name for alias in node.names}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):  # never dflab by its absolute name
+                assert "dflab" not in ast.unparse(node), (path.name, ast.unparse(node))
+        graph[path.stem] = edges
+    assert graph == LAYERS
+
 
 # the public functions no golden command calls, each with the reason it stays
 NOT_RUN_BY_A_COMMAND = {
