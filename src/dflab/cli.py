@@ -8,7 +8,10 @@ done, in a deterministic order.
 
 The leaf commands are declared once, in COMMANDS: the words that name
 each, its flags, its handler, and its need: the largest sieve index it
-reads, as a function of its arguments.  A command builds the parser of its
+reads, as a function of its arguments.  Every leaf also takes --sieve-limit,
+--cache-dir, --format and --threads; --node-budget is a flag of the three
+that search.  A generate leaf's n is at most --sieve-limit, so an n past it
+exits before any table is read.  A command builds the parser of its
 own leaf only (every leaf when argv names none, as for --help).  A command
 with no need loads no cache and builds none: bound thm12ii, bound ineq3,
 verify known-factorials and verify val2 evaluate closed forms, and verify
@@ -84,7 +87,7 @@ EXIT_RESOURCE = 3
 
 
 class CommandConfig:
-    """The flags every command shares.
+    """The settings of the sieve table: its limit and cache, and --threads.
 
     A plain class: no module of the package imports dataclasses, which
     loads inspect, ast and dis and takes about 10 ms of a process's start.
@@ -95,26 +98,18 @@ class CommandConfig:
         self,
         sieve_limit: int = 10**6,
         cache_dir: Path | None = None,
-        output_format: str = "jsonl",
         threads: int = 0,  # accepted for compatibility; the search runs in one process
-        node_budget: int = 10**8,
     ):
         if cache_dir is None:
             env = os.environ.get(CACHE_ENV_VAR)
             cache_dir = Path(env) if env else Path.home() / ".cache" / "dflab"
         self.sieve_limit = sieve_limit
         self.cache_dir = Path(cache_dir)
-        self.output_format = output_format
         self.threads = threads
-        self.node_budget = node_budget
         if sieve_limit < 2:
             raise ValueError("sieve limit must be >= 2")
-        if node_budget < 1:
-            raise ValueError("node budget must be >= 1")
         if threads < 0:
             raise ValueError("threads must be >= 0")
-        if output_format not in ("jsonl", "csv", "human"):
-            raise ValueError(f"unknown output format {output_format!r}")
 
     def effective_threads(self) -> int:
         return self.threads if self.threads > 0 else max(1, os.cpu_count() or 1)
@@ -346,14 +341,17 @@ def _parse_int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _parse_nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _parse_int_at_least(least: int):
+    """The argparse type of an integer flag that is a usage error below least."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return parse
 
 
 def _parse_k_range(text: str) -> list:
@@ -377,30 +375,30 @@ def _parse_k_range(text: str) -> list:
 # modules it uses and reads each function from its module at call time.
 
 
-def _search(args, config, table, mode):
-    """search() over the command's --n-max and --t-max, honouring the shared flags."""
+def _search(args, table, mode):
+    """search() over the command's --n-max, --t-max and --node-budget."""
     from .equation import search
-    return search(args.n_max, args.t_max, mode, table, node_budget=config.node_budget)
+    return search(args.n_max, args.t_max, mode, table, node_budget=args.node_budget)
 
 
-def _cmd_search(args, config, table):
-    return _solution_records(_search(args, config, table, args.mode)), EXIT_OK
+def _cmd_search(args, table):
+    return _solution_records(_search(args, table, args.mode)), EXIT_OK
 
 
-def _cmd_classify(args, config, table):
+def _cmd_classify(args, table):
     from .equation import EquationInstance, classify
     return _solution_records([classify(EquationInstance(args.n, tuple(args.a)), table)]), EXIT_OK
 
 
 def _generated(args):
-    """The instance a generate leaf builds: trivial-odd's when args has a1, else trivial-even's."""
+    """The instance a generate leaf builds, n <= --sieve-limit: trivial-odd's when args has a1."""
     from .equation import generate_trivial_even, generate_trivial_odd
     if "a1" in args:
-        return generate_trivial_odd(args.a1, args.evens, max_n=args.max_n)
-    return generate_trivial_even(args.evens, max_n=args.max_n)
+        return generate_trivial_odd(args.a1, args.evens, max_n=args.sieve_limit)
+    return generate_trivial_even(args.evens, max_n=args.sieve_limit)
 
 
-def _cmd_generate(args, config, table):
+def _cmd_generate(args, table):
     from .equation import classify
     return _solution_records([classify(_generated(args), table)]), EXIT_OK
 
@@ -411,23 +409,23 @@ def _require_at_least(flag, value, least):
         raise ValueError(f"{flag} must be >= {least}, got {value}")
 
 
-def _cmd_verify_lemma21(args, config, table):
+def _cmd_verify_lemma21(args, table):
     from . import bounds
     return _checks(bounds.verify_lemma21(args.nu_max, table))
 
 
-def _cmd_verify_lemma22(args, config, table):
+def _cmd_verify_lemma22(args, table):
     from . import bounds
     _require_at_least("--k-max", args.k_max, 3)
     results = [bounds.composite_block_geometry_scan(args.k_max, table)]
-    for rec in _search(args, config, table, "r0"):
+    for rec in _search(args, table, "r0"):
         results.append(bounds.sandwich_check(rec, table))
     return _checks(results)
 
 
-def _cmd_verify_lemma23(args, config, table):
+def _cmd_verify_lemma23(args, table):
     from . import bounds
-    solutions = _search(args, config, table, "r1")
+    solutions = _search(args, table, "r1")
     results = [bounds.sandwich_check(rec, table) for rec in solutions]
     if not results:
         note = f"no single-odd-part solutions with n <= {args.n_max}"
@@ -435,13 +433,13 @@ def _cmd_verify_lemma23(args, config, table):
     return _checks(results)
 
 
-def _cmd_verify_thm24(args, config, table):
+def _cmd_verify_thm24(args, table):
     from . import bounds
     _, result = bounds.theorem24_scan(args.k, args.x_max)
     return _checks([result])
 
 
-def _cmd_verify_val2(args, config, table):
+def _cmd_verify_val2(args, table):
     from . import bounds
     _require_at_least("--x-max", args.x_max, 2)
     _require_at_least("--k-max", args.k_max, 1)
@@ -452,7 +450,7 @@ def _cmd_verify_val2(args, config, table):
     ])
 
 
-def _cmd_verify_dusart(args, config, table):
+def _cmd_verify_dusart(args, table):
     from . import bounds
     from .core import SieveRangeError
     if args.y is not None:
@@ -463,7 +461,7 @@ def _cmd_verify_dusart(args, config, table):
     return _checks([bounds.dusart_sweep(args.y_max, table)])
 
 
-def _cmd_verify_known(args, config, table):
+def _cmd_verify_known(args, table):
     from .formulas import verify_known_factorial_solutions
     rows = verify_known_factorial_solutions()
     payload = {
@@ -473,13 +471,13 @@ def _cmd_verify_known(args, config, table):
     return [OutputRecord("scan_summary", payload)], EXIT_OK if payload["all_hold"] else EXIT_FAILED
 
 
-def _cmd_bound_thm12ii(args, config, table):
+def _cmd_bound_thm12ii(args, table):
     from .formulas import thm12ii_bound
     payload = {"l1": args.l1, "a1_upper_bound": thm12ii_bound(args.l1)}
     return [OutputRecord("scan_summary", payload)], EXIT_OK
 
 
-def _cmd_bound_ineq3(args, config, table):
+def _cmd_bound_ineq3(args, table):
     from .formulas import inequality3_rhs
     rhs, holds = inequality3_rhs(args.k, args.a2, args.m)
     lhs = args.k * math.log(args.m)
@@ -487,40 +485,40 @@ def _cmd_bound_ineq3(args, config, table):
     return [OutputRecord("scan_summary", payload)], EXIT_OK
 
 
-def _cmd_abc_triple(args, config, table):
+def _cmd_abc_triple(args, table):
     from .abc_triples import make_triple
     return [_record("triple", make_triple(args.a, args.b, table))], EXIT_OK
 
 
-def _cmd_abc_proof_triple(args, config, table):
+def _cmd_abc_proof_triple(args, table):
     from .abc_triples import proof_triple
     return [_record("triple", proof_triple(args.x, args.j1, args.j2, table), "triple")], EXIT_OK
 
 
-def _cmd_abc_scan(args, config, table):
+def _cmd_abc_scan(args, table):
     from .abc_triples import scan_block_triples
     return [_record("triple", scan_block_triples(args.x, args.k, table), "triple")], EXIT_OK
 
 
-def _cmd_block_analyze(args, config, table):
+def _cmd_block_analyze(args, table):
     from .core import analyze_block
     return [_record("scan_summary", analyze_block(args.x, args.k, table))], EXIT_OK
 
 
-def _cmd_ratio_erdos_graham(args, config, table):
+def _cmd_ratio_erdos_graham(args, table):
     from .core import erdos_graham_ratio
     payload = {"n": args.n, "ratio": erdos_graham_ratio(args.n, table)}
     return [OutputRecord("scan_summary", payload)], EXIT_OK
 
 
-def _cmd_ratio_erdos_block(args, config, table):
+def _cmd_ratio_erdos_block(args, table):
     from .core import erdos_ratio
     value = erdos_ratio(args.x, args.k, table)
     payload = {"x": args.x, "k": args.k, "ratio": value, "all_composite": value is not None}
     return [OutputRecord("scan_summary", payload)], EXIT_OK
 
 
-def _cmd_gap_witness(args, config, table):
+def _cmd_gap_witness(args, table):
     from .core import odd_gap_obstruction
     payload = {"n": args.n, "l": args.l, "witness": odd_gap_obstruction(args.n, args.l, table)}
     return [OutputRecord("scan_summary", payload)], EXIT_OK
@@ -540,6 +538,11 @@ def _search_need(args) -> int:
     return args.n_max
 
 
+# --node-budget, refused below 1 before any table is built; its default is
+# equation.DEFAULT_NODE_BUDGET, candidates that pass the log cut
+_NODE_BUDGET = (_parse_int_at_least(1), 10**8)
+
+
 # Leaf commands by the words that name them.  A flag maps to its type when it
 # is required, to its default when it is optional (an int, or (type, default)
 # with the default parsed by the type), or to the tuple of its choices; a
@@ -548,30 +551,32 @@ def _search_need(args) -> int:
 # has none and reads no table.
 COMMANDS = {
     "search": Command(
-        _cmd_search, {"--mode": ("r0", "r1"), "--n-max": int, "--t-max": int}, _search_need
+        _cmd_search,
+        {"--mode": ("r0", "r1"), "--n-max": int, "--t-max": int, "--node-budget": _NODE_BUDGET},
+        _search_need,
     ),
     # every part must be below n, which is checked before any read
     "classify": Command(_cmd_classify, {"--n": int, "--a": _parse_int_list}, lambda args: args.n),
     # the generator is pure and cheap, so the need runs it to learn n; a bad
-    # argument exits before any table is built
+    # argument, or an n past --sieve-limit, exits before any table is built
     "generate trivial-even": Command(
-        _cmd_generate,
-        {"--evens": _parse_int_list, "--max-n": 10**9},
-        lambda args: _generated(args).n,
+        _cmd_generate, {"--evens": _parse_int_list}, lambda args: _generated(args).n
     ),
     "generate trivial-odd": Command(
-        _cmd_generate,
-        {"--a1": int, "--evens": (_parse_int_list, ""), "--max-n": 10**9},
-        lambda args: _generated(args).n,
+        _cmd_generate, {"--a1": int, "--evens": (_parse_int_list, "")}, lambda args: _generated(args).n
     ),
     "verify lemma21": Command(_cmd_verify_lemma21, {"--nu-max": 10**6}, lambda args: args.nu_max),
     # the geometry scan reads up to 2*k_max - 2; the sandwich checks stay within n
     "verify lemma22": Command(
         _cmd_verify_lemma22,
-        {"--k-max": 50, "--n-max": 400, "--t-max": 3},
+        {"--k-max": 50, "--n-max": 400, "--t-max": 3, "--node-budget": _NODE_BUDGET},
         lambda args: max(2 * args.k_max - 2, args.n_max),
     ),
-    "verify lemma23": Command(_cmd_verify_lemma23, {"--n-max": 400, "--t-max": 3}, _search_need),
+    "verify lemma23": Command(
+        _cmd_verify_lemma23,
+        {"--n-max": 400, "--t-max": 3, "--node-budget": _NODE_BUDGET},
+        _search_need,
+    ),
     # builds its own runs of smooth integers and reads no table
     "verify thm24": Command(_cmd_verify_thm24, {"--k": (_parse_k_range, "2..7"), "--x-max": 5000}),
     "verify val2": Command(
@@ -586,7 +591,12 @@ COMMANDS = {
     "verify known-factorials": Command(_cmd_verify_known, {}),
     "bound thm12ii": Command(_cmd_bound_thm12ii, {"--l1": int}),
     "bound ineq3": Command(_cmd_bound_ineq3, {"--k": int, "--a2": int, "--m": int}),
-    "abc triple": Command(_cmd_abc_triple, {"--a": int, "--b": int}, lambda args: args.a + args.b),
+    # make_triple reads c = (a + b) / gcd(a, b); a = b = 0 is its usage error
+    "abc triple": Command(
+        _cmd_abc_triple,
+        {"--a": int, "--b": int},
+        lambda args: (args.a + args.b) // (math.gcd(args.a, args.b) or 1),
+    ),
     # j2 < j1 is checked before any read
     "abc proof-triple": Command(
         _cmd_abc_proof_triple, {"--x": int, "--j1": int, "--j2": int}, lambda args: args.x + args.j1
@@ -623,12 +633,11 @@ def _common_flags() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--threads",
-        type=_parse_nonneg_int,
+        type=_parse_int_at_least(0),
         default=0,
         metavar="N",
         help="accepted for compatibility and ignored; the search runs in one process",
     )
-    common.add_argument("--node-budget", type=int, default=10**8, metavar="N")
     return common
 
 
@@ -685,9 +694,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = CommandConfig(
-            args.sieve_limit, args.cache_dir, args.output_format, args.threads, args.node_budget
-        )
+        config = CommandConfig(args.sieve_limit, args.cache_dir, args.threads)
         table = None
         if args.leaf.need is not None:
             # a table sized to the need raises exactly where the full one would:
@@ -699,7 +706,7 @@ def run(argv) -> int:
                 from .core import check_sieve_memory, sieve_primes
                 check_sieve_memory(config.sieve_limit)
                 table = sieve_primes(need)
-        records, code = args.leaf.handler(args, config, table)
+        records, code = args.leaf.handler(args, table)
     except (ValueError, OverflowError) as exc:
         # SieveRangeError and NotASolutionError are ValueErrors
         print(f"dflab: {exc}", file=sys.stderr)
@@ -710,7 +717,7 @@ def run(argv) -> int:
             raise
         print(f"dflab: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    _emit(records, config.output_format)
+    _emit(records, args.output_format)
     return code
 
 

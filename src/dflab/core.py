@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 _UINT32_MAX = 2**32 - 1
-# sieve_primes and search refuse (ResourceLimitError) a table larger than this
+# check_sieve_memory and smooth_runs refuse (ResourceLimitError) a charge above this
 MAX_TABLE_BYTES = 2**30
 # Bytes per entry the memory guard charges a sieve: 4 for the uint32 spf
 # table and the rest headroom.  Building a table peaks at about 6 bytes per

@@ -243,28 +243,12 @@ def classify(instance: EquationInstance, table: PrimeTable) -> SolutionRecord:
     return SolutionRecord(instance, "nontrivial", f"parity signature r = {r} > 1", dec)
 
 
-def _guard_generated_n(log_n: float, max_n: int):
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    if log_n > math.log(max_n) + 0.5:
-        raise OverflowError(f"generated n would exceed the configured bound {max_n}")
-
-
 def generate_trivial_even(evens, *, max_n: int = DEFAULT_MAX_GENERATED_N) -> EquationInstance:
     """Trivial family with every part even: n = prod(evens!!), parts = evens + (n-2,)."""
-    evens = tuple(sorted((int(e) for e in evens), reverse=True))
+    evens = tuple(evens)
     if not evens:
         raise ValueError("need at least one even value")
-    for e in evens:
-        if e < 4 or e % 2:
-            raise ValueError(f"values must be even and >= 4, got {e}")
-    _guard_generated_n(sum(log_double_factorial(e) for e in evens), max_n)
-    n = 1
-    for e in evens:
-        n *= double_factorial(e)
-    if n > max_n:
-        raise OverflowError(f"generated n = {n} exceeds the configured bound {max_n}")
-    return EquationInstance(n, evens + (n - 2,))
+    return _trivial_instance(0, evens, max_n)
 
 
 def generate_trivial_odd(
@@ -277,19 +261,26 @@ def generate_trivial_odd(
     """
     if a1 < 5 or a1 % 2 == 0:
         raise ValueError(f"a1 must be odd and >= 5, got {a1}")
+    return _trivial_instance(a1, evens, max_n)
+
+
+def _trivial_instance(a1: int, evens, max_n: int) -> EquationInstance:
+    """The instance n = a1! * prod(evens!!) of either family (a1 = 0: no odd part), n <= max_n.
+
+    n's log is checked first, so an n far past max_n is refused before it is built.
+    """
     evens = tuple(sorted((int(e) for e in evens), reverse=True))
     for e in evens:
         if e < 4 or e % 2:
             raise ValueError(f"values must be even and >= 4, got {e}")
-    _guard_generated_n(
-        math.lgamma(a1 + 1) + sum(log_double_factorial(e) for e in evens), max_n
-    )
-    n = math.factorial(a1)
-    for e in evens:
-        n *= double_factorial(e)
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    if math.lgamma(a1 + 1) + sum(log_double_factorial(e) for e in evens) > math.log(max_n) + 0.5:
+        raise OverflowError(f"generated n would exceed the configured bound {max_n}")
+    n = math.factorial(a1) * math.prod(double_factorial(e) for e in evens)
     if n > max_n:
         raise OverflowError(f"generated n = {n} exceeds the configured bound {max_n}")
-    return EquationInstance(n, (a1, a1 - 1) + evens + (n - 2,))
+    return EquationInstance(n, ((a1, a1 - 1) if a1 else ()) + evens + (n - 2,))
 
 
 class _NodeBudget:

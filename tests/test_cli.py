@@ -25,6 +25,7 @@ from dflab.cli import (
     run,
 )
 from oracles import block_lpf_violators, df_direct, spf_direct, trial_factor
+from test_golden import CASES as GOLDEN_CASES
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -126,8 +127,9 @@ def test_classify_and_generate(tmp_path, capsys):
     )
     assert code == 0
     assert parse_jsonl(out)[0]["payload"]["classification"] == "trivial-odd"
+    # an n at --sieve-limit is generated; one past it is refused (GENERATE_ERRORS)
     code, out, _ = run_inproc(
-        ["generate", "trivial-even", "--evens", "6,4", "--sieve-limit", "500"],
+        ["generate", "trivial-even", "--evens", "6,4", "--sieve-limit", "384"],
         tmp_path,
         capsys,
     )
@@ -136,14 +138,26 @@ def test_classify_and_generate(tmp_path, capsys):
     assert payload["n"] == 384 and payload["a"] == [382, 6, 4]
 
 
+# argv and the end of its stderr
 GENERATE_ERRORS = [
-    (["generate", "trivial-even", "--evens", "6", "--max-n", "0"], "max_n must be >= 1, got 0"),
-    (["generate", "trivial-odd", "--a1", "5", "--max-n", "-3"], "max_n must be >= 1, got -3"),
     # the generator runs for the need, before the memory guard
     (
         ["generate", "trivial-even", "--evens", "5", "--sieve-limit", str(10**12)],
-        "values must be even and >= 4, got 5",
+        "dflab: values must be even and >= 4, got 5",
     ),
+    # an n past --sieve-limit, which no table of the limit could classify:
+    # n = 117964800 at the default limit, refused by its log, and n = 960
+    (
+        ["generate", "trivial-even", "--evens", "10,10,4"],
+        "dflab: generated n would exceed the configured bound 1000000",
+    ),
+    (
+        ["generate", "trivial-odd", "--a1", "5", "--evens", "4", "--sieve-limit", "959"],
+        "dflab: generated n = 960 exceeds the configured bound 959",
+    ),
+    # --sieve-limit bounds n, and --max-n is gone
+    (["generate", "trivial-odd", "--a1", "5", "--max-n", "5"], "unrecognized arguments: --max-n 5"),
+    (["generate", "trivial-even", "--evens", "6", "--max-n", "5"], "unrecognized arguments: --max-n 5"),
 ]
 
 
@@ -152,7 +166,8 @@ GENERATE_ERRORS = [
 )
 def test_generate_argument_errors_exit_2_before_any_table(argv, message, tmp_path, capsys):
     code, out, err = run_inproc(argv, tmp_path, capsys)
-    assert (code, out, err) == (2, "", f"dflab: {message}\n")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"{message}\n"), err
     assert not (tmp_path / "cache").exists()
 
 
@@ -366,6 +381,24 @@ def test_verify_lemmas_honour_node_budget(tmp_path, capsys):
         assert code == 3, argv
         assert "node budget" in err
         assert out == ""
+
+
+def test_a_node_budget_below_1_is_refused_before_any_table(tmp_path, capsys):
+    for argv in (["search", "--mode", "r0", "--t-max", "3"], ["verify", "lemma22"], ["verify", "lemma23"]):
+        code, out, err = run_inproc(argv + ["--n-max", "1000000", "--node-budget", "0"], tmp_path, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith("error: argument --node-budget: must be >= 1, got 0\n"), err
+        assert not (tmp_path / "cache").exists()
+
+
+# the leaves that declare no --node-budget: all but the three that search
+# (tests/test_package.py pins which those are)
+@pytest.mark.parametrize("path", [p for p, c in cli.COMMANDS.items() if "--node-budget" not in c.flags])
+def test_leaves_that_run_no_search_refuse_a_node_budget(path, tmp_path, capsys):
+    argv = next(a for a in GOLDEN_CASES.values() if a[: path.count(" ") + 1] == path.split())
+    code, out, err = run_inproc(argv + ["--node-budget", "5"], tmp_path, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --node-budget 5\n"), err
 
 
 def test_search_to_a_million_exits_3_at_its_budget(tmp_path, capsys):
@@ -946,7 +979,8 @@ CACHED_ARGV = [
     ["verify", "lemma23", "--n-max", str(CACHED_NEED), "--node-budget", "1000"],
     ["verify", "dusart", "--y", str(WARM_LIMIT)],
     ["verify", "dusart", "--y-max", str(CACHED_NEED)],
-    ["abc", "triple", "--a", "100000", "--b", str(WARM_LIMIT - 100000)],
+    # coprime, so that c = a + b; 100000 + 163144 has gcd 8 and c = 32893
+    ["abc", "triple", "--a", "100001", "--b", str(WARM_LIMIT - 100001)],
     ["abc", "proof-triple", "--x", str(WARM_LIMIT - 7), "--j1", "7", "--j2", "3"],
     ["abc", "scan", "--x", str(WARM_LIMIT - 19), "--k", "20"],
     ["block", "analyze", "--x", str(WARM_LIMIT - 9), "--k", "10"],
@@ -1014,6 +1048,18 @@ def test_small_needs_on_an_empty_cache_sieve_in_memory(argv, tmp_path):
     assert res.stdout == run_on_full_table(argv + ["--cache-dir", str(tmp_path / "full")])[1]
     assert res.stderr == "False\n"
     assert not cache.exists()
+
+
+def test_abc_triple_reads_only_up_to_its_normalized_c(tmp_path, capsys):
+    # a + b = 1.2 * 10^6, past the default limit, but make_triple reads only
+    # c = (a + b) / gcd(a, b) = 2, which is sieved in memory
+    code, out, err = run_inproc(["abc", "triple", "--a", "600000", "--b", "600000"], tmp_path, capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"kind":"triple","payload":{"a":1,"b":1,"c":2,"explicit_margin":0.5198603854199589,'
+        '"explicit_ok":true,"quality":1.0,"rad":2},"schema_version":1}\n'
+    )
+    assert not (tmp_path / "cache").exists()
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 from array import array
+from bisect import bisect_left
 from itertools import chain
 
 import pytest
@@ -302,6 +303,27 @@ def test_count_primes_on_a_big_endian_host(monkeypatch):
     monkeypatch.setattr(sys, "byteorder", "big")
     got = [core._count_primes(memoryview(swapped), lo, hi) for lo, hi in _prime_count_ranges(70_000)]
     assert got == want
+
+
+def test_primes_between_on_a_big_endian_host(spf_1e6, monkeypatch):
+    # as for _count_primes, a byte-swapped table under "big" reads as a
+    # big-endian host's own.  Below 2^16 the stream compares whole entries,
+    # which a swapped table cannot pass off as native, so every range starts
+    # at 2^16 or above.
+    limit = 300_000
+    primes = [m for m in range(1 << 16, limit + 1) if spf_1e6[m] == m]
+    ranges = [(1 << 16, 1 << 16), (1 << 16, (1 << 16) + 2), ((1 << 16) + 1, 66_000)]
+    ranges += [(65_537, 65_538), (65_538, 65_539), (1 << 16, limit + 1), (299_000, limit + 1)]
+    rng = random.Random(11)
+    for _ in range(48):
+        lo = rng.randint(1 << 16, limit)
+        ranges.append((lo, rng.randint(lo, min(limit + 1, lo + rng.choice((10, 300, 20_000, limit))))))
+    swapped = array("I", core.sieve_primes(limit).spf)
+    swapped.byteswap()
+    monkeypatch.setattr(sys, "byteorder", "big")
+    for lo, hi in ranges:
+        got = list(core._primes_between(memoryview(swapped), lo, hi))
+        assert got == primes[bisect_left(primes, lo) : bisect_left(primes, hi)], (lo, hi)
 
 
 def test_count_primes_above_2_24(spf_1e6):

@@ -159,6 +159,11 @@ def test_generator_validation_and_overflow():
         generate_trivial_even([40, 40], max_n=10**6)
     with pytest.raises(OverflowError):
         generate_trivial_odd(15, max_n=10**6)
+    # the CLI passes --sieve-limit, which is at least 2; a library caller may pass less
+    with pytest.raises(ValueError, match=r"^max_n must be >= 1, got 0$"):
+        generate_trivial_even([6], max_n=0)
+    with pytest.raises(ValueError, match=r"^max_n must be >= 1, got -3$"):
+        generate_trivial_odd(5, max_n=-3)
 
 
 def test_generated_instances_classify_to_their_family(table_big):

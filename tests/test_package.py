@@ -1,8 +1,11 @@
 """The package resolves its public names lazily and commands load only what they use."""
 
 import ast
+import contextlib
 import importlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,6 +103,33 @@ def test_every_public_function_is_run_by_a_command(tmp_path):
         sys.setprofile(None)
     never = {label for code, label in functions.items() if code not in called}
     assert never == set(NOT_RUN_BY_A_COMMAND)
+
+
+# the leaves that run the search, and so read --node-budget
+SEARCHING = {"search", "verify lemma22", "verify lemma23"}
+# the leaves with no need, which read no table
+NO_TABLE = {path for path, command in cli.COMMANDS.items() if command.need is None}
+# the flags a leaf accepts but does not read: each flag, the leaves, and why it stays
+ACCEPTED_NOT_READ = {
+    "--threads": (set(cli.COMMANDS), "ROADMAP items 6 and 9 decide it; the bench records what 0 resolves to"),
+    "--sieve-limit": (NO_TABLE, "the bench's cli-short set-up runs verify known-factorials with it"),
+    "--cache-dir": (NO_TABLE, "goes with --sieve-limit once the bench set-up no longer passes that"),
+}
+
+
+def test_each_leaf_accepts_the_flags_it_reads_and_the_allowed_rest():
+    for path, command in cli.COMMANDS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(path.split() + ["--help"]) == 0
+        accepted = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", out.getvalue())) - {"--help"}
+        own = {flag for key in command.flags for flag in (key if isinstance(key, tuple) else (key,))}
+        table = set() if path in NO_TABLE else {"--sieve-limit", "--cache-dir"}
+        unread = accepted - own - table - {"--format"}
+        assert unread == {flag for flag, (leaves, _) in ACCEPTED_NOT_READ.items() if path in leaves}, path
+        assert own | table <= accepted, path
+        assert ("--node-budget" in accepted) == (path in SEARCHING), path
+        assert "--max-n" not in accepted, path
 
 
 def test_unknown_attribute_raises_attribute_error():
