@@ -249,7 +249,7 @@ def composite_block_geometry_scan(k_max: int, table: PrimeTable) -> BoundCheckRe
     exactly.  Counterexamples are ordered by k, then x.
     """
     if k_max < 3:
-        raise ValueError(f"empty scan: no block with 2 <= x < k <= {k_max}")
+        raise ValueError(f"empty scan: k_max must be >= 3 for any block 2 <= x < k, got {k_max}")
     hi = 2 * k_max - 2
     if hi > table.limit:
         raise SieveRangeError(f"block end {hi} exceeds sieve limit {table.limit}")

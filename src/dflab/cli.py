@@ -11,7 +11,9 @@ each, its flags, its handler, and its need: the largest sieve index it
 reads, as a function of its arguments.  Every leaf also takes --sieve-limit,
 --cache-dir, --format and --threads; --node-budget is a flag of the three
 that search.  A generate leaf's n is at most --sieve-limit, so an n past it
-exits before any table is read.  A command builds the parser of its
+exits before any table is read.  A flag a leaf does not take is its own
+parser's usage error, and a value outside the library's domain is the
+library's; no handler checks either.  A command builds the parser of its
 own leaf only (every leaf when argv names none, as for --help).  A command
 with no need loads no cache and builds none: bound thm12ii, bound ineq3,
 verify known-factorials and verify val2 evaluate closed forms, and verify
@@ -324,14 +326,7 @@ def _emit_human(records, out):
             out.write(f"scan_summary {body}\n")
 
 
-def _emit(records, fmt, out=None):
-    out = out or sys.stdout
-    if fmt == "jsonl":
-        _emit_jsonl(records, out)
-    elif fmt == "csv":
-        _emit_csv(records, out)
-    else:
-        _emit_human(records, out)
+_EMIT = {"jsonl": _emit_jsonl, "csv": _emit_csv, "human": _emit_human}
 
 
 def _parse_int_list(text: str) -> list:
@@ -385,9 +380,15 @@ def _cmd_search(args, table):
     return _solution_records(_search(args, table, args.mode)), EXIT_OK
 
 
+def _candidate(args):
+    """The candidate classify checks, from --n and --a."""
+    from .equation import EquationInstance
+    return EquationInstance(args.n, tuple(args.a))
+
+
 def _cmd_classify(args, table):
-    from .equation import EquationInstance, classify
-    return _solution_records([classify(EquationInstance(args.n, tuple(args.a)), table)]), EXIT_OK
+    from .equation import classify
+    return _solution_records([classify(_candidate(args), table)]), EXIT_OK
 
 
 def _generated(args):
@@ -403,12 +404,6 @@ def _cmd_generate(args, table):
     return _solution_records([classify(_generated(args), table)]), EXIT_OK
 
 
-def _require_at_least(flag, value, least):
-    """Usage error unless value >= least, so that a sweep never passes over an empty domain."""
-    if value < least:
-        raise ValueError(f"{flag} must be >= {least}, got {value}")
-
-
 def _cmd_verify_lemma21(args, table):
     from . import bounds
     return _checks(bounds.verify_lemma21(args.nu_max, table))
@@ -416,7 +411,6 @@ def _cmd_verify_lemma21(args, table):
 
 def _cmd_verify_lemma22(args, table):
     from . import bounds
-    _require_at_least("--k-max", args.k_max, 3)
     results = [bounds.composite_block_geometry_scan(args.k_max, table)]
     for rec in _search(args, table, "r0"):
         results.append(bounds.sandwich_check(rec, table))
@@ -441,9 +435,6 @@ def _cmd_verify_thm24(args, table):
 
 def _cmd_verify_val2(args, table):
     from . import bounds
-    _require_at_least("--x-max", args.x_max, 2)
-    _require_at_least("--k-max", args.k_max, 1)
-    _require_at_least("--samples", args.samples, 1)
     return _checks([
         bounds.valuation2_factorial_lower_check(args.m_max),
         bounds.valuation2_block_sweep(args.x_max, args.k_max, args.samples, args.seed),
@@ -452,12 +443,8 @@ def _cmd_verify_val2(args, table):
 
 def _cmd_verify_dusart(args, table):
     from . import bounds
-    from .core import SieveRangeError
     if args.y is not None:
         return _checks([bounds.dusart_check(args.y, table)])
-    _require_at_least("--y-max", args.y_max, bounds.DUSART_MIN_Y)
-    if args.y_max > table.limit:
-        raise SieveRangeError(f"--y-max={args.y_max} exceeds sieve limit {table.limit}")
     return _checks([bounds.dusart_sweep(args.y_max, table)])
 
 
@@ -555,8 +542,10 @@ COMMANDS = {
         {"--mode": ("r0", "r1"), "--n-max": int, "--t-max": int, "--node-budget": _NODE_BUDGET},
         _search_need,
     ),
-    # every part must be below n, which is checked before any read
-    "classify": Command(_cmd_classify, {"--n": int, "--a": _parse_int_list}, lambda args: args.n),
+    # the need builds the candidate, so a malformed one exits before any table is built
+    "classify": Command(
+        _cmd_classify, {"--n": int, "--a": _parse_int_list}, lambda args: _candidate(args).n
+    ),
     # the generator is pure and cheap, so the need runs it to learn n; a bad
     # argument, or an n past --sieve-limit, exits before any table is built
     "generate trivial-even": Command(
@@ -628,9 +617,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--sieve-limit", type=int, default=10**6, metavar="N")
     common.add_argument("--cache-dir", type=Path, default=None, metavar="PATH")
-    common.add_argument(
-        "--format", choices=("jsonl", "csv", "human"), default="jsonl", dest="output_format"
-    )
+    common.add_argument("--format", choices=tuple(_EMIT), default="jsonl", dest="output_format")
     common.add_argument(
         "--threads",
         type=_parse_int_at_least(0),
@@ -684,13 +671,21 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
             continue
         leaf = groups.get(group, top).add_parser(name, parents=[common], help=_HELP.get(path))
         _add_flags(leaf, command.flags)
-        leaf.set_defaults(leaf=command)
+        leaf.set_defaults(leaf=command, usage_error=leaf.error)
     return parser
+
+
+def _parse(parser, argv) -> argparse.Namespace:
+    """parser's namespace for argv; an argument no parser takes is the named leaf's usage error."""
+    args, unrecognized = parser.parse_known_args(argv)
+    if unrecognized:
+        args.usage_error(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return args
 
 
 def run(argv) -> int:
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _parse(build_parser(argv), argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -717,7 +712,7 @@ def run(argv) -> int:
             raise
         print(f"dflab: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    _emit(records, args.output_format)
+    _EMIT[args.output_format](records, sys.stdout)
     return code
 
 

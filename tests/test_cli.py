@@ -171,6 +171,30 @@ def test_generate_argument_errors_exit_2_before_any_table(argv, message, tmp_pat
     assert not (tmp_path / "cache").exists()
 
 
+def test_classify_refuses_a_malformed_candidate_before_any_table(tmp_path, capsys):
+    # n = 10^6 would read the cache, but one part is no candidate
+    code, out, err = run_inproc(["classify", "--n", "1000000", "--a", "5"], tmp_path, capsys)
+    assert (code, out, err) == (2, "", "dflab: need at least two parts (t >= 2)\n")
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["verify", "dusart", "--y", "5000"], ["--node-budget", "5"]),
+        (["bound", "thm12ii", "--l1", "5"], ["--bogus"]),
+        (["search", "--mode", "r1", "--n-max", "50", "--t-max", "3"], ["--nu-max", "5"]),
+    ],
+    ids=["verify-dusart", "bound-thm12ii", "search"],
+)
+def test_an_unrecognized_argument_is_the_leaf_usage_error(argv, extra, tmp_path, capsys):
+    path = next(p for p in cli.COMMANDS if argv[: p.count(" ") + 1] == p.split())
+    code, out, err = run_inproc(argv + extra, tmp_path, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: dflab {path} [-h]"), err
+    assert err.endswith(f"\ndflab {path}: error: unrecognized arguments: {' '.join(extra)}\n"), err
+
+
 def test_verify_lemma22_geometry_and_sandwich(tmp_path, capsys):
     code, out, _ = run_inproc(
         [
@@ -337,20 +361,31 @@ def test_node_budget_exit_code(tmp_path, capsys):
     assert "node budget of 50 candidates; the last fully searched n is 20" in err
 
 
+VAL2_EMPTY = "empty sweep: need x_max >= 2, k_max >= 1 and samples >= 1"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        pytest.param(["verify", "dusart", "--y-max", "100"], "--y-max must be >= 3275", id="dusart"),
+        pytest.param(
+            ["verify", "dusart", "--y-max", "100"],
+            "the interval statement needs y >= 3275, got y_max=100",
+            id="dusart",
+        ),
         pytest.param(["verify", "thm24", "--x-max", "5"], "empty scan: no x with 4k < x <= 5", id="thm24"),
         pytest.param(["verify", "thm24", "--k", "7..2"], "k range '7..2' is empty", id="thm24-k"),
-        pytest.param(["verify", "val2", "--x-max", "1"], "--x-max must be >= 2, got 1", id="val2-x"),
-        pytest.param(["verify", "val2", "--k-max", "0"], "--k-max must be >= 1, got 0", id="val2-k"),
-        pytest.param(["verify", "val2", "--samples", "0"], "--samples must be >= 1, got 0", id="val2-n"),
-        pytest.param(["verify", "lemma22", "--k-max", "2"], "--k-max must be >= 3", id="lemma22"),
+        pytest.param(["verify", "val2", "--x-max", "1"], VAL2_EMPTY, id="val2-x"),
+        pytest.param(["verify", "val2", "--k-max", "0"], VAL2_EMPTY, id="val2-k"),
+        pytest.param(["verify", "val2", "--samples", "0"], VAL2_EMPTY, id="val2-n"),
+        pytest.param(
+            ["verify", "lemma22", "--k-max", "2"],
+            "empty scan: k_max must be >= 3 for any block 2 <= x < k, got 2",
+            id="lemma22",
+        ),
         # beyond the sieve: refused before the sweep
         pytest.param(
             ["verify", "dusart", "--y-max", "6000"],
-            "--y-max=6000 exceeds sieve limit 5000",
+            "y_max=6000 exceeds sieve limit 5000",
             id="dusart-limit",
         ),
     ],

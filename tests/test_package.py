@@ -132,6 +132,24 @@ def test_each_leaf_accepts_the_flags_it_reads_and_the_allowed_rest():
         assert "--max-n" not in accepted, path
 
 
+# the handlers that raise, each with the reason: an argument the leaf does not
+# take is its parser's error and a value out of domain the library's, so a
+# handler that checks either again keeps a second copy of that rule
+HANDLERS_THAT_RAISE = {}
+
+
+def test_no_handler_checks_its_arguments():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    handlers = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    }
+    assert set(handlers) == {command.handler.__name__ for command in cli.COMMANDS.values()}
+    raising = {name for name, node in handlers.items() if any(isinstance(n, ast.Raise) for n in ast.walk(node))}
+    assert raising == set(HANDLERS_THAT_RAISE)
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         dflab.no_such_name

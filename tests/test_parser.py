@@ -62,7 +62,7 @@ def run_case(argv, parse=None) -> dict:
 def test_narrow_parser_reads_as_the_full_one(name, monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     got = run_case(CASES[name])
-    full = run_case(CASES[name], lambda argv: cli.build_parser().parse_args(argv))
+    full = run_case(CASES[name], lambda argv: cli._parse(cli.build_parser(), argv))
     assert got == full
     golden = json.loads(GOLDEN.read_text())
     if golden["python"] == list(sys.version_info[:2]):
