@@ -10,7 +10,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .core import PrimeTable, SieveRangeError, radical
+from .core import PrimeTable, radical, _walk_spf
 from .formulas import ABC_EXPONENT
 
 __all__ = [
@@ -47,8 +47,7 @@ def make_triple(a: int, b: int, table: PrimeTable) -> AbcTriple:
     g = math.gcd(a, b)
     a, b = a // g, b // g
     c = a + b
-    if c > table.limit:
-        raise SieveRangeError(f"c={c} exceeds sieve limit {table.limit}")
+    table.upto(c, f"c={c}")
     rad = radical(a, table) * radical(b, table) * radical(c, table)
     return AbcTriple(
         a=a,
@@ -81,8 +80,7 @@ def proof_triple(x: int, j1: int, j2: int, table: PrimeTable) -> ProofTripleResu
         raise ValueError(f"need j2 >= 0, got {j2}")
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
-    if x + j1 > table.limit:
-        raise SieveRangeError(f"x+j1={x + j1} exceeds sieve limit {table.limit}")
+    table.upto(x + j1, f"x+j1={x + j1}")
     diff = j1 - j2
     d = math.gcd(x + j1, diff)
     triple = make_triple(diff, x + j2, table)
@@ -113,11 +111,9 @@ def scan_block_triples(x: int, k: int, table: PrimeTable) -> ProofTripleResult:
         raise ValueError(f"k must be >= 2, got {k}")
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
-    if x + k - 1 > table.limit:
-        # name the first term past the table, as the first such pair would
-        first = max(x + 1, table.limit + 1)
-        raise SieveRangeError(f"x+j1={first} exceeds sieve limit {table.limit}")
-    rad_of = functools.cache(lambda n: radical(n, table))
+    # past the table, name its first term past it, as the first such pair would
+    spf = table.upto(x + k - 1, f"x+j1={max(x + 1, table.limit + 1)}")
+    rad_of = functools.cache(lambda n: math.prod(_walk_spf(n, spf)))
     best = best_q = None
     for j1 in range(1, k):
         for j2 in range(j1):

@@ -31,7 +31,6 @@ from itertools import chain, compress, islice
 
 from .core import (
     PrimeTable,
-    SieveRangeError,
     analyze_block,
     sieve_primes,
     smooth_runs,
@@ -211,17 +210,16 @@ def verify_lemma21(nu_max: int, table: PrimeTable) -> tuple:
     prefix fold's and only the prime count grows.  Otherwise the fold
     reruns from nu = 2 over the whole range.
     """
-    if nu_max > table.limit:
-        raise SieveRangeError(f"nu_max={nu_max} exceeds sieve limit {table.limit}")
     if nu_max < 2:
         raise ValueError("nu_max must be at least 2")
+    spf = table.upto(nu_max, f"nu_max={nu_max}")
     coeff = THETA_COEFF
-    fold = _prime_sum_fold(table.spf, min(nu_max, _LEMMA21_PREFIX), coeff)
+    fold = _prime_sum_fold(spf, min(nu_max, _LEMMA21_PREFIX), coeff)
     count, top = fold.count, _LEMMA21_PREFIX
-    for top, r, _, _ in _lemma21_blocks(table.spf, nu_max, coeff, fold):
+    for top, r, _, _ in _lemma21_blocks(spf, nu_max, coeff, fold):
         count += r
     if top < nu_max:  # a block could not be skipped
-        fold = _prime_sum_fold(table.spf, nu_max, coeff)
+        fold = _prime_sum_fold(spf, nu_max, coeff)
         count = fold.count
 
     def result(name, bad, margin):
@@ -251,9 +249,7 @@ def composite_block_geometry_scan(k_max: int, table: PrimeTable) -> BoundCheckRe
     if k_max < 3:
         raise ValueError(f"empty scan: k_max must be >= 3 for any block 2 <= x < k, got {k_max}")
     hi = 2 * k_max - 2
-    if hi > table.limit:
-        raise SieveRangeError(f"block end {hi} exceeds sieve limit {table.limit}")
-    spf = table.spf
+    spf = table.upto(hi, f"block end {hi}")
     nxt = hi + 1  # no prime found yet: every block ends before it
     bad = []
     for x in range(hi, 1, -1):
@@ -513,8 +509,7 @@ def valuation2_block_bound_check(x: int, k: int, table: PrimeTable) -> BoundChec
         raise ValueError(f"block start must be >= 2, got {x}")
     if k < 1:
         raise ValueError(f"block length must be >= 1, got {k}")
-    if x + k - 1 > table.limit:
-        raise SieveRangeError(f"block end {x + k - 1} exceeds sieve limit {table.limit}")
+    table.upto(x + k - 1, f"block end {x + k - 1}")
     val2, bound, slack = _val2_block_slack(x, k)
     return BoundCheckResult(
         name="block_power_of_two_upper",
@@ -610,10 +605,8 @@ def dusart_check(y: int, table: PrimeTable) -> BoundCheckResult:
     """
     if y < DUSART_MIN_Y:
         raise ValueError(f"the interval statement needs y >= {DUSART_MIN_Y}, got {y}")
-    if y > table.limit:
-        raise SieveRangeError(f"y={y} exceeds sieve limit {table.limit}")
+    spf = table.upto(y, f"y={y}")
     lo_used, lo_literal = _dusart_lo_used(y), _dusart_lo_literal(y)
-    spf = table.spf
     # the largest prime below y, walking down the spf table
     witness = next(v for v in range(y - 1, 1, -1) if spf[v] == v)
     return BoundCheckResult(
@@ -648,9 +641,7 @@ def dusart_sweep(y_max: int, table: PrimeTable) -> BoundCheckResult:
     """
     if y_max < DUSART_MIN_Y:
         raise ValueError(f"the interval statement needs y >= {DUSART_MIN_Y}, got y_max={y_max}")
-    if y_max > table.limit:
-        raise SieveRangeError(f"y_max={y_max} exceeds sieve limit {table.limit}")
-    spf = table.spf
+    spf = table.upto(y_max, f"y_max={y_max}")
     # the witness of DUSART_MIN_Y, the largest prime below it
     w = next(v for v in range(DUSART_MIN_Y - 1, 1, -1) if spf[v] == v)
     worst = math.inf

@@ -7,18 +7,18 @@ csv or human on request) and diagnostics to stderr.  Exit codes: 0 ok,
 done, in a deterministic order.
 
 The leaf commands are declared once, in COMMANDS: the words that name
-each, its flags, its handler, and its need: the largest sieve index it
-reads, as a function of its arguments.  Every leaf also takes --sieve-limit,
+each, its flags and its handler.  Every leaf also takes --sieve-limit,
 --cache-dir, --format and --threads; --node-budget is a flag of the three
 that search.  A generate leaf's n is at most --sieve-limit, so an n past it
 exits before any table is read.  A flag a leaf does not take is its own
 parser's usage error, and a value outside the library's domain is the
 library's; no handler checks either.  A command builds the parser of its
 own leaf only (every leaf when argv names none, as for --help).  A command
-with no need loads no cache and builds none: bound thm12ii, bound ineq3,
-verify known-factorials and verify val2 evaluate closed forms, and verify
-thm24 builds the runs of smooth integers it scans.  Every command imports
-only the library modules it calls, when it runs.
+that never asks for the table loads no cache and builds none: bound
+thm12ii, bound ineq3, verify known-factorials and verify val2 evaluate
+closed forms, and verify thm24 builds the runs of smooth integers it
+scans.  Every command imports only the library modules it calls, when it
+runs.
 
 A table is one read-only memoryview of native uint32 entries: over the
 checked cache bytes, with no copy on a little-endian host, or over a
@@ -31,11 +31,14 @@ payload, 12 zero bytes) followed by the smallest-prime-factor array as
 little-endian uint32 entries for indices 0..limit (entries 0 and 1 are
 zero).  All integers are little-endian.
 
-A command that reads the sieve with --sieve-limit N gets a table whose
-limit is exactly its need, capped at N and at least 2.  Every read lies
-within the need, and a need past N leaves the table at N, so a command
-raises or exits exactly where a table of N would.  A need up to
-_IN_MEMORY_MAX is sieved in memory: no cache is read or written.  A
+A command gets the table of --sieve-limit N on demand (_TableOnDemand).
+The library names the largest index each function reads, after checking
+that function's arguments, by asking upto(hi); the first such call builds
+the table to exactly that need, capped at N and at least 2, and a later
+call that reads further builds it again.  A need past N leaves the table
+at N, so a command raises or exits exactly where a table of N would, and
+one whose arguments are refused exits before any table is built.  A need
+up to _IN_MEMORY_MAX is sieved in memory: no cache is read or written.  A
 larger need is read from the cache: entries 0..need into the table, then
 the rest of the file in small pieces, so that every byte is checked
 against the header CRC while memory stays at the need.  A damaged header,
@@ -230,6 +233,31 @@ def load_or_build_sieve(config: CommandConfig, need: int | None = None) -> Prime
     return PrimeTable(need, table.spf[: need + 1])
 
 
+class _TableOnDemand:
+    """The table of --sieve-limit, built or loaded by its first upto and again only for a further read.
+
+    upto(hi) hands off to a PrimeTable of exactly max(2, min(hi, limit)),
+    sieved in memory up to _IN_MEMORY_MAX and loaded from the cache above it,
+    so a read past the limit raises where a table of the limit would.
+    """
+
+    def __init__(self, config: CommandConfig):
+        self.config = config
+        self.limit = config.sieve_limit
+        self.table = None
+
+    def upto(self, hi: int, what: str | None = None):
+        if self.table is None or self.table.limit < min(hi, self.limit):
+            need = max(2, min(hi, self.limit))
+            if need > _IN_MEMORY_MAX:
+                self.table = load_or_build_sieve(self.config, need)
+            else:
+                from .core import check_sieve_memory, sieve_primes
+                check_sieve_memory(self.limit)
+                self.table = sieve_primes(need)
+        return self.table.upto(hi, what)
+
+
 def _jsonable(obj):
     """A payload as JSON values: payloads hold only plain Python values, and
     a non-finite float becomes its repr ("inf")."""
@@ -380,28 +408,19 @@ def _cmd_search(args, table):
     return _solution_records(_search(args, table, args.mode)), EXIT_OK
 
 
-def _candidate(args):
-    """The candidate classify checks, from --n and --a."""
-    from .equation import EquationInstance
-    return EquationInstance(args.n, tuple(args.a))
-
-
 def _cmd_classify(args, table):
-    from .equation import classify
-    return _solution_records([classify(_candidate(args), table)]), EXIT_OK
-
-
-def _generated(args):
-    """The instance a generate leaf builds, n <= --sieve-limit: trivial-odd's when args has a1."""
-    from .equation import generate_trivial_even, generate_trivial_odd
-    if "a1" in args:
-        return generate_trivial_odd(args.a1, args.evens, max_n=args.sieve_limit)
-    return generate_trivial_even(args.evens, max_n=args.sieve_limit)
+    from .equation import EquationInstance, classify
+    return _solution_records([classify(EquationInstance(args.n, tuple(args.a)), table)]), EXIT_OK
 
 
 def _cmd_generate(args, table):
-    from .equation import classify
-    return _solution_records([classify(_generated(args), table)]), EXIT_OK
+    """Classify the instance generated, n <= --sieve-limit: trivial-odd's when args has a1."""
+    from .equation import classify, generate_trivial_even, generate_trivial_odd
+    if "a1" in args:
+        instance = generate_trivial_odd(args.a1, args.evens, max_n=args.sieve_limit)
+    else:
+        instance = generate_trivial_even(args.evens, max_n=args.sieve_limit)
+    return _solution_records([classify(instance, table)]), EXIT_OK
 
 
 def _cmd_verify_lemma21(args, table):
@@ -514,15 +533,7 @@ def _cmd_gap_witness(args, table):
 # ----------------------------------------------------------------------
 # The command table.
 
-Command = collections.namedtuple("Command", "handler flags need", defaults=(None,))
-
-
-def _block_end(args) -> int:
-    return args.x + args.k - 1
-
-
-def _search_need(args) -> int:
-    return args.n_max
+Command = collections.namedtuple("Command", "handler flags")
 
 
 # --node-budget, refused below 1 before any table is built; its default is
@@ -533,70 +544,40 @@ _NODE_BUDGET = (_parse_int_at_least(1), 10**8)
 # Leaf commands by the words that name them.  A flag maps to its type when it
 # is required, to its default when it is optional (an int, or (type, default)
 # with the default parsed by the type), or to the tuple of its choices; a
-# tuple of flags is a required choice of exactly one of them.  need maps the
-# parsed args to the largest table index the command reads; a closed form
-# has none and reads no table.
+# tuple of flags is a required choice of exactly one of them.  How much of
+# the table a leaf reads is the library's to say, through upto.
 COMMANDS = {
     "search": Command(
         _cmd_search,
         {"--mode": ("r0", "r1"), "--n-max": int, "--t-max": int, "--node-budget": _NODE_BUDGET},
-        _search_need,
     ),
-    # the need builds the candidate, so a malformed one exits before any table is built
-    "classify": Command(
-        _cmd_classify, {"--n": int, "--a": _parse_int_list}, lambda args: _candidate(args).n
-    ),
-    # the generator is pure and cheap, so the need runs it to learn n; a bad
-    # argument, or an n past --sieve-limit, exits before any table is built
-    "generate trivial-even": Command(
-        _cmd_generate, {"--evens": _parse_int_list}, lambda args: _generated(args).n
-    ),
-    "generate trivial-odd": Command(
-        _cmd_generate, {"--a1": int, "--evens": (_parse_int_list, "")}, lambda args: _generated(args).n
-    ),
-    "verify lemma21": Command(_cmd_verify_lemma21, {"--nu-max": 10**6}, lambda args: args.nu_max),
-    # the geometry scan reads up to 2*k_max - 2; the sandwich checks stay within n
+    "classify": Command(_cmd_classify, {"--n": int, "--a": _parse_int_list}),
+    "generate trivial-even": Command(_cmd_generate, {"--evens": _parse_int_list}),
+    "generate trivial-odd": Command(_cmd_generate, {"--a1": int, "--evens": (_parse_int_list, "")}),
+    "verify lemma21": Command(_cmd_verify_lemma21, {"--nu-max": 10**6}),
     "verify lemma22": Command(
         _cmd_verify_lemma22,
         {"--k-max": 50, "--n-max": 400, "--t-max": 3, "--node-budget": _NODE_BUDGET},
-        lambda args: max(2 * args.k_max - 2, args.n_max),
     ),
     "verify lemma23": Command(
-        _cmd_verify_lemma23,
-        {"--n-max": 400, "--t-max": 3, "--node-budget": _NODE_BUDGET},
-        _search_need,
+        _cmd_verify_lemma23, {"--n-max": 400, "--t-max": 3, "--node-budget": _NODE_BUDGET}
     ),
-    # builds its own runs of smooth integers and reads no table
     "verify thm24": Command(_cmd_verify_thm24, {"--k": (_parse_k_range, "2..7"), "--x-max": 5000}),
     "verify val2": Command(
         _cmd_verify_val2,
         {"--m-max": 10**6, "--x-max": 10**4, "--k-max": 50, "--samples": 10**4, "--seed": 0},
     ),
-    "verify dusart": Command(
-        _cmd_verify_dusart,
-        {("--y", "--y-max"): int},
-        lambda args: args.y_max if args.y is None else args.y,
-    ),
+    "verify dusart": Command(_cmd_verify_dusart, {("--y", "--y-max"): int}),
     "verify known-factorials": Command(_cmd_verify_known, {}),
     "bound thm12ii": Command(_cmd_bound_thm12ii, {"--l1": int}),
     "bound ineq3": Command(_cmd_bound_ineq3, {"--k": int, "--a2": int, "--m": int}),
-    # make_triple reads c = (a + b) / gcd(a, b); a = b = 0 is its usage error
-    "abc triple": Command(
-        _cmd_abc_triple,
-        {"--a": int, "--b": int},
-        lambda args: (args.a + args.b) // (math.gcd(args.a, args.b) or 1),
-    ),
-    # j2 < j1 is checked before any read
-    "abc proof-triple": Command(
-        _cmd_abc_proof_triple, {"--x": int, "--j1": int, "--j2": int}, lambda args: args.x + args.j1
-    ),
-    "abc scan": Command(_cmd_abc_scan, {"--x": int, "--k": int}, _block_end),
-    "block analyze": Command(_cmd_block_analyze, {"--x": int, "--k": int}, _block_end),
-    "ratio erdos-graham": Command(_cmd_ratio_erdos_graham, {"--n": int}, lambda args: args.n + 1),
-    "ratio erdos-block": Command(_cmd_ratio_erdos_block, {"--x": int, "--k": int}, _block_end),
-    "gap-witness": Command(
-        _cmd_gap_witness, {"--n": int, "--l": int}, lambda args: max(args.n, args.n - args.l)
-    ),
+    "abc triple": Command(_cmd_abc_triple, {"--a": int, "--b": int}),
+    "abc proof-triple": Command(_cmd_abc_proof_triple, {"--x": int, "--j1": int, "--j2": int}),
+    "abc scan": Command(_cmd_abc_scan, {"--x": int, "--k": int}),
+    "block analyze": Command(_cmd_block_analyze, {"--x": int, "--k": int}),
+    "ratio erdos-graham": Command(_cmd_ratio_erdos_graham, {"--n": int}),
+    "ratio erdos-block": Command(_cmd_ratio_erdos_block, {"--x": int, "--k": int}),
+    "gap-witness": Command(_cmd_gap_witness, {"--n": int, "--l": int}),
 }
 
 _HELP = {
@@ -689,18 +670,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = CommandConfig(args.sieve_limit, args.cache_dir, args.threads)
-        table = None
-        if args.leaf.need is not None:
-            # a table sized to the need raises exactly where the full one would:
-            # past the limit the need is the limit
-            need = max(2, min(args.leaf.need(args), config.sieve_limit))
-            if need > _IN_MEMORY_MAX:
-                table = load_or_build_sieve(config, need)
-            else:
-                from .core import check_sieve_memory, sieve_primes
-                check_sieve_memory(config.sieve_limit)
-                table = sieve_primes(need)
+        table = _TableOnDemand(CommandConfig(args.sieve_limit, args.cache_dir, args.threads))
         records, code = args.leaf.handler(args, table)
     except (ValueError, OverflowError) as exc:
         # SieveRangeError and NotASolutionError are ValueErrors

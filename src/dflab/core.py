@@ -89,7 +89,9 @@ class PrimeTable:
     ``spf[i]`` is the least prime dividing i (``spf[0] == spf[1] == 0``).
     For composite c the entry is a prime <= sqrt(c); for prime p it is p
     itself.  spf is a read-only memoryview of native uint32 entries (format
-    "I"), taken without a copy from the buffer given.
+    "I"), taken without a copy from the buffer given.  The library reads it
+    through upto(hi), which names the largest index the caller will read and
+    is the one place a read past the table raises SieveRangeError.
     """
 
     __slots__ = ("limit", "spf")
@@ -105,12 +107,16 @@ class PrimeTable:
         self.limit = int(limit)
         self.spf = spf.toreadonly()
 
+    def upto(self, hi: int, what: str | None = None):
+        """spf, whose entries 0..hi the caller reads; past the limit, SieveRangeError naming what (or hi)."""
+        if hi > self.limit:
+            raise SieveRangeError(f"{what or hi} exceeds sieve limit {self.limit}")
+        return self.spf
+
     def is_prime(self, n: int) -> bool:
         if n < 2:
             return False
-        if n > self.limit:
-            raise SieveRangeError(f"{n} exceeds sieve limit {self.limit}")
-        return self.spf[n] == n
+        return self.upto(n)[n] == n
 
     def __repr__(self):
         return f"PrimeTable(limit={self.limit})"
@@ -211,9 +217,7 @@ def factorize(n: int, table: PrimeTable) -> dict:
     """Prime -> exponent map of 1 <= n <= table.limit, primes ascending; {} for 1."""
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
-    if n > table.limit:
-        raise SieveRangeError(f"{n} exceeds sieve limit {table.limit}")
-    return _walk_spf(n, table.spf)
+    return _walk_spf(n, table.upto(n))
 
 
 def largest_prime_factor(n: int, table: PrimeTable) -> int:
@@ -284,9 +288,7 @@ def analyze_block(x: int, k: int, table: PrimeTable) -> BlockReport:
     if k < 1:
         raise ValueError(f"block length must be >= 1, got {k}")
     hi = x + k - 1
-    if hi > table.limit:
-        raise SieveRangeError(f"block end {hi} exceeds sieve limit {table.limit}")
-    spf = table.spf
+    spf = table.upto(hi, f"block end {hi}")
     lpf = 1
     val2 = 0
     all_composite = True
@@ -320,8 +322,7 @@ def erdos_graham_ratio(n: int, table: PrimeTable) -> float:
     """P(n(n+1)) / log(n), the growth statistic for consecutive pairs."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if n + 1 > table.limit:
-        raise SieveRangeError(f"n+1={n + 1} exceeds sieve limit {table.limit}")
+    table.upto(n + 1, f"n+1={n + 1}")
     return max(largest_prime_factor(n, table), largest_prime_factor(n + 1, table)) / math.log(n)
 
 
@@ -339,11 +340,8 @@ def odd_gap_obstruction(n: int, l: int, table: PrimeTable) -> int | None:
         raise ValueError(f"n - l = {a1} must be odd")
     if a1 < 3:
         raise ValueError(f"n - l = {a1} must be >= 3")
-    if n > table.limit:
-        raise SieveRangeError(f"n={n} exceeds sieve limit {table.limit}")
-    if a1 > table.limit:  # l < 0
-        raise SieveRangeError(f"n - l = {a1} exceeds sieve limit {table.limit}")
-    spf = table.spf
+    # a1 > n when l < 0; a read past the limit names n when n is past it
+    spf = table.upto(max(n, a1), f"n={n}" if n > table.limit else f"n - l = {a1}")
     for v in range(a1, n // 2, -2):  # odd v, downward: the first prime is the largest
         if spf[v] == v:
             return v

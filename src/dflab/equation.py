@@ -33,7 +33,6 @@ from collections import namedtuple
 from .core import (
     PrimeTable,
     ResourceLimitError,
-    SieveRangeError,
     double_factorial,
     factorial_valuation,
     log_double_factorial,
@@ -144,8 +143,7 @@ def check_identity(instance: EquationInstance, table: PrimeTable) -> bool:
     table.  Neither product is ever formed.
     """
     n = instance.n
-    if n > table.limit:
-        raise SieveRangeError(f"n={n} exceeds sieve limit {table.limit}")
+    spf = table.upto(n, f"n={n}")
     others = list(instance.a)
     top = next((v for v in others if v % 2 == n % 2), n % 2)
     if top > 1:
@@ -162,7 +160,6 @@ def check_identity(instance: EquationInstance, table: PrimeTable) -> bool:
     gap = log_n - log_double_factorial(top) - math.fsum(map(log_double_factorial, others))
     if abs(gap) > _LOG_RTOL * (1.0 + log_n):
         return False
-    spf = table.spf
     owed = {}  # prime -> its exponent in the n side minus that in the parts side
     terms = [(range(top + 2, n + 1, 2), 1)] + [(range(v, 1, -2), -1) for v in others]
     for ms, sign in terms:
@@ -522,13 +519,12 @@ def search(
     """
     if mode not in ("r0", "r1"):
         raise ValueError(f"mode must be 'r0' or 'r1', got {mode!r}")
-    if n_max > table.limit:
-        raise SieveRangeError(f"n_max={n_max} exceeds sieve limit {table.limit}")
     min_t = 2 if mode == "r0" else 3
     if t_max < min_t:
         raise ValueError(f"mode {mode} needs t_max >= {min_t}, got {t_max}")
     if node_budget < 1:
         raise ValueError("node budget must be positive")
+    spf = table.upto(n_max, f"n_max={n_max}")
     budget = _NodeBudget(node_budget)
     # log m!! by parity, grown with n: logs[0][i] = log (2i)!!, logs[1][i] = log (2i+1)!!
     logs = (array("d", [0.0, log_double_factorial(2)]), array("d", [0.0]))
@@ -536,7 +532,7 @@ def search(
     for n in range(4, n_max + 1, 2):
         logs[0].append(log_double_factorial(n))
         logs[1].append(log_double_factorial(n - 1))
-        found = _Cover(n, t_max, mode == "r1", table.spf, budget, logs).run()
+        found = _Cover(n, t_max, mode == "r1", spf, budget, logs).run()
         hits += [(n, parts) for parts in sorted(found)]
         budget.done = n
     return [classify(EquationInstance(n, parts), table) for n, parts in hits]

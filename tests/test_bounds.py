@@ -3,7 +3,7 @@ import math
 import random
 import time
 import tracemalloc
-from types import SimpleNamespace
+from array import array
 
 import pytest
 
@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dflab import (
     EquationInstance,
+    PrimeTable,
     SieveRangeError,
     analyze_block,
     classify,
@@ -217,7 +218,7 @@ def test_geometry_scan_reports_every_prime_free_block(table_small):
     # the blocks that table leaves prime-free.
     dropped = (3, 5, 7, 11, 13, 23)
     spf = [0 if v in dropped else s for v, s in enumerate(table_small.spf)]
-    thinned = SimpleNamespace(limit=table_small.limit, spf=spf)
+    thinned = PrimeTable(table_small.limit, array("I", spf))
     kept_set = {v for v in range(2, 100) if spf[v] == v}
     want = [(x, k) for k in range(2, 41) for x in range(2, k) if not kept_set & set(range(x, x + k))]
     assert len(want) == 36

@@ -140,7 +140,7 @@ def test_classify_and_generate(tmp_path, capsys):
 
 # argv and the end of its stderr
 GENERATE_ERRORS = [
-    # the generator runs for the need, before the memory guard
+    # the generator runs before the table is asked for, so before the memory guard
     (
         ["generate", "trivial-even", "--evens", "5", "--sieve-limit", str(10**12)],
         "dflab: values must be even and >= 4, got 5",
@@ -175,6 +175,31 @@ def test_classify_refuses_a_malformed_candidate_before_any_table(tmp_path, capsy
     # n = 10^6 would read the cache, but one part is no candidate
     code, out, err = run_inproc(["classify", "--n", "1000000", "--a", "5"], tmp_path, capsys)
     assert (code, out, err) == (2, "", "dflab: need at least two parts (t >= 2)\n")
+    assert not (tmp_path / "cache").exists()
+
+
+# Table-reading commands whose reads would reach past the in-memory bound,
+# so would load the cache, each with an argument the library refuses, and
+# the end of its stderr
+REFUSED_BEFORE_ANY_READ = [
+    (["block", "analyze", "--x", "900000", "--k", "0"], "block length must be >= 1, got 0"),
+    (["search", "--mode", "r1", "--n-max", "300000", "--t-max", "1"], "mode r1 needs t_max >= 3, got 1"),
+    (["abc", "proof-triple", "--x", "900000", "--j1", "1", "--j2", "3"], "need j2 < j1, got j1=1, j2=3"),
+    (["abc", "scan", "--x", "900000", "--k", "1"], "k must be >= 2, got 1"),
+    (["verify", "lemma22", "--k-max", "2", "--n-max", "300000"], "k_max must be >= 3 for any block 2 <= x < k, got 2"),
+    (["verify", "lemma23", "--n-max", "300000", "--t-max", "2"], "mode r1 needs t_max >= 3, got 2"),
+    (["ratio", "erdos-block", "--x", "900000", "--k", "1"], "block length must be >= 2, got 1"),
+    (["gap-witness", "--n", "900001", "--l", "2"], "n must be even, got 900001"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", REFUSED_BEFORE_ANY_READ, ids=[" ".join(a) for a, _ in REFUSED_BEFORE_ANY_READ]
+)
+def test_refused_arguments_exit_2_before_any_table_is_built(argv, message, tmp_path, capsys):
+    code, out, err = run_inproc(argv, tmp_path, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"{message}\n"), err
     assert not (tmp_path / "cache").exists()
 
 
@@ -881,17 +906,20 @@ def _captured_run(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-# Every table-reading leaf with a need of the whole --sieve-limit: the
-# reference each sized table must agree with
-_FULL_TABLE = {
-    path: command._replace(need=lambda args: args.sieve_limit) if command.need else command
-    for path, command in cli.COMMANDS.items()
-}
+_upto_on_demand = cli._TableOnDemand.upto
+
+
+def _upto_whole_limit(table, hi, what=None):
+    """The on-demand table's upto, with the table built to the whole --sieve-limit first."""
+    _upto_on_demand(table, table.limit)
+    return table.table.upto(hi, what)
 
 
 def run_on_full_table(argv) -> tuple:
-    """_captured_run with the handler given a table of exactly --sieve-limit, built in memory."""
-    with mock.patch.object(cli, "COMMANDS", _FULL_TABLE), mock.patch.object(cli, "_IN_MEMORY_MAX", math.inf):
+    """_captured_run with the handler reading a table of exactly --sieve-limit, built in memory:
+    the reference each table sized to its reads must agree with."""
+    with mock.patch.object(cli._TableOnDemand, "upto", _upto_whole_limit), \
+            mock.patch.object(cli, "_IN_MEMORY_MAX", math.inf):
         return _captured_run(argv)
 
 
@@ -988,7 +1016,7 @@ def untouched_cache(tmp_path_factory):
     return tmp_path_factory.mktemp("untouched")
 
 
-@pytest.mark.parametrize("path", sorted(path for path, c in cli.COMMANDS.items() if c.need))
+@pytest.mark.parametrize("path", sorted(NEED_ARGV))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_need_sized_table_matches_the_full_table(path, untouched_cache, data):
@@ -998,7 +1026,7 @@ def test_need_sized_table_matches_the_full_table(path, untouched_cache, data):
     got = _captured_run(argv)
     assert got == run_on_full_table(argv)
     event(f"exit {got[0]}")
-    assert not any(untouched_cache.iterdir())  # every need here is sieved in memory
+    assert not any(untouched_cache.iterdir())  # every table here is sieved in memory
 
 
 WARM_LIMIT = CACHED_LIMIT + 1000

@@ -3,8 +3,8 @@ import json
 import math
 import random
 import re
+from array import array
 from collections import Counter
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from dflab import (
     EquationInstance,
     NotASolutionError,
+    PrimeTable,
     ResourceLimitError,
     SieveRangeError,
     check_identity,
@@ -284,8 +285,8 @@ def test_check_identity_matches_bigint_oracle(table_small, rtol, case):
 def test_check_identity_large_cases(table_big):
     # 9!! * 8!! = 945 * 384 = 362880, so 362880!! = 362880 * 362878!! splits
     assert check_identity(EquationInstance(362880, (9, 8, 362878)), table_big)
-    # the log prune decides: a table without entries would fail any walk
-    no_entries = SimpleNamespace(limit=10**6, spf=None)
+    # the log prune decides: a table of zero entries would fail any walk
+    no_entries = PrimeTable(10**6, array("I", bytes(4 * (10**6 + 1))))
     assert not check_identity(EquationInstance(10**6, (4, 3)), no_entries)
 
 

@@ -20,8 +20,8 @@ from test_golden import CASES, GOLDEN_DIR, run_case
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 SUBMODULES = ("core", "equation", "bounds", "abc_triples", "formulas")
-# the commands with no need: the closed forms, and verify thm24, which builds
-# its own runs of smooth integers
+# the golden cases that read no table: the closed forms, and verify thm24,
+# which builds its own runs of smooth integers
 CLOSED_FORM_CASES = {
     "bound-thm12ii", "bound-ineq3", "verify-known-factorials", "verify-val2", "verify-thm24"
 }
@@ -107,8 +107,8 @@ def test_every_public_function_is_run_by_a_command(tmp_path):
 
 # the leaves that run the search, and so read --node-budget
 SEARCHING = {"search", "verify lemma22", "verify lemma23"}
-# the leaves with no need, which read no table
-NO_TABLE = {path for path, command in cli.COMMANDS.items() if command.need is None}
+# the leaves that read no table (test_only_closed_forms_never_ask_for_the_table)
+NO_TABLE = {"bound thm12ii", "bound ineq3", "verify known-factorials", "verify val2", "verify thm24"}
 # the flags a leaf accepts but does not read: each flag, the leaves, and why it stays
 ACCEPTED_NOT_READ = {
     "--threads": (set(cli.COMMANDS), "ROADMAP items 6 and 9 decide it; the bench records what 0 resolves to"),
@@ -177,6 +177,46 @@ def test_no_module_and_no_dependency_names_numpy():
         dep for extra in project.get("optional-dependencies", {}).values() for dep in extra
     ]
     assert [dep for dep in deps if "numpy" in dep] == []
+
+
+def _leaf(argv) -> str:
+    """The COMMANDS path argv names."""
+    return next(path for path in cli.COMMANDS if argv[: path.count(" ") + 1] == path.split())
+
+
+def test_only_closed_forms_never_ask_for_the_table(tmp_path):
+    asked = set()
+    real_upto = cli._TableOnDemand.upto
+
+    def spy(table, hi, what=None):
+        asked.add(leaf)
+        return real_upto(table, hi, what)
+
+    with mock.patch.object(cli._TableOnDemand, "upto", spy):
+        for name, argv in CASES.items():
+            leaf = _leaf(argv)
+            run_case(name, "jsonl", tmp_path)
+    assert {_leaf(argv) for argv in CASES.values()} == set(cli.COMMANDS)
+    assert set(cli.COMMANDS) - asked == NO_TABLE
+
+
+def _scopes_constructing(node, name: str, scope: str):
+    """The dotted scope of every call of name under node, node's own scope being scope."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _scopes_constructing(child, name, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Call) and ast.unparse(child.func) == name:
+            yield scope
+        yield from _scopes_constructing(child, name, scope)
+
+
+def test_sieve_range_error_has_one_home_and_commands_declare_no_needs():
+    raised = []
+    for path in sorted((Path(SRC_DIR) / "dflab").glob("*.py")):
+        raised += _scopes_constructing(ast.parse(path.read_text()), "SieveRangeError", path.stem)
+    assert raised == ["core.PrimeTable.upto"]
+    assert cli.Command._fields == ("handler", "flags")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
