@@ -33,7 +33,7 @@ print("\n== power-of-2 bounds ==")
 res = valuation2_factorial_lower_check(1_000_000)
 print(f"  nu_2(m!) > 0.99m - 7 for m <= 1e6: {res.passed}, min slack {res.margin:.2f} (at m=127)")
 for x, k in ((2, 5), (9, 2), (1024, 12)):
-    res = valuation2_block_bound_check(x, k, table)
+    res = valuation2_block_bound_check(x, k)
     print(f"  nu_2(block {x},{k}) = {res.details['val2']} <= {res.details['bound']:.3f}")
 
 print("\n== largest-prime ratios ==")

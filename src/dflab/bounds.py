@@ -503,13 +503,12 @@ def _val2_block_slack(x: int, k: int) -> tuple:
     return val2, bound, bound - val2
 
 
-def valuation2_block_bound_check(x: int, k: int, table: PrimeTable) -> BoundCheckResult:
-    """nu_2(x(x+1)...(x+k-1)) <= k - 1 + log2(x + k)."""
+def valuation2_block_bound_check(x: int, k: int) -> BoundCheckResult:
+    """nu_2(x(x+1)...(x+k-1)) <= k - 1 + log2(x + k), in closed form: no table is read."""
     if x < 2:
         raise ValueError(f"block start must be >= 2, got {x}")
     if k < 1:
         raise ValueError(f"block length must be >= 1, got {k}")
-    table.upto(x + k - 1, f"block end {x + k - 1}")
     val2, bound, slack = _val2_block_slack(x, k)
     return BoundCheckResult(
         name="block_power_of_two_upper",

@@ -7,18 +7,21 @@ csv or human on request) and diagnostics to stderr.  Exit codes: 0 ok,
 done, in a deterministic order.
 
 The leaf commands are declared once, in COMMANDS: the words that name
-each, its flags and its handler.  Every leaf also takes --sieve-limit,
---cache-dir, --format and --threads; --node-budget is a flag of the three
-that search.  A generate leaf's n is at most --sieve-limit, so an n past it
-exits before any table is read.  A flag a leaf does not take is its own
-parser's usage error, and a value outside the library's domain is the
-library's; no handler checks either.  A command builds the parser of its
-own leaf only (every leaf when argv names none, as for --help).  A command
-that never asks for the table loads no cache and builds none: bound
-thm12ii, bound ineq3, verify known-factorials and verify val2 evaluate
-closed forms, and verify thm24 builds the runs of smooth integers it
-scans.  Every command imports only the library modules it calls, when it
-runs.
+each, its flags and its handler.  Every leaf also takes the _SHARED flags
+--sieve-limit, --cache-dir, --format and --threads; --node-budget is a flag
+of the three that search.  A generate leaf's n is at most --sieve-limit, so
+an n past it exits before any table is read.  A flag a leaf does not take
+is its own parser's usage error, and a value outside the library's domain
+is the library's; no handler checks either.  A well-formed argv (a leaf's
+words, then "--flag value" pairs) is read straight from these declarations
+by a narrow parser, _read, and loads no argparse; help, any other spelling
+and every usage error go to the full argparse parser, which reports them.
+A command that never asks for the table loads no cache and builds none:
+bound thm12ii, bound ineq3, verify known-factorials and verify val2
+evaluate closed forms, and verify thm24 builds the runs of smooth integers
+it scans.  Every command imports only the library modules it calls, when
+it runs.  main() freezes the garbage collector before the process exits,
+so interpreter shutdown does not sweep what the command left.
 
 A table is one read-only memoryview of native uint32 entries: over the
 checked cache bytes, with no copy on a little-endian host, or over a
@@ -51,14 +54,15 @@ partial file.
 
 from __future__ import annotations
 
-import argparse
 import collections
 import contextlib
+import gc
 import json
 import math
 import os
 import struct
 import sys
+import types
 import zlib
 from pathlib import Path
 
@@ -357,22 +361,28 @@ def _emit_human(records, out):
 _EMIT = {"jsonl": _emit_jsonl, "csv": _emit_csv, "human": _emit_human}
 
 
+def _type_error(message: str) -> Exception:
+    """argparse's error for a value a flag's type refuses; only errors and help load argparse."""
+    import argparse
+    return argparse.ArgumentTypeError(message)
+
+
 def _parse_int_list(text: str) -> list:
     try:
         return [int(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise _type_error(f"expected comma-separated integers, got {text!r}")
 
 
 def _parse_int_at_least(least: int):
-    """The argparse type of an integer flag that is a usage error below least."""
+    """The type of an integer flag that is a usage error below least."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+            raise _type_error(f"expected an integer, got {text!r}")
         if value < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+            raise _type_error(f"must be >= {least}, got {value}")
         return value
     return parse
 
@@ -386,9 +396,9 @@ def _parse_k_range(text: str) -> list:
         else:
             ks = [int(v) for v in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse k range {text!r}")
+        raise _type_error(f"cannot parse k range {text!r}")
     if not ks:
-        raise argparse.ArgumentTypeError(f"k range {text!r} is empty")
+        raise _type_error(f"k range {text!r} is empty")
     return ks
 
 
@@ -414,9 +424,9 @@ def _cmd_classify(args, table):
 
 
 def _cmd_generate(args, table):
-    """Classify the instance generated, n <= --sieve-limit: trivial-odd's when args has a1."""
+    """Classify the instance generated, n <= --sieve-limit."""
     from .equation import classify, generate_trivial_even, generate_trivial_odd
-    if "a1" in args:
+    if args.command == "trivial-odd":
         instance = generate_trivial_odd(args.a1, args.evens, max_n=args.sieve_limit)
     else:
         instance = generate_trivial_even(args.evens, max_n=args.sieve_limit)
@@ -543,9 +553,10 @@ _NODE_BUDGET = (_parse_int_at_least(1), 10**8)
 
 # Leaf commands by the words that name them.  A flag maps to its type when it
 # is required, to its default when it is optional (an int, or (type, default)
-# with the default parsed by the type), or to the tuple of its choices; a
-# tuple of flags is a required choice of exactly one of them.  How much of
-# the table a leaf reads is the library's to say, through upto.
+# with a string default parsed by the type, as argparse does), or to the
+# tuple of its choices, (choices, default) when optional; a tuple of flags is
+# a required choice of exactly one of them.  How much of the table a leaf
+# reads is the library's to say, through upto.
 COMMANDS = {
     "search": Command(
         _cmd_search,
@@ -580,6 +591,14 @@ COMMANDS = {
     "gap-witness": Command(_cmd_gap_witness, {"--n": int, "--l": int}),
 }
 
+# The flags every leaf takes, in the same form
+_SHARED = {
+    "--sieve-limit": 10**6,
+    "--cache-dir": (Path, None),
+    "--format": (tuple(_EMIT), "jsonl"),
+    "--threads": (_parse_int_at_least(0), 0),
+}
+
 _HELP = {
     "search": "exhaustive solution search",
     "classify": "classify one candidate solution",
@@ -590,51 +609,35 @@ _HELP = {
     "block": "consecutive-integer block anatomy",
     "ratio": "largest-prime growth ratios",
     "gap-witness": "prime dividing (n-l)!! but not n!!",
+    "--threads": "accepted for compatibility and ignored; the search runs in one process",
 }
-_METAVARS = {_parse_int_list: "LIST", _parse_k_range: "RANGE"}
+# the placeholder help shows for a flag's value, by flag or by type, where not argparse's own
+_METAVARS = {"--sieve-limit": "N", "--cache-dir": "PATH", "--threads": "N",
+             _parse_int_list: "LIST", _parse_k_range: "RANGE"}
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--sieve-limit", type=int, default=10**6, metavar="N")
-    common.add_argument("--cache-dir", type=Path, default=None, metavar="PATH")
-    common.add_argument("--format", choices=tuple(_EMIT), default="jsonl", dest="output_format")
-    common.add_argument(
-        "--threads",
-        type=_parse_int_at_least(0),
-        default=0,
-        metavar="N",
-        help="accepted for compatibility and ignored; the search runs in one process",
-    )
-    return common
+def _specs(flags: dict):
+    """The shared flags' specs, then flags', each as (names, type, default, required, choices).
 
-
-def _add_flags(parser, flags: dict):
-    for flag, spec in flags.items():
-        if isinstance(flag, tuple):
-            group = parser.add_mutually_exclusive_group(required=True)
-            for one in flag:
-                group.add_argument(one, type=spec)
-        elif isinstance(spec, int):
-            parser.add_argument(flag, type=int, default=spec)
-        elif callable(spec):
-            parser.add_argument(flag, type=spec, required=True, metavar=_METAVARS.get(spec))
-        elif callable(spec[0]):
-            parser.add_argument(flag, type=spec[0], default=spec[1], metavar=_METAVARS.get(spec[0]))
-        else:
-            parser.add_argument(flag, choices=spec, required=True)
-
-
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The dflab parser; when argv starts with a leaf command's words, only that leaf gets flags.
-
-    Every group and top-level name is still declared, so usage lines, help
-    and errors read the same as with every leaf built, as they are when
-    argv names no complete leaf.
+    Two or more names are a required choice of exactly one; a choice's type is str.
     """
-    argv = list(argv)
-    chosen = [path for path in COMMANDS if argv[: path.count(" ") + 1] == path.split()]
-    common = _common_flags()
+    for key, spec in {**_SHARED, **flags}.items():
+        names = key if isinstance(key, tuple) else (key,)
+        if isinstance(spec, int):
+            yield names, int, spec, False, None
+        elif callable(spec):
+            yield names, spec, None, True, None
+        elif callable(spec[0]):
+            yield names, spec[0], spec[1], False, None
+        elif isinstance(spec[0], tuple):
+            yield names, str, spec[1], False, spec[0]
+        else:
+            yield names, str, None, True, spec
+
+
+def build_parser():
+    """The dflab argument parser, which run() uses only for help and for argv _read refuses."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="dflab",
         description="Double-factorial product equations: search, classify, verify bounds.",
@@ -646,14 +649,52 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         if group and group not in groups:
             sub = top.add_parser(group, help=_HELP[group])
             groups[group] = sub.add_subparsers(dest="command", required=True)
-        if chosen and path not in chosen:
-            if not group:  # keep the name among the top-level choices
-                top.add_parser(name, help=_HELP.get(path))
-            continue
-        leaf = groups.get(group, top).add_parser(name, parents=[common], help=_HELP.get(path))
-        _add_flags(leaf, command.flags)
+        leaf = groups.get(group, top).add_parser(name, help=_HELP.get(path))
+        for names, kind, default, required, choices in _specs(command.flags):
+            target = leaf
+            if len(names) > 1:  # argparse requires the group, not its members
+                target, required = leaf.add_mutually_exclusive_group(required=True), False
+            for flag in names:
+                target.add_argument(
+                    flag, type=kind, default=default, required=required, choices=choices,
+                    metavar=_METAVARS.get(flag, _METAVARS.get(kind)), help=_HELP.get(flag),
+                )
         leaf.set_defaults(leaf=command, usage_error=leaf.error)
     return parser
+
+
+def _read(argv):
+    """The namespace of a well-formed argv, read from COMMANDS without argparse; else None.
+
+    Well formed is a leaf's words, then one "--flag value" pair per flag
+    given: each flag one the leaf takes, spelled in full; no value starting
+    with "-"; every required flag or choice given; each value one its type
+    takes and among its choices.  argparse gives such an argv the same
+    namespace, plus usage_error.
+    """
+    path = next((path for path in COMMANDS if argv[: path.count(" ") + 1] == path.split()), None)
+    if path is None:
+        return None
+    pairs = argv[path.count(" ") + 1 :]
+    given = dict(zip(pairs[::2], pairs[1::2]))
+    if 2 * len(given) != len(pairs) or any(text.startswith("-") for text in given.values()):
+        return None
+    values = {"command": path.rpartition(" ")[2], "leaf": COMMANDS[path]}
+    for names, kind, default, required, choices in _specs(COMMANDS[path].flags):
+        if required and sum(flag in given for flag in names) != 1:
+            return None
+        for flag in names:
+            if flag not in given:
+                value = kind(default) if isinstance(default, str) else default
+            else:
+                try:
+                    value = kind(given.pop(flag))
+                except Exception:  # argparse reports, or raises, what the type raised
+                    return None
+                if choices is not None and value not in choices:
+                    return None
+            values[flag[2:].replace("-", "_")] = value
+    return None if given else types.SimpleNamespace(**values)
 
 
 def _parse(parser, argv) -> argparse.Namespace:
@@ -665,10 +706,12 @@ def _parse(parser, argv) -> argparse.Namespace:
 
 
 def run(argv) -> int:
-    try:
-        args = _parse(build_parser(argv), argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _parse(build_parser(), argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         table = _TableOnDemand(CommandConfig(args.sieve_limit, args.cache_dir, args.threads))
         records, code = args.leaf.handler(args, table)
@@ -682,12 +725,17 @@ def run(argv) -> int:
             raise
         print(f"dflab: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    _EMIT[args.output_format](records, sys.stdout)
+    _EMIT[args.format](records, sys.stdout)
     return code
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # The process exits next.  Frozen objects are out of the collector's
+    # reach, so interpreter shutdown does not sweep them (about 6 ms of each
+    # command) and their cyclic garbage is left to the OS.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -129,7 +129,7 @@ def test_c06_prime_log_sum_bounds(table_big):
         assert mertens_res.passed and mertens_res.margin > 0
 
 
-def test_c07_power_of_two_valuation_bounds(table_big):
+def test_c07_power_of_two_valuation_bounds():
     with criterion(7, "2-adic valuation bounds (factorials and blocks)", 30.0):
         res = valuation2_factorial_lower_check(10**6)
         assert res.passed and res.margin > 0
@@ -137,7 +137,7 @@ def test_c07_power_of_two_valuation_bounds(table_big):
         for _ in range(10_000):
             x = rng.randint(2, 10_000)
             k = rng.randint(1, 50)
-            assert valuation2_block_bound_check(x, k, table_big).passed
+            assert valuation2_block_bound_check(x, k).passed
 
 
 def test_c08_abc_machinery(table_big):

@@ -444,26 +444,34 @@ def test_erdos_ratio(table_small):
     assert erdos_ratio(24, 4, table_small) == pytest.approx(13 / (4 * math.log(4)), abs=1e-9)
 
 
-def test_valuation2_block_bound(table_small):
-    res = valuation2_block_bound_check(2, 5, table_small)
+def test_valuation2_block_bound():
+    res = valuation2_block_bound_check(2, 5)
     assert res.passed and res.details["val2"] == 4
     assert res.margin == pytest.approx(4 + math.log2(7) - 4, abs=1e-9)
-    res = valuation2_block_bound_check(9, 2, table_small)
+    res = valuation2_block_bound_check(9, 2)
     assert res.passed and res.details["val2"] == 1
 
 
-def test_valuation2_block_bound_sweep(table_big):
+def test_valuation2_block_bound_sweep():
     rng = random.Random(17)
     for _ in range(600):
         x = rng.randint(2, 10_000)
         k = rng.randint(1, 50)
-        assert valuation2_block_bound_check(x, k, table_big).passed
+        assert valuation2_block_bound_check(x, k).passed
+
+
+def test_valuation2_block_bound_checks_a_block_past_any_table():
+    # the closed form reads no table, so a block at 10^12 is checked, not refused
+    x, k = 10**12, 30
+    res = valuation2_block_bound_check(x, k)
+    assert res.passed
+    assert res.details["val2"] == sum(((x + i) & -(x + i)).bit_length() - 1 for i in range(k))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 10**6 - 59), st.integers(1, 60))
 def test_valuation2_closed_form_matches_block_factorization(table_big, x, k):
-    res = valuation2_block_bound_check(x, k, table_big)
+    res = valuation2_block_bound_check(x, k)
     assert res.details["val2"] == analyze_block(x, k, table_big).val2
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -25,7 +26,7 @@ from dflab.cli import (
     run,
 )
 from oracles import block_lpf_violators, df_direct, spf_direct, trial_factor
-from test_golden import CASES as GOLDEN_CASES
+from test_golden import CASES as GOLDEN_CASES, GOLDEN_DIR
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -512,6 +513,24 @@ def test_usage_errors_in_subprocess(tmp_path):
     assert run_proc(["--help"], tmp_path).returncode == 0
     assert run_proc(["search", "--help"], tmp_path).returncode == 0
     assert run_proc(["verify", "--help"], tmp_path).returncode == 0
+
+
+def test_run_leaves_the_collector_unfrozen(tmp_path, capsys):
+    # the bench and the tests call run() in a process that goes on
+    frozen = gc.get_freeze_count()
+    for argv in (GOLDEN_CASES["bound-thm12ii"], GOLDEN_CASES["classify"], ["bound", "thm12ii"]):
+        run_inproc(argv + ["--sieve-limit", "1000"], tmp_path, capsys)
+        assert gc.get_freeze_count() == frozen
+
+
+def test_main_freezes_the_collector_once_after_the_output(monkeypatch, capsys):
+    written = []
+    monkeypatch.setattr(gc, "freeze", lambda: written.append(capsys.readouterr().out))
+    monkeypatch.setattr(sys, "argv", ["dflab"] + GOLDEN_CASES["bound-thm12ii"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 0
+    assert written == [(GOLDEN_DIR / "bound-thm12ii.jsonl").read_text()]
 
 
 def test_search_determinism_across_threads(tmp_path):
