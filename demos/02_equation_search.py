@@ -29,7 +29,7 @@ from dflab import (
 table = sieve_primes(10_000)
 
 print("== the classical single-factorial identities ==")
-for label, ok in verify_known_factorial_solutions():
+for label, ok in verify_known_factorial_solutions().identities:
     print(f"  {label:26}  {ok}")
 
 print("\n== trivial families, constructed then re-verified ==")
@@ -64,5 +64,5 @@ print("  5!!*4!! = 120 = 12*10, 8!!*5!! = 5760 = 20*18*16, 7!!*4!! = 840 = 30*28
 
 print("\n== why a lone odd part near n cannot work ==")
 for n, l in ((20, 5), (1000, 3)):
-    p = odd_gap_obstruction(n, l, table)
+    p = odd_gap_obstruction(n, l, table).witness
     print(f"  n={n}, largest part n-{l}={n - l}: prime {p} divides ({n - l})!! but not {n}!!")

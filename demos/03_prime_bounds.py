@@ -27,7 +27,8 @@ print(f"  theta(nu) < 1.00008*nu on primes <= 1e5: {theta_res.passed}, min slack
 print(f"  sum log(p)/p < log(nu) on primes <= 1e5: {mertens_res.passed}, min slack {mertens_res.margin:.4f}")
 
 print("\n== largest prime factor of k consecutive integers ==")
-exceptions, res = theorem24_scan(range(2, 8), 5000)  # reads no table
+res = theorem24_scan(range(2, 8), 5000)  # reads no table
+exceptions = res.details["exceptions"]
 print(f"  scanned {res.details['pairs_scanned']} pairs (k in 2..7, 4k < x <= 5000)")
 print(f"  pairs at or under the 4.42k line: {len(exceptions)}")
 uncatalogued = [p for p in exceptions if p not in EXCEPTIONAL_PAIRS]

@@ -38,11 +38,11 @@ for x, k in ((2, 5), (9, 2), (1024, 12)):
 
 print("\n== largest-prime ratios ==")
 for x, k in ((9, 2), (24, 4), (13, 3)):
-    r = erdos_ratio(x, k, table)
+    r = erdos_ratio(x, k, table).ratio
     shown = f"{r:.4f}" if r is not None else "skipped (block contains a prime)"
     print(f"  P(block)/(k log k) at ({x},{k}): {shown}")
 for n in (2, 8, 4374):
-    print(f"  P(n(n+1))/log(n) at n={n}: {erdos_graham_ratio(n, table):.4f}")
+    print(f"  P(n(n+1))/log(n) at n={n}: {erdos_graham_ratio(n, table).ratio:.4f}")
 
 print("\n== the two smallest term radicals ==")
 for x, k in ((9, 2), (24, 4)):

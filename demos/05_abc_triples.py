@@ -39,11 +39,11 @@ for x, k in ((24, 5), (4374, 2), (9800, 8)):
 
 print("\n== the chained inequality, as a pure evaluator ==")
 for k, a2, m in ((2, 5, 9), (2, 3, 10**6), (10, 3, 10**9)):
-    rhs, holds = inequality3_rhs(k, a2, m)
-    print(f"  k={k:<3} a2={a2:<2} m={m:<11} k*log(m)={k * math.log(m):8.2f}  rhs={rhs:8.2f}  "
-          f"holds={holds}")
+    ineq = inequality3_rhs(k, a2, m)
+    print(f"  k={k:<3} a2={a2:<2} m={m:<11} k*log(m)={ineq.lhs:8.2f}  rhs={ineq.rhs:8.2f}  "
+          f"holds={ineq.holds}")
 print("  (the last line documents that the inequality is solution-derived, not universal)")
 
 print("\n== part-size cap when the short block is small ==")
 for l1 in (1, 10, 100):
-    print(f"  l1={l1:<4} ->  a1 <= {thm12ii_bound(l1):.2f}")
+    print(f"  l1={l1:<4} ->  a1 <= {thm12ii_bound(l1).a1_upper_bound:.2f}")

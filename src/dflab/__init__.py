@@ -19,21 +19,25 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "core": (
-        "BlockReport PrimeTable ResourceLimitError SieveRangeError analyze_block double_factorial"
-        " erdos_graham_ratio erdos_ratio factorize largest_prime_factor log_double_factorial"
-        " odd_gap_obstruction radical sieve_primes smooth_runs"
+        "BlockReport ErdosGrahamRatio ErdosRatio GapWitness PrimeTable ResourceLimitError"
+        " SieveRangeError analyze_block double_factorial erdos_graham_ratio erdos_ratio factorize"
+        " largest_prime_factor log_double_factorial odd_gap_obstruction radical sieve_primes"
+        " smooth_runs"
     ),
     "equation": (
         "EquationInstance NotASolutionError OddDecomposition SolutionRecord check_identity classify"
         " generate_trivial_even generate_trivial_odd odd_decomposition search"
     ),
     "bounds": (
-        "EXCEPTIONAL_PAIRS BoundCheckResult composite_block_geometry_scan dusart_check dusart_sweep"
-        " sandwich_check theorem24_scan valuation2_block_bound_check valuation2_block_sweep"
-        " valuation2_factorial_lower_check verify_lemma21"
+        "EXCEPTIONAL_PAIRS BoundCheckResult EmptyScan composite_block_geometry_scan dusart_check"
+        " dusart_sweep sandwich_check theorem24_scan valuation2_block_bound_check"
+        " valuation2_block_sweep valuation2_factorial_lower_check verify_lemma21"
     ),
     "abc_triples": "AbcTriple ProofTripleResult make_triple proof_triple scan_block_triples",
-    "formulas": "inequality3_rhs thm12ii_bound verify_known_factorial_solutions",
+    "formulas": (
+        "Inequality3 KnownFactorials Thm12iiBound inequality3_rhs thm12ii_bound"
+        " verify_known_factorial_solutions"
+    ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 

@@ -47,6 +47,7 @@ __all__ = [
     "EXCEPTIONAL_PAIRS_ORDERED",
     "EXCEPTIONAL_PAIRS",
     "BoundCheckResult",
+    "EmptyScan",
     "verify_lemma21",
     "composite_block_geometry_scan",
     "sandwich_check",
@@ -96,6 +97,10 @@ class BoundCheckResult(
     @property
     def passed(self) -> bool:
         return not self.counterexamples
+
+
+# A scan that found nothing to check: the count checked (0) and why
+EmptyScan = namedtuple("EmptyScan", "checked note")
 
 
 class _Fold(namedtuple("_Fold", "theta mertens theta_margin mertens_margin theta_bad mertens_bad count")):
@@ -403,11 +408,11 @@ def _smooth_block_maxima(bound: int, hi: int, ks):
         yield k, xs, best
 
 
-def theorem24_scan(k_range, x_max: int):
+def theorem24_scan(k_range, x_max: int) -> BoundCheckResult:
     """Scan P(block) > LPF_BLOCK_COEFF * k over 4k < x <= x_max, k in k_range.
 
-    Returns (exceptions, result): exceptions are all pairs at or under the
-    bound, k-major and x ascending; the check passes iff every one is an
+    details["exceptions"] lists all pairs (x, k) at or under the bound,
+    k-major and x ascending; the check passes iff every one is an
     exceptional pair.  The scan is one-directional: exceptional pairs that
     happen to satisfy the bound anyway are reported in details, never
     treated as errors.
@@ -478,18 +483,17 @@ def theorem24_scan(k_range, x_max: int):
             verdicts.append({"x": x, "k": k, "lpf": p_val, "satisfies_bound": p_val > thresh})
     exceptions = [(x, k) for k in ks for x in found[k]]
     counterexamples = [pair for pair in exceptions if pair not in EXCEPTIONAL_PAIRS]
-    result = BoundCheckResult(
+    return BoundCheckResult(
         name="block_lpf_linear_lower",
         domain_checked=f"k in {ks}, 4k < x <= {x_max}",
         counterexamples=counterexamples,
         margin=margin,
         details={
             "pairs_scanned": sum(x_max - 4 * k for k in ks),
-            "exceptions": [list(p) for p in exceptions],
+            "exceptions": exceptions,
             "exceptional_member_verdicts": verdicts,
         },
     )
-    return exceptions, result
 
 
 def _val2_block_slack(x: int, k: int) -> tuple:

@@ -6,22 +6,25 @@ csv or human on request) and diagnostics to stderr.  Exit codes: 0 ok,
 3 resource limit.  Records are buffered and emitted after all work is
 done, in a deterministic order.
 
-The leaf commands are declared once, in COMMANDS: the words that name
-each, its flags and its handler.  Every leaf also takes the _SHARED flags
---sieve-limit, --cache-dir, --format and --threads; --node-budget is a flag
-of the three that search.  A generate leaf's n is at most --sieve-limit, so
-an n past it exits before any table is read.  A flag a leaf does not take
-is its own parser's usage error, and a value outside the library's domain
-is the library's; no handler checks either.  A well-formed argv (a leaf's
-words, then "--flag value" pairs) is read straight from these declarations
-by a narrow parser, _read, and loads no argparse; help, any other spelling
-and every usage error go to the full argparse parser, which reports them.
-A command that never asks for the table loads no cache and builds none:
-bound thm12ii, bound ineq3, verify known-factorials and verify val2
-evaluate closed forms, and verify thm24 builds the runs of smooth integers
-it scans.  Every command imports only the library modules it calls, when
-it runs.  main() freezes the garbage collector before the process exits,
-so interpreter shutdown does not sweep what the command left.
+The leaf commands are rows of COMMANDS: the words that name each, its
+flags, and its call, a function then the names of its arguments, each a
+flag of that leaf or table.  _call runs every row and makes each result,
+a namedtuple, one record through _record; the result's type sets the
+record's kind (_KINDS).  Every leaf also takes the _SHARED flags
+--sieve-limit, --cache-dir, --format and --threads; --node-budget is a
+flag of the three that search.  A generate leaf's n is at most
+--sieve-limit, so an n past it exits before any table is read.  A flag a
+leaf does not take is its own parser's usage error, and a value outside
+the library's domain is the library's; no function a row runs checks
+either.  A well-formed argv (a leaf's words, then "--flag value" pairs)
+is read straight from these declarations by a narrow parser, _read, and
+loads no argparse; help, any other spelling and every usage error go to
+the full argparse parser, which reports them.  A command that never asks
+for the table loads no cache and builds none: bound thm12ii, bound ineq3,
+verify known-factorials and verify val2 evaluate closed forms, and verify
+thm24 builds the runs of smooth integers it scans.  main() freezes the
+garbage collector before the process exits, so interpreter shutdown does
+not sweep what the command left.
 
 A table is one read-only memoryview of native uint32 entries: over the
 checked cache bytes, with no copy on a little-endian host, or over a
@@ -57,6 +60,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import gc
+import importlib
 import json
 import math
 import os
@@ -263,43 +267,39 @@ class _TableOnDemand:
 
 
 def _jsonable(obj):
-    """A payload as JSON values: payloads hold only plain Python values, and
-    a non-finite float becomes its repr ("inf")."""
+    """A payload as JSON values: payloads hold only plain Python values and
+    namedtuples, a namedtuple becomes the dict of its fields, and a
+    non-finite float becomes its repr ("inf")."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if hasattr(obj, "_asdict"):
+            return _jsonable(obj._asdict())
         return [_jsonable(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 
 
-def _record(kind: str, result, lift: str | None = None, **derived) -> OutputRecord:
-    """A record of result's fields plus the derived values given.
+# Each result type's record, by type name: its kind, the field whose fields move to the top
+# level, and the properties of that field (else of the result) added.  Others: scan_summary
+_KINDS = {
+    "SolutionRecord": ("solution", "instance", ("t", "r")),
+    "BoundCheckResult": ("bound_check", None, ("passed",)),
+    "AbcTriple": ("triple", None, ()),
+    "ProofTripleResult": ("triple", "triple", ()),
+}
 
-    result is a namedtuple; a field that is one too (a solution's instance
-    and decomposition, a proof triple's triple) becomes the dict of its own
-    fields, and the fields of the one named by lift move to the top level.
-    """
-    payload = {
-        key: value._asdict() if hasattr(value, "_asdict") else value
-        for key, value in result._asdict().items()
-    }
+
+def _record(result) -> OutputRecord:
+    """The record of a library result, a namedtuple: its fields, lifted and added to as _KINDS says."""
+    kind, lift, derived = _KINDS.get(type(result).__name__, ("scan_summary", None, ()))
+    payload = result._asdict()
+    source = payload.pop(lift) if lift else result
     if lift:
-        payload.update(payload.pop(lift))
-    payload.update(derived)
+        payload.update(source._asdict())
+    payload.update((name, getattr(source, name)) for name in derived)
     return OutputRecord(kind, payload)
-
-
-def _solution_records(solutions) -> list:
-    """Solution records: the instance's n and a at the top level, plus t and r."""
-    return [_record("solution", s, "instance", t=s.instance.t, r=s.instance.r) for s in solutions]
-
-
-def _checks(results) -> tuple:
-    """Bound-check records and the exit code: 1 if any check failed."""
-    records = [_record("bound_check", r, passed=r.passed) for r in results]
-    return records, EXIT_OK if all(r.passed for r in results) else EXIT_FAILED
 
 
 def _emit_jsonl(records, out):
@@ -320,15 +320,9 @@ def _emit_csv(records, out):
     for rec in records:
         row = [rec.kind, SCHEMA_VERSION]
         payload = _jsonable(rec.payload)
-        for k in keys:
-            if k not in payload:
-                row.append("")
-                continue
-            v = payload[k]
-            if isinstance(v, (dict, list)):
-                row.append(json.dumps(v, sort_keys=True, separators=(",", ":")))
-            else:
-                row.append(v)
+        for v in (payload.get(k, "") for k in keys):
+            nested = isinstance(v, (dict, list))
+            row.append(json.dumps(v, sort_keys=True, separators=(",", ":")) if nested else v)
         writer.writerow(row)
 
 
@@ -403,147 +397,68 @@ def _parse_k_range(text: str) -> list:
 
 
 # ----------------------------------------------------------------------
-# Subcommand handlers: each returns (records, exit_code).  A handler imports
-# the library names it calls when it runs, so a command loads only the
-# modules it uses and reads each function from its module at call time.
+# The leaves that make more than one library call, or pass a keyword.  Each
+# returns library results, and imports what it calls as it runs (see _call).
 
 
-def _search(args, table, mode):
-    """search() over the command's --n-max, --t-max and --node-budget."""
+def _search(n_max, t_max, mode, node_budget, table):
     from .equation import search
-    return search(args.n_max, args.t_max, mode, table, node_budget=args.node_budget)
+    return search(n_max, t_max, mode, table, node_budget=node_budget)
 
 
-def _cmd_search(args, table):
-    return _solution_records(_search(args, table, args.mode)), EXIT_OK
-
-
-def _cmd_classify(args, table):
+def _classify(n, a, table):
     from .equation import EquationInstance, classify
-    return _solution_records([classify(EquationInstance(args.n, tuple(args.a)), table)]), EXIT_OK
+    return classify(EquationInstance(n, a), table)
 
 
-def _cmd_generate(args, table):
-    """Classify the instance generated, n <= --sieve-limit."""
+def _generate(evens, max_n, table, a1=None):
     from .equation import classify, generate_trivial_even, generate_trivial_odd
-    if args.command == "trivial-odd":
-        instance = generate_trivial_odd(args.a1, args.evens, max_n=args.sieve_limit)
-    else:
-        instance = generate_trivial_even(args.evens, max_n=args.sieve_limit)
-    return _solution_records([classify(instance, table)]), EXIT_OK
+    if a1 is None:
+        return classify(generate_trivial_even(evens, max_n=max_n), table)
+    return classify(generate_trivial_odd(a1, evens, max_n=max_n), table)
 
 
-def _cmd_verify_lemma21(args, table):
-    from . import bounds
-    return _checks(bounds.verify_lemma21(args.nu_max, table))
+def _lemma22(k_max, n_max, t_max, node_budget, table):
+    from .bounds import composite_block_geometry_scan, sandwich_check
+    geometry = composite_block_geometry_scan(k_max, table)
+    return [geometry] + [sandwich_check(s, table) for s in _search(n_max, t_max, "r0", node_budget, table)]
 
 
-def _cmd_verify_lemma22(args, table):
-    from . import bounds
-    results = [bounds.composite_block_geometry_scan(args.k_max, table)]
-    for rec in _search(args, table, "r0"):
-        results.append(bounds.sandwich_check(rec, table))
-    return _checks(results)
+def _lemma23(n_max, t_max, node_budget, table):
+    from .bounds import EmptyScan, sandwich_check
+    checks = [sandwich_check(s, table) for s in _search(n_max, t_max, "r1", node_budget, table)]
+    return checks or EmptyScan(0, f"no single-odd-part solutions with n <= {n_max}")
 
 
-def _cmd_verify_lemma23(args, table):
-    from . import bounds
-    solutions = _search(args, table, "r1")
-    results = [bounds.sandwich_check(rec, table) for rec in solutions]
-    if not results:
-        note = f"no single-odd-part solutions with n <= {args.n_max}"
-        return [OutputRecord("scan_summary", {"checked": 0, "note": note})], EXIT_OK
-    return _checks(results)
+def _val2(m_max, x_max, k_max, samples, seed):
+    from .bounds import valuation2_block_sweep, valuation2_factorial_lower_check
+    return valuation2_factorial_lower_check(m_max), valuation2_block_sweep(x_max, k_max, samples, seed)
 
 
-def _cmd_verify_thm24(args, table):
-    from . import bounds
-    _, result = bounds.theorem24_scan(args.k, args.x_max)
-    return _checks([result])
+def _dusart(y, y_max, table):
+    from .bounds import dusart_check, dusart_sweep
+    return dusart_check(y, table) if y is not None else dusart_sweep(y_max, table)
 
 
-def _cmd_verify_val2(args, table):
-    from . import bounds
-    return _checks([
-        bounds.valuation2_factorial_lower_check(args.m_max),
-        bounds.valuation2_block_sweep(args.x_max, args.k_max, args.samples, args.seed),
-    ])
+def _call(args, table) -> tuple:
+    """Run args' leaf: its records, and exit code 1 if a result has passed false, else 0.
 
-
-def _cmd_verify_dusart(args, table):
-    from . import bounds
-    if args.y is not None:
-        return _checks([bounds.dusart_check(args.y, table)])
-    return _checks([bounds.dusart_sweep(args.y_max, table)])
-
-
-def _cmd_verify_known(args, table):
-    from .formulas import verify_known_factorial_solutions
-    rows = verify_known_factorial_solutions()
-    payload = {
-        "identities": [{"identity": label, "holds": ok} for label, ok in rows],
-        "all_hold": all(ok for _, ok in rows),
-    }
-    return [OutputRecord("scan_summary", payload)], EXIT_OK if payload["all_hold"] else EXIT_FAILED
-
-
-def _cmd_bound_thm12ii(args, table):
-    from .formulas import thm12ii_bound
-    payload = {"l1": args.l1, "a1_upper_bound": thm12ii_bound(args.l1)}
-    return [OutputRecord("scan_summary", payload)], EXIT_OK
-
-
-def _cmd_bound_ineq3(args, table):
-    from .formulas import inequality3_rhs
-    rhs, holds = inequality3_rhs(args.k, args.a2, args.m)
-    lhs = args.k * math.log(args.m)
-    payload = {"k": args.k, "a2": args.a2, "m": args.m, "lhs": lhs, "rhs": rhs, "holds": holds}
-    return [OutputRecord("scan_summary", payload)], EXIT_OK
-
-
-def _cmd_abc_triple(args, table):
-    from .abc_triples import make_triple
-    return [_record("triple", make_triple(args.a, args.b, table))], EXIT_OK
-
-
-def _cmd_abc_proof_triple(args, table):
-    from .abc_triples import proof_triple
-    return [_record("triple", proof_triple(args.x, args.j1, args.j2, table), "triple")], EXIT_OK
-
-
-def _cmd_abc_scan(args, table):
-    from .abc_triples import scan_block_triples
-    return [_record("triple", scan_block_triples(args.x, args.k, table), "triple")], EXIT_OK
-
-
-def _cmd_block_analyze(args, table):
-    from .core import analyze_block
-    return [_record("scan_summary", analyze_block(args.x, args.k, table))], EXIT_OK
-
-
-def _cmd_ratio_erdos_graham(args, table):
-    from .core import erdos_graham_ratio
-    payload = {"n": args.n, "ratio": erdos_graham_ratio(args.n, table)}
-    return [OutputRecord("scan_summary", payload)], EXIT_OK
-
-
-def _cmd_ratio_erdos_block(args, table):
-    from .core import erdos_ratio
-    value = erdos_ratio(args.x, args.k, table)
-    payload = {"x": args.x, "k": args.k, "ratio": value, "all_composite": value is not None}
-    return [OutputRecord("scan_summary", payload)], EXIT_OK
-
-
-def _cmd_gap_witness(args, table):
-    from .core import odd_gap_obstruction
-    payload = {"n": args.n, "l": args.l, "witness": odd_gap_obstruction(args.n, args.l, table)}
-    return [OutputRecord("scan_summary", payload)], EXIT_OK
+    A library function is read from its home module as the command runs, so
+    a command loads only the modules it uses and runs what they hold then.
+    """
+    name, *params = args.leaf.call.split()
+    home = importlib.import_module(__package__)._HOME.get(name)
+    fn = globals()[name] if home is None else getattr(importlib.import_module("." + home, __package__), name)
+    result = fn(*(table if param == "table" else getattr(args, param) for param in params))
+    results = [result] if hasattr(result, "_fields") else result  # one namedtuple, or several
+    passed = all(getattr(r, "passed", True) for r in results)
+    return [_record(r) for r in results], EXIT_OK if passed else EXIT_FAILED
 
 
 # ----------------------------------------------------------------------
 # The command table.
 
-Command = collections.namedtuple("Command", "handler flags")
+Command = collections.namedtuple("Command", "call flags")
 
 
 # --node-budget, refused below 1 before any table is built; its default is
@@ -551,44 +466,47 @@ Command = collections.namedtuple("Command", "handler flags")
 _NODE_BUDGET = (_parse_int_at_least(1), 10**8)
 
 
-# Leaf commands by the words that name them.  A flag maps to its type when it
-# is required, to its default when it is optional (an int, or (type, default)
-# with a string default parsed by the type, as argparse does), or to the
-# tuple of its choices, (choices, default) when optional; a tuple of flags is
-# a required choice of exactly one of them.  How much of the table a leaf
-# reads is the library's to say, through upto.
+# Leaf commands by the words that name them.  A call names the function _call runs, then its
+# arguments: the leaf's flags by namespace name, or table.  A flag maps to its type when it is
+# required, to its default when it is optional (an int, or (type, default) with a string default
+# parsed by the type, as argparse does), or to the tuple of its choices, (choices, default) when
+# optional; a tuple of flags is a required choice of exactly one of them.  How much of the table
+# a leaf reads is the library's to say, through upto.
 COMMANDS = {
     "search": Command(
-        _cmd_search,
+        "_search n_max t_max mode node_budget table",
         {"--mode": ("r0", "r1"), "--n-max": int, "--t-max": int, "--node-budget": _NODE_BUDGET},
     ),
-    "classify": Command(_cmd_classify, {"--n": int, "--a": _parse_int_list}),
-    "generate trivial-even": Command(_cmd_generate, {"--evens": _parse_int_list}),
-    "generate trivial-odd": Command(_cmd_generate, {"--a1": int, "--evens": (_parse_int_list, "")}),
-    "verify lemma21": Command(_cmd_verify_lemma21, {"--nu-max": 10**6}),
+    "classify": Command("_classify n a table", {"--n": int, "--a": _parse_int_list}),
+    "generate trivial-even": Command("_generate evens sieve_limit table", {"--evens": _parse_int_list}),
+    "generate trivial-odd": Command(
+        "_generate evens sieve_limit table a1", {"--a1": int, "--evens": (_parse_int_list, "")}
+    ),
+    "verify lemma21": Command("verify_lemma21 nu_max table", {"--nu-max": 10**6}),
     "verify lemma22": Command(
-        _cmd_verify_lemma22,
+        "_lemma22 k_max n_max t_max node_budget table",
         {"--k-max": 50, "--n-max": 400, "--t-max": 3, "--node-budget": _NODE_BUDGET},
     ),
     "verify lemma23": Command(
-        _cmd_verify_lemma23, {"--n-max": 400, "--t-max": 3, "--node-budget": _NODE_BUDGET}
+        "_lemma23 n_max t_max node_budget table",
+        {"--n-max": 400, "--t-max": 3, "--node-budget": _NODE_BUDGET},
     ),
-    "verify thm24": Command(_cmd_verify_thm24, {"--k": (_parse_k_range, "2..7"), "--x-max": 5000}),
+    "verify thm24": Command("theorem24_scan k x_max", {"--k": (_parse_k_range, "2..7"), "--x-max": 5000}),
     "verify val2": Command(
-        _cmd_verify_val2,
+        "_val2 m_max x_max k_max samples seed",
         {"--m-max": 10**6, "--x-max": 10**4, "--k-max": 50, "--samples": 10**4, "--seed": 0},
     ),
-    "verify dusart": Command(_cmd_verify_dusart, {("--y", "--y-max"): int}),
-    "verify known-factorials": Command(_cmd_verify_known, {}),
-    "bound thm12ii": Command(_cmd_bound_thm12ii, {"--l1": int}),
-    "bound ineq3": Command(_cmd_bound_ineq3, {"--k": int, "--a2": int, "--m": int}),
-    "abc triple": Command(_cmd_abc_triple, {"--a": int, "--b": int}),
-    "abc proof-triple": Command(_cmd_abc_proof_triple, {"--x": int, "--j1": int, "--j2": int}),
-    "abc scan": Command(_cmd_abc_scan, {"--x": int, "--k": int}),
-    "block analyze": Command(_cmd_block_analyze, {"--x": int, "--k": int}),
-    "ratio erdos-graham": Command(_cmd_ratio_erdos_graham, {"--n": int}),
-    "ratio erdos-block": Command(_cmd_ratio_erdos_block, {"--x": int, "--k": int}),
-    "gap-witness": Command(_cmd_gap_witness, {"--n": int, "--l": int}),
+    "verify dusart": Command("_dusart y y_max table", {("--y", "--y-max"): int}),
+    "verify known-factorials": Command("verify_known_factorial_solutions", {}),
+    "bound thm12ii": Command("thm12ii_bound l1", {"--l1": int}),
+    "bound ineq3": Command("inequality3_rhs k a2 m", {"--k": int, "--a2": int, "--m": int}),
+    "abc triple": Command("make_triple a b table", {"--a": int, "--b": int}),
+    "abc proof-triple": Command("proof_triple x j1 j2 table", {"--x": int, "--j1": int, "--j2": int}),
+    "abc scan": Command("scan_block_triples x k table", {"--x": int, "--k": int}),
+    "block analyze": Command("analyze_block x k table", {"--x": int, "--k": int}),
+    "ratio erdos-graham": Command("erdos_graham_ratio n table", {"--n": int}),
+    "ratio erdos-block": Command("erdos_ratio x k table", {"--x": int, "--k": int}),
+    "gap-witness": Command("odd_gap_obstruction n l table", {"--n": int, "--l": int}),
 }
 
 # The flags every leaf takes, in the same form
@@ -714,7 +632,7 @@ def run(argv) -> int:
             return int(exc.code or 0)
     try:
         table = _TableOnDemand(CommandConfig(args.sieve_limit, args.cache_dir, args.threads))
-        records, code = args.leaf.handler(args, table)
+        records, code = _call(args, table)
     except (ValueError, OverflowError) as exc:
         # SieveRangeError and NotASolutionError are ValueErrors
         print(f"dflab: {exc}", file=sys.stderr)

@@ -51,6 +51,9 @@ __all__ = [
     "log_double_factorial",
     "BlockReport",
     "analyze_block",
+    "ErdosRatio",
+    "ErdosGrahamRatio",
+    "GapWitness",
     "erdos_ratio",
     "erdos_graham_ratio",
     "odd_gap_obstruction",
@@ -308,30 +311,36 @@ def analyze_block(x: int, k: int, table: PrimeTable) -> BlockReport:
     return BlockReport(x, k, lpf, val2, all_composite, tuple(rads))
 
 
-def erdos_ratio(x: int, k: int, table: PrimeTable) -> float | None:
-    """P(block) / (k*log k) when the block is all composite, else None."""
+# What erdos_ratio, erdos_graham_ratio and odd_gap_obstruction return: arguments and values
+ErdosRatio = namedtuple("ErdosRatio", "x k ratio all_composite")
+ErdosGrahamRatio = namedtuple("ErdosGrahamRatio", "n ratio")
+GapWitness = namedtuple("GapWitness", "n l witness")
+
+
+def erdos_ratio(x: int, k: int, table: PrimeTable) -> ErdosRatio:
+    """P(block) / (k*log k) when the block is all composite, else ratio None."""
     if k < 2:
         raise ValueError(f"block length must be >= 2, got {k}")
     report = analyze_block(x, k, table)
-    if not report.all_composite:
-        return None
-    return report.lpf / (k * math.log(k))
+    ratio = report.lpf / (k * math.log(k)) if report.all_composite else None
+    return ErdosRatio(x, k, ratio, report.all_composite)
 
 
-def erdos_graham_ratio(n: int, table: PrimeTable) -> float:
+def erdos_graham_ratio(n: int, table: PrimeTable) -> ErdosGrahamRatio:
     """P(n(n+1)) / log(n), the growth statistic for consecutive pairs."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     table.upto(n + 1, f"n+1={n + 1}")
-    return max(largest_prime_factor(n, table), largest_prime_factor(n + 1, table)) / math.log(n)
+    lpf = max(largest_prime_factor(n, table), largest_prime_factor(n + 1, table))
+    return ErdosGrahamRatio(n, lpf / math.log(n))
 
 
-def odd_gap_obstruction(n: int, l: int, table: PrimeTable) -> int | None:
-    """A prime p with n/2 < p <= n - l, if one exists (largest such).
+def odd_gap_obstruction(n: int, l: int, table: PrimeTable) -> GapWitness:
+    """A prime witness p with n/2 < p <= n - l, if one exists (largest such).
 
     For even n and odd a1 = n - l, any such p divides a1!! but not
     n!! = 2^(n/2) (n/2)!, so no identity with largest part a1 can hold.
-    Returns None when the interval is empty of primes.
+    The witness is None when the interval is empty of primes.
     """
     if n % 2:
         raise ValueError(f"n must be even, got {n}")
@@ -342,10 +351,9 @@ def odd_gap_obstruction(n: int, l: int, table: PrimeTable) -> int | None:
         raise ValueError(f"n - l = {a1} must be >= 3")
     # a1 > n when l < 0; a read past the limit names n when n is past it
     spf = table.upto(max(n, a1), f"n={n}" if n > table.limit else f"n - l = {a1}")
-    for v in range(a1, n // 2, -2):  # odd v, downward: the first prime is the largest
-        if spf[v] == v:
-            return v
-    return None
+    # odd v, downward: the first prime is the largest
+    witness = next((v for v in range(a1, n // 2, -2) if spf[v] == v), None)
+    return GapWitness(n, l, witness)
 
 
 def smooth_runs(bound: int, hi: int, min_len: int = 2) -> tuple:

@@ -5,6 +5,7 @@ builds none.  Like core, this module imports nothing from the package.
 """
 
 import math
+from collections import namedtuple
 
 __all__ = [
     "THETA_COEFF",
@@ -12,6 +13,9 @@ __all__ = [
     "THM12II_OFFSET",
     "ABC_EXPONENT",
     "KNOWN_FACTORIAL_IDENTITIES",
+    "Thm12iiBound",
+    "Inequality3",
+    "KnownFactorials",
     "thm12ii_bound",
     "inequality3_rhs",
     "verify_known_factorial_solutions",
@@ -36,20 +40,37 @@ KNOWN_FACTORIAL_IDENTITIES = (
 )
 
 
-def thm12ii_bound(l1: int) -> float:
+# What thm12ii_bound and inequality3_rhs return: arguments and values
+Thm12iiBound = namedtuple("Thm12iiBound", "l1 a1_upper_bound")
+Inequality3 = namedtuple("Inequality3", "k a2 m lhs rhs holds")
+_Identity = namedtuple("_Identity", "identity holds")
+
+
+class KnownFactorials(namedtuple("KnownFactorials", "identities all_hold")):
+    """Each classical identity's label and whether it holds; passed iff all do."""
+
+    __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.all_hold
+
+
+def thm12ii_bound(l1: int) -> Thm12iiBound:
     """Upper bound on a1 implied by 0.99*a1 <= 4*l1 + 4.01 + 2*log2(5) + 2*log2(l1)."""
     if l1 < 1:
         raise ValueError(f"l1 must be >= 1, got {l1}")
     rhs = 4 * l1 + THM12II_OFFSET + 2 * math.log2(5) + 2 * math.log2(l1)
-    return rhs / VAL2_SLOPE
+    return Thm12iiBound(l1, rhs / VAL2_SLOPE)
 
 
-def inequality3_rhs(k: int, a2: int, m: int):
+def inequality3_rhs(k: int, a2: int, m: int) -> Inequality3:
     """Evaluate k*log(m) <= (7/4)*(k*2.00016*a2/(k-1) + 2k^2*log(k)/(k-1) + k*log(k)).
 
-    Returns (rhs, holds).  A pure evaluator: the inequality is a
-    consequence of the explicit triple bound for solution-derived
-    (k, a2, m), not a universal truth, and callers pick the inputs.
+    Returns both sides and whether it holds.  A pure evaluator: the
+    inequality is a consequence of the explicit triple bound for
+    solution-derived (k, a2, m), not a universal truth, and callers pick
+    the inputs.
     The same formula serves the single-odd-part case under the
     substitution a2 -> a1 + 1, m -> x1, k -> l1.
     """
@@ -63,15 +84,14 @@ def inequality3_rhs(k: int, a2: int, m: int):
     rhs = ABC_EXPONENT * (
         k * (2 * THETA_COEFF) * a2 / (k - 1) + 2 * k * k * log_k / (k - 1) + k * log_k
     )
-    return rhs, k * math.log(m) <= rhs
+    lhs = k * math.log(m)
+    return Inequality3(k, a2, m, lhs, rhs, lhs <= rhs)
 
 
-def verify_known_factorial_solutions() -> list:
+def verify_known_factorial_solutions() -> KnownFactorials:
     """Evaluate the five classical single-factorial identities exactly."""
-    out = []
-    for label, parts, n in KNOWN_FACTORIAL_IDENTITIES:
-        prod = 1
-        for v in parts:
-            prod *= math.factorial(v)
-        out.append((label, prod == math.factorial(n)))
-    return out
+    rows = tuple(
+        _Identity(label, math.prod(map(math.factorial, parts)) == math.factorial(n))
+        for label, parts, n in KNOWN_FACTORIAL_IDENTITIES
+    )
+    return KnownFactorials(rows, all(row.holds for row in rows))

@@ -86,15 +86,15 @@ def test_proof_triple_errors(table_small):
 
 
 def test_inequality3_rhs_examples():
-    rhs, holds = inequality3_rhs(2, 5, 9)
-    assert rhs == pytest.approx(47.133, abs=1e-2)
-    assert holds
-    rhs, holds = inequality3_rhs(2, 3, 10**6)
-    assert rhs == pytest.approx(33.13, abs=1e-2)
-    assert holds  # 27.63 <= 33.13
-    rhs, holds = inequality3_rhs(10, 3, 10**9)
-    assert rhs == pytest.approx(141.51, abs=1e-2)
-    assert not holds  # the inequality is not a universal truth
+    res = inequality3_rhs(2, 5, 9)
+    assert res.rhs == pytest.approx(47.133, abs=1e-2)
+    assert res.holds
+    res = inequality3_rhs(2, 3, 10**6)
+    assert res.rhs == pytest.approx(33.13, abs=1e-2)
+    assert res.holds  # 27.63 <= 33.13
+    res = inequality3_rhs(10, 3, 10**9)
+    assert res.rhs == pytest.approx(141.51, abs=1e-2)
+    assert not res.holds  # the inequality is not a universal truth
     with pytest.raises(ValueError):
         inequality3_rhs(1, 5, 9)
 

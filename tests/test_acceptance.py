@@ -65,7 +65,7 @@ def test_c01_exact_double_factorial_identities():
 
 def test_c02_known_factorial_products():
     with criterion(2, "five classical factorial identities", 1.0):
-        rows = verify_known_factorial_solutions()
+        rows = verify_known_factorial_solutions().identities
         assert len(rows) == 5
         assert all(ok for _, ok in rows)
 
@@ -107,7 +107,8 @@ def test_c04_search_matches_bigint_oracle(table_small):
 
 def test_c05_block_lpf_scan_exceptions_all_catalogued():
     with criterion(5, "block LPF scan: all exceptions catalogued but (15, 2)", 120.0):
-        exceptions, result = theorem24_scan(range(2, 8), 5000)
+        result = theorem24_scan(range(2, 8), 5000)
+        exceptions = result.details["exceptions"]
         assert exceptions == block_lpf_violators(range(2, 8), 5000, 4.42)
         # the catalogue omits (15, 2): 15*16 = 240 = 2^4*3*5, and 5 <= 4.42*2
         assert 15 * 16 == 240 and max(trial_factor(240)) == 5 <= 4.42 * 2

@@ -296,8 +296,8 @@ def test_sandwich_errors(table_small):
 
 
 def test_theorem24_scan_matches_observed_exceptions():
-    exceptions, res = theorem24_scan(range(2, 8), 5000)
-    assert sorted(exceptions, key=lambda p: (p[1], p[0])) == OBSERVED_EXCEPTIONS
+    res = theorem24_scan(range(2, 8), 5000)
+    assert sorted(res.details["exceptions"], key=lambda p: (p[1], p[0])) == OBSERVED_EXCEPTIONS
     assert res.counterexamples == [(15, 2)]
     assert not res.passed
     assert res.details["pairs_scanned"] > 29_000
@@ -308,7 +308,7 @@ def test_theorem24_exceptions_agree_with_trial_division():
 
 
 def test_theorem24_member_verdicts():
-    _, res = theorem24_scan([7], 5000)
+    res = theorem24_scan([7], 5000)
     verdicts = {(d["x"], d["k"]): d for d in res.details["exceptional_member_verdicts"]}
     assert verdicts[(29, 7)]["lpf"] == 31 and verdicts[(29, 7)]["satisfies_bound"]
     assert verdicts[(30, 7)]["lpf"] == 31 and verdicts[(30, 7)]["satisfies_bound"]
@@ -320,22 +320,22 @@ def test_theorem24_scan_validation():
         theorem24_scan([1], 100)
     with pytest.raises(ValueError, match="empty scan"):
         theorem24_scan([2, 3], 8)  # 4k < x <= 8 holds for no x
-    _, res = theorem24_scan([2, 3], 9)
+    res = theorem24_scan([2, 3], 9)
     assert res.details["pairs_scanned"] == 1
 
 
 def test_theorem24_running_maximum_matches_trial_division():
     # k values with gaps: the running block maximum must still pass every k
-    exceptions, _ = theorem24_scan([3, 5, 9], 3000)
+    exceptions = theorem24_scan([3, 5, 9], 3000).details["exceptions"]
     assert sorted(exceptions, key=lambda p: (p[1], p[0])) == block_lpf_violators([3, 5, 9], 3000, 4.42)
 
 
 def test_theorem24_domain_names_only_scanned_k():
     # 4k < x <= 50 holds for k <= 12 only
-    _, res = theorem24_scan(range(2, 21), 50)
+    res = theorem24_scan(range(2, 21), 50)
     assert res.domain_checked == f"k in {list(range(2, 13))}, 4k < x <= 50"
     assert res.details["pairs_scanned"] == sum(50 - 4 * k for k in range(2, 13))
-    _, res = theorem24_scan(range(2, 8), 5000)
+    res = theorem24_scan(range(2, 8), 5000)
     assert res.domain_checked == "k in [2, 3, 4, 5, 6, 7], 4k < x <= 5000"
 
 
@@ -361,9 +361,9 @@ def test_theorem24_scan_matches_the_trial_division_record(monkeypatch):
     monkeypatch.setattr(bounds, "smooth_runs", spy)
     for ks, x_max, bounds_taken in THM24_CASES:
         taken.clear()
-        exceptions, res = theorem24_scan(ks, x_max)
+        res = theorem24_scan(ks, x_max)
         assert taken == bounds_taken, (ks, x_max)
-        assert exceptions == block_lpf_violators(ks, x_max, 4.42), (ks, x_max)
+        assert res.details["exceptions"] == block_lpf_violators(ks, x_max, 4.42), (ks, x_max)
         assert res.margin == block_lpf_margin(ks, x_max, 4.42, EXCEPTIONAL_PAIRS), (ks, x_max)
         want = [
             (x, k, max(max(trial_factor(t)) for t in range(x, x + k)))
@@ -373,7 +373,7 @@ def test_theorem24_scan_matches_the_trial_division_record(monkeypatch):
         got = res.details["exceptional_member_verdicts"]
         assert [(d["x"], d["k"], d["lpf"]) for d in got] == want, (ks, x_max)
         assert all(d["satisfies_bound"] == (d["lpf"] > 4.42 * d["k"]) for d in got)
-    assert theorem24_scan([20], 20_000)[1].margin == pytest.approx(97 - 88.4)  # 81..100, P = 97
+    assert theorem24_scan([20], 20_000).margin == pytest.approx(97 - 88.4)  # 81..100, P = 97
 
 
 # verify thm24 --x-max 10^6 as it was when B doubled (88 -> 176) until the
@@ -439,9 +439,9 @@ def test_smooth_block_maxima_is_the_window_maximum():
 
 
 def test_erdos_ratio(table_small):
-    assert erdos_ratio(9, 2, table_small) == pytest.approx(5 / (2 * math.log(2)), abs=1e-9)
-    assert erdos_ratio(13, 3, table_small) is None
-    assert erdos_ratio(24, 4, table_small) == pytest.approx(13 / (4 * math.log(4)), abs=1e-9)
+    assert erdos_ratio(9, 2, table_small).ratio == pytest.approx(5 / (2 * math.log(2)), abs=1e-9)
+    assert erdos_ratio(13, 3, table_small).ratio is None
+    assert erdos_ratio(24, 4, table_small).ratio == pytest.approx(13 / (4 * math.log(4)), abs=1e-9)
 
 
 def test_valuation2_block_bound():
@@ -538,9 +538,9 @@ def test_valuation2_factorial_matches_popcount_identity():
 
 
 def test_thm12ii_bound():
-    assert thm12ii_bound(1) == pytest.approx(12.7817, abs=1e-3)
-    assert thm12ii_bound(10) == pytest.approx(55.856, abs=1e-2)
-    assert thm12ii_bound(100) == pytest.approx(426.204, abs=1e-2)
+    assert thm12ii_bound(1).a1_upper_bound == pytest.approx(12.7817, abs=1e-3)
+    assert thm12ii_bound(10).a1_upper_bound == pytest.approx(55.856, abs=1e-2)
+    assert thm12ii_bound(100).a1_upper_bound == pytest.approx(426.204, abs=1e-2)
     with pytest.raises(ValueError):
         thm12ii_bound(0)
 
@@ -660,8 +660,8 @@ def test_dusart_sweep_failures_match_oracle(table_big, dusart_fold_1e6):
 
 
 def test_erdos_graham_ratio(table_small):
-    assert erdos_graham_ratio(8, table_small) == pytest.approx(3 / math.log(8), abs=1e-9)
-    assert erdos_graham_ratio(2, table_small) == pytest.approx(3 / math.log(2), abs=1e-9)
-    assert erdos_graham_ratio(4374, table_small) == pytest.approx(
+    assert erdos_graham_ratio(8, table_small).ratio == pytest.approx(3 / math.log(8), abs=1e-9)
+    assert erdos_graham_ratio(2, table_small).ratio == pytest.approx(3 / math.log(2), abs=1e-9)
+    assert erdos_graham_ratio(4374, table_small).ratio == pytest.approx(
         7 / math.log(4374), abs=1e-9
     )

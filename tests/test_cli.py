@@ -113,6 +113,15 @@ def test_verify_known_factorials(tmp_path, capsys):
     assert len(rec["payload"]["identities"]) == 5
 
 
+def test_verify_known_factorials_fails_on_a_false_identity(tmp_path, capsys, monkeypatch):
+    from dflab import formulas
+    monkeypatch.setattr(formulas, "KNOWN_FACTORIAL_IDENTITIES", (("3!*3! = 4!", (3, 3), 4),))
+    code, out, _ = run_inproc(["verify", "known-factorials"], tmp_path, capsys)
+    assert code == 1
+    identities = [{"holds": False, "identity": "3!*3! = 4!"}]
+    assert parse_jsonl(out)[0]["payload"] == {"all_hold": False, "identities": identities}
+
+
 def test_verify_dusart_single(tmp_path, capsys):
     code, out, _ = run_inproc(
         ["verify", "dusart", "--y", "3275", "--sieve-limit", "5000"], tmp_path, capsys
@@ -935,7 +944,7 @@ def _upto_whole_limit(table, hi, what=None):
 
 
 def run_on_full_table(argv) -> tuple:
-    """_captured_run with the handler reading a table of exactly --sieve-limit, built in memory:
+    """_captured_run with the command reading a table of exactly --sieve-limit, built in memory:
     the reference each table sized to its reads must agree with."""
     with mock.patch.object(cli._TableOnDemand, "upto", _upto_whole_limit), \
             mock.patch.object(cli, "_IN_MEMORY_MAX", math.inf):

@@ -632,16 +632,16 @@ def test_even_part_with_odd_n_never_solves(table_small):
 
 
 def test_known_factorial_identities():
-    rows = verify_known_factorial_solutions()
+    rows = verify_known_factorial_solutions().identities
     assert len(rows) == 5
     assert all(ok for _, ok in rows)
     assert rows[0][0].startswith("7!*3!*3!*2!")
 
 
 def test_odd_gap_obstruction(table_small):
-    assert odd_gap_obstruction(20, 5, table_small) == 13
-    assert odd_gap_obstruction(10, 5, table_small) is None
-    assert odd_gap_obstruction(1000, 3, table_small) == 997
+    assert odd_gap_obstruction(20, 5, table_small).witness == 13
+    assert odd_gap_obstruction(10, 5, table_small).witness is None
+    assert odd_gap_obstruction(1000, 3, table_small).witness == 997
     with pytest.raises(ValueError):
         odd_gap_obstruction(20, 4, table_small)
     with pytest.raises(ValueError):
@@ -650,7 +650,7 @@ def test_odd_gap_obstruction(table_small):
 
 def test_odd_gap_witness_divides_only_odd_side(table_small):
     for n, l in [(20, 5), (100, 7), (1000, 3), (2000, 11)]:
-        p = odd_gap_obstruction(n, l, table_small)
+        p = odd_gap_obstruction(n, l, table_small).witness
         if p is None:
             continue
         assert trial_is_prime(p)

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import os
 import re
@@ -40,7 +41,7 @@ LAYERS = {
 
 
 def test_public_names_are_the_defining_modules_objects():
-    assert len(dflab.__all__) == len(set(dflab.__all__)) == 44
+    assert len(dflab.__all__) == len(set(dflab.__all__)) == 51
     for name in dflab.__all__:
         home = importlib.import_module(f"dflab.{dflab._HOME[name]}")
         assert getattr(dflab, name) is getattr(home, name), name
@@ -72,7 +73,26 @@ def test_modules_import_in_layers():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):  # never dflab by its absolute name
                 assert "dflab" not in ast.unparse(node), (path.name, ast.unparse(node))
         graph[path.stem] = edges
+    # cli reads the library functions its rows name from their homes as it
+    # runs, through importlib, so no import statement names those homes
+    graph["cli"] |= {dflab._HOME[name] for name in _row_functions() if name in dflab._HOME}
     assert graph == LAYERS
+
+
+def _row_functions() -> set:
+    """The name of every function a COMMANDS row calls."""
+    return {command.call.split()[0] for command in cli.COMMANDS.values()}
+
+
+def test_each_row_calls_a_function_with_its_own_flags_and_table():
+    for path, command in cli.COMMANDS.items():
+        name, *params = command.call.split()
+        home = dflab._HOME.get(name)
+        fn = getattr(importlib.import_module(f"dflab.{home}") if home else cli, name)
+        # _read's namespace holds only the leaf's own flags and the shared ones
+        flags = {flag[2:].replace("-", "_") for names, *_ in cli._specs(command.flags) for flag in names}
+        assert set(params) <= flags | {"table"}, path
+        inspect.signature(fn).bind(*params)
 
 
 # the public functions no golden command calls, each with the reason it stays
@@ -139,15 +159,40 @@ HANDLERS_THAT_RAISE = {}
 
 
 def test_no_handler_checks_its_arguments():
+    # the handlers are _call, which runs every row, and the cli functions rows name
     tree = ast.parse(Path(cli.__file__).read_text())
-    handlers = {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
-    }
-    assert set(handlers) == {command.handler.__name__ for command in cli.COMMANDS.values()}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    own = _row_functions() - set(dflab._HOME)
+    assert own <= set(functions) and not any(name.startswith("_cmd_") for name in functions)
+    handlers = {name: functions[name] for name in own | {"_call"}}
+    assert len(own) <= 9
     raising = {name for name, node in handlers.items() if any(isinstance(n, ast.Raise) for n in ast.walk(node))}
     assert raising == set(HANDLERS_THAT_RAISE)
+    # nor builds a payload: each returns library results, and _record makes their records
+    dicts = (ast.Dict, ast.DictComp)
+    assert {name for name, node in handlers.items() if any(isinstance(n, dicts) for n in ast.walk(node))} == set()
+
+
+def test_only_record_constructs_output_records():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    assert list(_scopes_constructing(tree, "OutputRecord", "cli")) == ["cli._record"]
+
+
+def test_commands_call_what_the_home_module_holds_when_they_run(tmp_path, monkeypatch):
+    # patched as bench/tracing.py wraps them, at the home module's attribute,
+    # after the package has resolved (and cached) one of them
+    from dflab import abc_triples, core
+    assert dflab.analyze_block is core.analyze_block
+    called = []
+    for module, name in ((core, "analyze_block"), (abc_triples, "make_triple")):
+        def spy(*args, _real=getattr(module, name), _name=name):
+            called.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(module, name, spy)
+    for case in ("block-analyze", "abc-triple"):
+        _, out = run_case(case, "jsonl", tmp_path)
+        assert out.encode() == (GOLDEN_DIR / f"{case}.jsonl").read_bytes()
+    assert called == ["analyze_block", "make_triple"]
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -216,7 +261,7 @@ def test_sieve_range_error_has_one_home_and_commands_declare_no_needs():
     for path in sorted((Path(SRC_DIR) / "dflab").glob("*.py")):
         raised += _scopes_constructing(ast.parse(path.read_text()), "SieveRangeError", path.stem)
     assert raised == ["core.PrimeTable.upto"]
-    assert cli.Command._fields == ("handler", "flags")
+    assert cli.Command._fields == ("call", "flags")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -6,19 +6,32 @@ from dflab import (
     AbcTriple,
     BlockReport,
     BoundCheckResult,
+    EmptyScan,
     EquationInstance,
+    ErdosGrahamRatio,
+    ErdosRatio,
+    GapWitness,
+    Inequality3,
+    KnownFactorials,
     OddDecomposition,
     ProofTripleResult,
     SolutionRecord,
+    Thm12iiBound,
     analyze_block,
     classify,
+    erdos_graham_ratio,
+    erdos_ratio,
+    inequality3_rhs,
     make_triple,
+    odd_gap_obstruction,
     proof_triple,
+    thm12ii_bound,
+    verify_known_factorial_solutions,
 )
 
 
 def records(table):
-    """One record of each of the seven result types."""
+    """One record of each of the fourteen result types."""
     return [
         analyze_block(24, 5, table),
         EquationInstance(720, [5, 718, 6]),
@@ -27,12 +40,20 @@ def records(table):
         BoundCheckResult("check", "x <= 9", [(3, 4)], 0.5, {"seen": 9}),
         make_triple(1, 8, table),
         proof_triple(24, 3, 1, table),
+        erdos_ratio(24, 5, table),
+        erdos_graham_ratio(4374, table),
+        odd_gap_obstruction(20, 5, table),
+        thm12ii_bound(5),
+        inequality3_rhs(10, 30, 1000),
+        verify_known_factorial_solutions(),
+        EmptyScan(0, "nothing to check"),
     ]
 
 
 def test_each_result_type_is_covered(table_small):
     kinds = [BlockReport, EquationInstance, OddDecomposition, SolutionRecord,
-             BoundCheckResult, AbcTriple, ProofTripleResult]
+             BoundCheckResult, AbcTriple, ProofTripleResult, ErdosRatio, ErdosGrahamRatio,
+             GapWitness, Thm12iiBound, Inequality3, KnownFactorials, EmptyScan]
     assert [type(rec) for rec in records(table_small)] == kinds
 
 
